@@ -1,16 +1,15 @@
 """Data skipping and secondary indexes: the selective-read stack.
 
-Head-to-head on two databases holding byte-identical data —
-``Database(data_skipping=True)`` (zone maps + cost-based access paths)
-versus ``Database(data_skipping=False)`` (exhaustive scans):
+Zone maps + cost-based access paths, measured against what an exhaustive
+scan of the same chains would fetch — the scan span's own
+``pages_read + pages_skipped``, checked to equal the covering chains'
+page count:
 
 * a <= 1%-selectivity predicate over a 100k-row table fetches **>= 5x
-  fewer pages** once zone maps are warm, and both paths return
-  **identical rows**,
+  fewer pages** once zone maps are warm, and returns **exactly the rows
+  the data generator predicts**,
 * the planner picks an **index probe** for a point lookup and a **scan**
-  for a non-selective predicate, verified via trace spans,
-* the skipped + fetched page counts close over the whole chain (the
-  span counter and the pager's independent tag accounting agree).
+  for a non-selective predicate, verified via trace spans.
 
 Headline numbers land in ``BENCH_data_skipping.json`` via
 :func:`benchmarks.conftest.write_bench_json`.  Run ``BENCH_SMOKE=1``
@@ -33,14 +32,16 @@ SELECTIVE_FLOOR = N_ROWS - N_ROWS // 100  # the top 1% of v values
 PAGE_RATIO_FLOOR = 5.0
 
 
-def build_db(data_skipping: bool) -> Database:
-    db = Database(
-        page_capacity=128, buffer_frames=64, data_skipping=data_skipping
-    )
+def row_of(i: int):
+    return (i, i, (i * 13) % 97)
+
+
+def build_db() -> Database:
+    db = Database(page_capacity=128, buffer_frames=64)
     db.execute("CREATE TABLE events (k INT PRIMARY KEY, v INT, w INT)")
     table = db.table("events")
     for i in range(N_ROWS):
-        table.insert((i, i, (i * 13) % 97), emit=False)
+        table.insert(row_of(i), emit=False)
     db.checkpoint()
     return db
 
@@ -55,32 +56,31 @@ def find_prefix(span, prefix: str):
     return None
 
 
-def pages_fetched(db: Database, sql: str):
-    """(rows, pages read from the pager) for one cold-cache execution."""
-    store = db.table("events").store
-    store.pool.drop_cache()
-    before = [store.group_io_stats(g).snapshot() for g in range(store.n_groups)]
-    rows = db.execute(sql).rows
-    fetched = sum(
-        store.group_io_stats(g).delta(before[g]).reads
-        for g in range(store.n_groups)
-    )
-    return rows, fetched
+def traced_scan(db: Database, sql: str):
+    """(rows, scan-span counters) for one cold-cache execution."""
+    db.table("events").store.pool.drop_cache()
+    result, trace = db.trace_statement(sql)
+    return result.rows, find_prefix(trace, "ProjectedScan").counters
 
 
 def test_selective_scan_reads_fewer_pages():
-    skipping = build_db(data_skipping=True)
-    exhaustive = build_db(data_skipping=False)
+    skipping = build_db()
+    store = skipping.table("events").store
     sql = f"SELECT k, w FROM events WHERE v >= {SELECTIVE_FLOOR}"
 
     # Warm the zone cache: the first pass fetches pages to compute their
     # zones; from then on dead pages are skipped without pool traffic.
-    warm_rows, warm_pages = pages_fetched(skipping, sql)
-    rows_skipping, pages_skipping = pages_fetched(skipping, sql)
-    rows_exhaustive, pages_exhaustive = pages_fetched(exhaustive, sql)
+    warm_rows, warm = traced_scan(skipping, sql)
+    rows_skipping, counters = traced_scan(skipping, sql)
+    pages_skipping = counters["pages_read"]
+    # What a scan that skipped nothing would have fetched: every page of
+    # the chains covering (k, v, w).
+    pages_exhaustive = pages_skipping + counters["pages_skipped"]
+    covering = {store.schema.group_of(name) for name in ("k", "v", "w")}
+    assert pages_exhaustive == sum(store.pages_in_group(g) for g in covering)
 
-    assert sorted(rows_skipping) == sorted(rows_exhaustive) == sorted(warm_rows)
-    assert len(rows_skipping) == N_ROWS - SELECTIVE_FLOOR
+    expected = [(k, w) for k, _, w in map(row_of, range(SELECTIVE_FLOOR, N_ROWS))]
+    assert rows_skipping == warm_rows == expected
     assert pages_skipping > 0
     ratio = pages_exhaustive / pages_skipping
     assert ratio >= PAGE_RATIO_FLOOR, (
@@ -117,7 +117,7 @@ def test_selective_scan_reads_fewer_pages():
             "pages_fetched_skipping": pages_skipping,
             "pages_fetched_exhaustive": pages_exhaustive,
             "page_ratio": round(ratio, 2),
-            "warm_up_pages": warm_pages,
+            "warm_up_pages": warm["pages_read"],
             "db_pages_skipped": snap["db_pages_skipped"],
             "db_index_lookups": snap["db_index_lookups"],
             "point_lookup_path": "index",

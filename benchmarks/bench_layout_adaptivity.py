@@ -78,7 +78,7 @@ def replay_phase(table: Table, ops, state: dict, adaptive: bool) -> int:
     for index, op in enumerate(ops):
         kind = op[0]
         if kind == "scan_col":
-            for _ in store.scan_column(columns[op[1] % len(columns)]):
+            for _ in store.scan_groups([columns[op[1] % len(columns)]]):
                 pass
         elif kind == "point_read":
             store.get(rids[op[1] % len(rids)])
@@ -192,8 +192,8 @@ def test_adaptive_beats_static_layouts():
 # Two further claims, added with the ProjectedScan refactor:
 #
 # * a narrow SELECT over a wide hybrid-layout table reads strictly fewer
-#   pages than the same query on the full-row scan path (the seed
-#   behaviour, reproduced with ``projection_pushdown=False``),
+#   pages than the full-width ``SELECT *`` with the same predicate on the
+#   same database,
 # * an alternating two-query workload whose column sets overlap drives
 #   the co-access advisor to a grouping that beats the singleton-only
 #   advisor AND both static extremes on total page I/O.
@@ -205,12 +205,11 @@ WIDE_FRAMES = 16
 CO_ROUNDS = 50 if SMOKE else 100
 
 
-def build_wide_db(projection_pushdown: bool, auto_interval: int = 0) -> Database:
+def build_wide_db(auto_interval: int = 0) -> Database:
     db = Database(
         page_capacity=WIDE_CAPACITY,
         buffer_frames=WIDE_FRAMES,
         auto_layout_interval=auto_interval,
-        projection_pushdown=projection_pushdown,
     )
     columns = ", ".join(f"c{i} INT" for i in range(WIDE_COLS))
     db.execute(f"CREATE TABLE t ({columns})")
@@ -231,14 +230,17 @@ def reset_measurement(db: Database) -> None:
 
 def test_narrow_select_reads_fewer_pages():
     """A 2-column SELECT with a selective WHERE over a wide hybrid table
-    touches strictly fewer pages than the seed's full-row scan path."""
+    touches strictly fewer pages than the full-width scan."""
     groups = [[f"c{g * 3 + j}" for j in range(3)] for g in range(WIDE_COLS // 3)]
-    query = "SELECT c0, c1 FROM t WHERE c2 < 200"
+    queries = {
+        "projected": "SELECT c0, c1 FROM t WHERE c2 < 200",
+        "full-row": "SELECT * FROM t WHERE c2 < 200",
+    }
+    db = build_wide_db()
+    db.table("t").store.restructure(groups)  # hybrid: 4 groups of 3
     reads = {}
     rows = {}
-    for label, pushdown in (("projected", True), ("full-row", False)):
-        db = build_wide_db(projection_pushdown=pushdown)
-        db.table("t").store.restructure(groups)  # hybrid: 4 groups of 3
+    for label, query in queries.items():
         reset_measurement(db)
         rows[label] = db.execute(query).rows
         reads[label] = db.io_stats.reads
@@ -247,7 +249,7 @@ def test_narrow_select_reads_fewer_pages():
         f"projected={reads['projected']} page reads, "
         f"full-row={reads['full-row']} page reads"
     )
-    assert rows["projected"] == rows["full-row"]
+    assert rows["projected"] == [row[:2] for row in rows["full-row"]]
     assert reads["projected"] < reads["full-row"], (
         f"projected scan read {reads['projected']} pages, "
         f"full-row path {reads['full-row']}"
@@ -258,10 +260,7 @@ def replay_overlapping_workload(mode: str):
     """The HTAP mix for one configuration: two alternating narrow SELECTs
     with overlapping column sets ({c0,c1} and {c0,c1,c2}), viewport
     window fetches (full-row point reads), and single-row INSERTs."""
-    db = build_wide_db(
-        projection_pushdown=True,
-        auto_interval=(8 if mode.startswith("auto") else 0),
-    )
+    db = build_wide_db(auto_interval=(8 if mode.startswith("auto") else 0))
     table = db.table("t")
     if mode == "row":
         db.execute("ALTER TABLE t SET LAYOUT ROW")

@@ -18,10 +18,8 @@ schema-change-heavy (spreadsheet-like) workloads the hybrid wins.
 
 import pytest
 
-from repro.engine.columnstore import ColumnStore
-from repro.engine.hybridstore import HybridStore
-from repro.engine.rowstore import RowStore
 from repro.engine.schema import Column, TableSchema
+from repro.engine.store import GroupedTupleStore, LayoutPolicy
 from repro.engine.types import DBType
 
 N_ROWS = 4096
@@ -31,15 +29,13 @@ PAGE_CAPACITY = 64
 
 def make_store(layout: str, group_size: int = 2):
     pairs = [(f"c{i}", DBType.INTEGER) for i in range(N_COLS)]
-    if layout == "row":
-        store = RowStore(TableSchema.from_pairs(pairs), page_capacity=PAGE_CAPACITY)
-    elif layout == "column":
-        store = ColumnStore(TableSchema.from_pairs(pairs), page_capacity=PAGE_CAPACITY)
-    else:
-        store = HybridStore(
-            TableSchema.from_pairs(pairs, group_size=group_size),
-            page_capacity=PAGE_CAPACITY,
-        )
+    # ROW and COLUMN regroup the schema to their extreme; HYBRID keeps
+    # the group_size-wide groups it was built with.
+    store = GroupedTupleStore(
+        TableSchema.from_pairs(pairs, group_size=group_size),
+        layout=LayoutPolicy(layout),
+        page_capacity=PAGE_CAPACITY,
+    )
     row = tuple(range(N_COLS))
     for _ in range(N_ROWS):
         store.insert(row)

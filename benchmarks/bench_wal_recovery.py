@@ -148,7 +148,7 @@ def test_recovery_preserves_tuned_layout(tmp_path):
     # Tune on the steady-state trace, not the one-off bulk load.
     table.store.access_stats.reset()
     for _ in range(scans):
-        list(table.store.scan_column("a"))
+        list(table.store.scan_groups(["a"]))
     for _ in range(40):
         service.maintenance_tick(steps=2)
         if not table.migration_active and ["a"] in table.schema.groups:
@@ -163,7 +163,7 @@ def test_recovery_preserves_tuned_layout(tmp_path):
         store.pool.drop_cache()
         before = store.pool.stats.snapshot()
         for _ in range(4):
-            for _ in store.scan_column("a"):
+            for _ in store.scan_groups(["a"]):
                 pass
         return store.pool.stats.delta(before).total
 

@@ -88,9 +88,9 @@ def main() -> None:
         f"{snap['buffer_hit_ratio']:.0%} buffer hits",
     )
     # EXPLAIN TRACE runs the query and returns the span tree as rows.
-    # The ProjectedScan span carries the vectorized-execution counters:
-    # batches (column-fragment batches pulled from the store) and
-    # rows_per_batch next to rows_scanned / cols_read.
+    # The ProjectedScan span carries the scan's counters: batches
+    # (column-fragment batches pulled from the store) and rows_per_batch
+    # next to rows_scanned / cols_read.
     trace = wb.execute("EXPLAIN TRACE SELECT name FROM cities WHERE pop > 26000")
     print("query trace:")
     for (line,) in trace:

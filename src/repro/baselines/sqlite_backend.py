@@ -65,11 +65,17 @@ class SqliteComparator:
                 f"  sqlite: {theirs[:10]}"
             )
 
-    def ordered_match(self, query: str) -> Tuple[bool, List, List]:
-        """Order-sensitive comparison (for ORDER BY queries)."""
-        ours = [tuple(_normalise(v) for v in row) for row in self.database.execute(query).rows]
+    def ordered_match(
+        self, query: str, params: Sequence[Any] = ()
+    ) -> Tuple[bool, List, List]:
+        """Order-sensitive comparison (for ORDER BY queries, and for scans
+        whose presentation order is insertion order on both engines)."""
+        ours = [
+            tuple(_normalise(v) for v in row)
+            for row in self.database.execute(query, params).rows
+        ]
         theirs = [
             tuple(_normalise(v) for v in row)
-            for row in self.connection.execute(query).fetchall()
+            for row in self.connection.execute(query, tuple(params)).fetchall()
         ]
         return (ours == theirs, ours, theirs)

@@ -7,8 +7,9 @@ interface-aware query processor.  Those changes are the research
 contribution, so this package implements the whole engine from scratch:
 
 * :mod:`repro.engine.pager` — page/buffer substrate with block-I/O counters,
-* :mod:`repro.engine.rowstore` / :mod:`repro.engine.columnstore` /
-  :mod:`repro.engine.hybridstore` — the three physical layouts,
+* :mod:`repro.engine.store` — the attribute-group tuple store (row, column
+  and hybrid layouts are grouping policies of one class) and
+  :mod:`repro.engine.hybridstore` — its block cost model,
 * :mod:`repro.engine.schema` / :mod:`repro.engine.catalog` — dynamic schema,
 * :mod:`repro.engine.sql_lexer` / :mod:`repro.engine.sql_parser` — SQL text,
 * :mod:`repro.engine.planner` / :mod:`repro.engine.executor` — query

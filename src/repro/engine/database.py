@@ -117,9 +117,6 @@ class Database:
         default_layout: LayoutPolicy = LayoutPolicy.HYBRID,
         buffer_frames: Optional[int] = None,
         auto_layout_interval: int = 64,
-        projection_pushdown: bool = True,
-        vectorized: bool = True,
-        data_skipping: bool = True,
         metrics: Optional[MetricsRegistry] = None,
         sanitize: Optional[bool] = None,
         background_maintenance: Optional[bool] = None,
@@ -136,16 +133,6 @@ class Database:
         self.catalog.sanitizer = self.sanitizer
         self.catalog.pool.sanitizer = self.sanitizer
         self.default_layout = default_layout
-        # Column-set-aware scans (ProjectedScan); off = full-width scans,
-        # the pre-pipeline behaviour benchmarks compare against.
-        self.projection_pushdown = projection_pushdown
-        # Batched columnar execution (selection vectors over column
-        # fragments, late materialisation); off = the row-at-a-time tuple
-        # path, retained as the comparison baseline.
-        self.vectorized = vectorized
-        # Zone-map data skipping + index access paths; off = every scan
-        # decodes every covering page (the pre-skipping baseline).
-        self.data_skipping = data_skipping
         self.transactions = TransactionManager()
         self._listeners: List[Callable[[ChangeEvent], None]] = []
         self.statements_executed = 0
@@ -523,13 +510,7 @@ class Database:
         params: Sequence[Any],
         resolver: Optional[RangeResolver],
     ) -> ResultSet:
-        planner = Planner(
-            self.catalog,
-            resolver,
-            projection_pushdown=self.projection_pushdown,
-            vectorized=self.vectorized,
-            data_skipping=self.data_skipping,
-        )
+        planner = Planner(self.catalog, resolver)
         if isinstance(statement, (ast.SelectStmt, ast.CompoundSelect)):
             tracer = self.tracer
             with tracer.span("plan"):
@@ -629,43 +610,27 @@ class Database:
     ) -> List[Tuple[int, int, Tuple[Any, ...]]]:
         """Rows a DML statement touches: ``(position, rid, full_row)``.
 
-        Three shapes, cheapest first:
-
-        * no WHERE — every row is a target; the predicate path is skipped
-          entirely and rows stream off the full scan,
-        * vectorized WHERE — the predicate rides a *narrow* batched scan
-          over just the referenced columns (selection vectors when the
-          expression batch-compiles, row closures otherwise) and full rows
-          are fetched only for the matching rids — the page-I/O saving the
-          hybrid layout grants writes too,
-        * fallback (vectorized off, or a WHERE with no column refs) — the
-          historical full-row scan with a per-row predicate.
-
-        With ``data_skipping`` on, the vectorized scan also hands the
-        WHERE clause's sargable interval sets to the store so zone maps
-        drop non-matching pages before decode, and a point constraint on
-        an indexed column short-circuits to an index probe — DML rides
-        the same selective-read machinery SELECT does.
+        Without a WHERE every row is a target and streams off the full
+        scan.  With one, the predicate rides a *narrow* batched scan over
+        just the referenced columns (selection vectors when the expression
+        batch-compiles, row closures otherwise; a WHERE naming no column
+        reads no page at all) and full rows are fetched only for the
+        matching rids — the page-I/O saving the hybrid layout grants
+        writes too.  The scan is handed the WHERE clause's sargable
+        interval sets so zone maps drop non-matching pages before decode,
+        and a point constraint on an indexed column short-circuits to an
+        index probe — DML rides the same selective-read machinery SELECT
+        does.
         """
         if where is None:
-            return [(position, rid, row) for position, rid, row in table.scan()]
-        full_scope = Scope([(table.name, name) for name in table.column_names])
+            return list(table.scan())
         refs = {
             node.name.lower()
             for node in ast.walk_expression(where)
             if isinstance(node, ast.ColumnRef)
         }
         names = [name for name in table.column_names if name.lower() in refs]
-        if not self.vectorized or not names:
-            predicate = planner._compile(where, full_scope)
-            return [
-                (position, rid, row)
-                for position, rid, row in table.scan()
-                if predicate(row, params) is True
-            ]
-        ranges = None
-        if self.data_skipping:
-            ranges = extract_sargable_ranges(where, params, table.name) or None
+        ranges = extract_sargable_ranges(where, params, table.name) or None
         if ranges:
             probe = self._dml_index_probe(table, where, params, planner, ranges)
             if probe is not None:
@@ -677,15 +642,12 @@ class Database:
         scanned = 0
         batches = 0
         skipped_before = table.store.pages_skipped
-        for start, rids, cols in table.scan_column_batches(
+        for positions, rids, cols in table.scan_column_batches(
             names, predicate_ranges=ranges
         ):
             n = len(rids)
             scanned += n
             batches += 1
-            positions = (
-                start if isinstance(start, list) else range(start, start + n)
-            )
             if batch_fn is not None:
                 for i, verdict in enumerate(batch_fn(cols, params, n)):
                     if verdict is True:
@@ -863,7 +825,11 @@ class Database:
             return ResultSet(rowcount=rewritten)
         if isinstance(action, ast.AlterDropColumn):
             column = table.schema.column(action.name)
-            saved = list(table.store.scan_column(action.name))
+            saved = [
+                pair
+                for _, rids, cols in table.scan_column_batches([action.name])
+                for pair in zip(rids, cols[0])
+            ]
             group_index = table.schema.group_of(action.name)
             rewritten = table.drop_column(action.name)
 

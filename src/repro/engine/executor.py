@@ -5,12 +5,11 @@ The planner (:mod:`repro.engine.planner`) assembles these nodes into a tree;
 and benchmarks can assert *logical* work (e.g. E10's one-pass claim: a DBSQL
 spill of 100 rows runs one plan, not 100).
 
-Operator inventory: projected scan (column-set-aware table scan with
-pushed predicates, in presentation order via the positional index; the
-legacy full-width ``SeqScan`` is the degenerate all-columns case), values
-scan (``RANGETABLE`` data and VALUES lists), filter, project, nested-loop
-join, hash join (equi-joins, inner/left), aggregate (hash grouping),
-distinct, sort, limit/offset.
+Operator inventory: projected scan (column-set-aware batched table scan
+with pushed predicates, in presentation order via the positional index),
+values scan (``RANGETABLE`` data and VALUES lists), filter, project,
+nested-loop join, hash join (equi-joins, inner/left), aggregate (hash
+grouping), distinct, sort, limit/offset.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 from repro.engine import sql_ast as ast
 from repro.engine.expr import Scope, compile_batch_predicate, extract_sargable_ranges
 from repro.engine.functions import Aggregator, make_aggregate
-from repro.engine.store import DEFAULT_BATCH_SIZE
 from repro.engine.table import Table, TableIndex
 from repro.engine.types import compare_values
 from repro.errors import ExecutionError
@@ -31,7 +29,6 @@ __all__ = [
     "PlanNode",
     "ProjectedScan",
     "IndexScan",
-    "SeqScan",
     "ValuesScan",
     "FilterNode",
     "ProjectNode",
@@ -102,8 +99,7 @@ class ProjectedScan(PlanNode):
     narrow fragments *before* a row is emitted, so ``rows_out`` counts
     surviving rows; ``rows_scanned`` counts rows examined and
     ``cols_read`` the width of the set, letting tests assert logical
-    work.  ``column_names=None`` scans every column (the legacy
-    ``SeqScan`` behaviour).
+    work.  ``column_names=None`` scans every column.
     """
 
     def __init__(
@@ -111,9 +107,6 @@ class ProjectedScan(PlanNode):
         table: Table,
         binding: str,
         column_names: Optional[Sequence[str]] = None,
-        vectorized: bool = True,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        data_skipping: bool = True,
     ):
         names = (
             list(table.column_names) if column_names is None else list(column_names)
@@ -125,9 +118,6 @@ class ProjectedScan(PlanNode):
         # (row_fn, description, ast_or_None); the AST is kept so run() can
         # recompile pushed conjuncts into whole-batch selection functions.
         self.predicates: List[Tuple[RowFn, str, Optional[Any]]] = []
-        self.vectorized = vectorized
-        self.batch_size = batch_size
-        self.data_skipping = data_skipping
         self.rows_scanned = 0
         self.batches = 0
         # Covering-group I/O snapshot taken when the scan starts; the
@@ -191,46 +181,22 @@ class ProjectedScan(PlanNode):
     ) -> None:
         """Attach a pushed predicate, evaluated on the narrow fragment.
 
-        ``expression`` is the conjunct's AST when the planner has it; the
-        vectorized path batch-compiles it, and conjuncts without one (or
-        with non-vectorizable shapes) fall back to the row closure."""
+        ``expression`` is the conjunct's AST when the planner has it;
+        :meth:`run` batch-compiles it, and conjuncts without one (or with
+        non-vectorizable shapes) fall back to the row closure."""
         self.predicates.append((predicate, description, expression))
 
     def label(self) -> str:
         suffix = f", {len(self.predicates)} pushed" if self.predicates else ""
-        if self.data_skipping and self.vectorized:
-            plan_ranges = self.sargable_ranges(None)
-            if plan_ranges:
-                suffix += f", skip=[{', '.join(sorted(plan_ranges))}]"
+        plan_ranges = self.sargable_ranges(None)
+        if plan_ranges:
+            suffix += f", skip=[{', '.join(sorted(plan_ranges))}]"
         return (
             f"ProjectedScan({self.table.name} as {self.binding}, "
             f"cols=[{', '.join(self.column_names)}]{suffix})"
         )
 
     def run(self, ctx: ExecContext) -> Iterator[Tuple[Any, ...]]:
-        # The table scan is opened *here*, not at first next(): the store
-        # snapshot is acquired at operator open, so everything this node
-        # yields is isolated from concurrent DML and background
-        # maintenance that lands after run() returns its iterator.
-        self._io_before = self.table.store.covering_io_snapshot(self.column_names)
-        if self.vectorized and self.column_names:
-            return self._count(self._run_batches(ctx))
-        source = self.table.scan_columns(self.column_names)
-
-        def rows() -> Iterator[Tuple[Any, ...]]:
-            for _, _, values in source:
-                self.rows_scanned += 1
-                keep = True
-                for predicate, _, _ in self.predicates:
-                    if predicate(values, ctx.params) is not True:
-                        keep = False
-                        break
-                if keep:
-                    yield values
-
-        return self._count(rows())
-
-    def _run_batches(self, ctx: ExecContext) -> Iterator[Tuple[Any, ...]]:
         """Batched execution: selection vectors over column fragments,
         output tuples materialised only for surviving rids.
 
@@ -238,6 +204,7 @@ class ProjectedScan(PlanNode):
         column lists; the rest run row-at-a-time on the already-filtered
         survivors (late materialisation *is* the ``to_rows`` adapter —
         downstream operators still consume plain tuples)."""
+        self._io_before = self.table.store.covering_io_snapshot(self.column_names)
         batch_fns = []
         row_fns = []
         for predicate, _, expression in self.predicates:
@@ -251,18 +218,20 @@ class ProjectedScan(PlanNode):
             else:
                 row_fns.append(predicate)
         params = ctx.params
-        ranges = self.sargable_ranges(params) if self.data_skipping else None
+        ranges = self.sargable_ranges(params)
         if ranges:
             self._skip_before = self.table.store.pages_skipped
-        # Open the batched scan now so the snapshot is pinned at operator
-        # open (this method is called eagerly from run(), not lazily).
+        # The table scan is opened *here*, not at first next(): the store
+        # snapshot is acquired at operator open, so everything this node
+        # yields is isolated from concurrent DML and background
+        # maintenance that lands after run() returns its iterator.
         source = self.table.scan_column_batches(
-            self.column_names, self.batch_size, predicate_ranges=ranges
+            self.column_names, predicate_ranges=ranges
         )
 
         def rows() -> Iterator[Tuple[Any, ...]]:
-            for _, _, cols in source:
-                n = len(cols[0])
+            for _, rids, cols in source:
+                n = len(rids)
                 self.rows_scanned += n
                 self.batches += 1
                 if batch_fns:
@@ -291,17 +260,7 @@ class ProjectedScan(PlanNode):
                     if keep_row:
                         yield values
 
-        return rows()
-
-
-class SeqScan(ProjectedScan):
-    """Full-width scan: a :class:`ProjectedScan` over every column."""
-
-    def __init__(self, table: Table, binding: str):
-        super().__init__(table, binding, None)
-
-    def label(self) -> str:
-        return f"SeqScan({self.table.name} as {self.binding})"
+        return self._count(rows())
 
 
 class IndexScan(PlanNode):

@@ -1,4 +1,4 @@
-"""The paper's hybrid attribute-group store.
+"""Block cost model of the paper's hybrid attribute-group store.
 
 Paper §3, *Relational Storage Manager*: "with an insight to reduce the disk
 blocks to update during a schema change, the relational storage manager uses
@@ -18,10 +18,10 @@ tuple insert         1 page                   ``n_groups`` pages
 tuple update (1 col) 1 page                   1 page (the column's group)
 ===================  =======================  ==========================
 
-:meth:`GroupedTupleStore.compact_groups` (inherited) re-partitions into
-target groups — e.g. merging the many single-column groups created by
-repeated ADD COLUMN back into wider ones — the maintenance operation a
-production system would run off-line.
+:meth:`GroupedTupleStore.compact_groups` re-partitions into target groups
+— e.g. merging the many single-column groups created by repeated ADD
+COLUMN back into wider ones — the maintenance operation a production
+system would run off-line.
 """
 
 from __future__ import annotations
@@ -29,12 +29,9 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.pager import BufferPool, DEFAULT_PAGE_CAPACITY
-from repro.engine.schema import TableSchema
-from repro.engine.store import AccessStats, GroupedTupleStore, LayoutPolicy
+from repro.engine.store import AccessStats
 
 __all__ = [
-    "HybridStore",
     "pages_for_group",
     "estimate_workload_blocks",
     "restructure_blocks",
@@ -193,15 +190,3 @@ def restructure_blocks(
         blocks += sum(source_pages[source] for source in sources)
         blocks += pages_for_group(n_rows, len(group), page_capacity)
     return blocks
-
-
-class HybridStore(GroupedTupleStore):
-    """Attribute-group hybrid of row and column layouts."""
-
-    def __init__(
-        self,
-        schema: TableSchema,
-        pool: Optional[BufferPool] = None,
-        page_capacity: int = DEFAULT_PAGE_CAPACITY,
-    ):
-        super().__init__(schema, pool, LayoutPolicy.HYBRID, page_capacity)

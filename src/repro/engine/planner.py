@@ -114,26 +114,9 @@ RequiredColumns = Dict[str, Optional[Set[str]]]
 
 
 class Planner:
-    def __init__(
-        self,
-        catalog: Catalog,
-        resolver: Optional[RangeResolver] = None,
-        projection_pushdown: bool = True,
-        vectorized: bool = True,
-        data_skipping: bool = True,
-    ):
+    def __init__(self, catalog: Catalog, resolver: Optional[RangeResolver] = None):
         self.catalog = catalog
         self.resolver = resolver if resolver is not None else RangeResolver()
-        # Off = every table scan is full-width (the pre-pipeline
-        # behaviour); benchmarks use this to measure what the
-        # column-set-aware path saves.
-        self.projection_pushdown = projection_pushdown
-        # Off = scans materialise one tuple per row (the pre-batching
-        # behaviour); the comparison baseline for the vectorized path.
-        self.vectorized = vectorized
-        # Off = scans decode every covering page and index access paths
-        # are never chosen — the PR-9 baseline for the skipping benchmark.
-        self.data_skipping = data_skipping
 
     # -- public entry points ------------------------------------------------
 
@@ -271,26 +254,17 @@ class Planner:
         item: ast.FromItem,
         pending: List[ast.Expression],
         allow_push: bool,
-        required: Optional[RequiredColumns] = None,
+        required: RequiredColumns,
     ) -> PlanNode:
         if isinstance(item, ast.TableRef):
             table = self.catalog.get(item.name)
             names: Optional[List[str]] = None
-            if self.projection_pushdown and required is not None:
-                wanted = required.get(item.binding.lower())
-                if wanted is not None:
-                    names = [
-                        name
-                        for name in table.column_names
-                        if name.lower() in wanted
-                    ]
-            node: PlanNode = ProjectedScan(
-                table,
-                item.binding,
-                names,
-                vectorized=self.vectorized,
-                data_skipping=self.data_skipping,
-            )
+            wanted = required.get(item.binding.lower())
+            if wanted is not None:
+                names = [
+                    name for name in table.column_names if name.lower() in wanted
+                ]
+            node: PlanNode = ProjectedScan(table, item.binding, names)
         elif isinstance(item, ast.RangeTable):
             columns, rows = self.resolver.resolve_range_table(item.reference)
             binding = item.binding
@@ -325,8 +299,6 @@ class Planner:
         Extraction runs with ``params=None`` so a ``?`` point probe still
         shapes the decision; actual bounds are re-extracted at run time.
         """
-        if not self.data_skipping:
-            return scan
         ranges = scan.sargable_ranges(None)
         if not ranges:
             return scan
@@ -404,7 +376,7 @@ class Planner:
         join: ast.Join,
         pending: List[ast.Expression],
         allow_push: bool,
-        required: Optional[RequiredColumns] = None,
+        required: RequiredColumns,
     ) -> PlanNode:
         left_push = allow_push
         right_push = allow_push and join.kind != "left"

@@ -9,7 +9,7 @@ that need an update during a schema change."
 
 A :class:`TableSchema` therefore records, besides the ordered column list,
 the partition of columns into attribute groups.  The hybrid store
-(:mod:`repro.engine.hybridstore`) materialises one page chain per group, so
+(:mod:`repro.engine.store`) materialises one page chain per group, so
 ``ADD COLUMN`` only rewrites the group the column lands in — by default a
 brand-new group, touching **zero** existing blocks.
 """

@@ -81,7 +81,7 @@ class LayoutPolicy(Enum):
 class ColumnAccessStats:
     """Access counters for one column (workload signal for the advisor)."""
 
-    scans: int = 0  # scan_column passes over this column
+    scans: int = 0  # scans whose column set includes this column
     updates: int = 0  # single-column updates
 
     def total(self) -> int:
@@ -484,7 +484,7 @@ class GroupedTupleStore:
         self._group_ratio: List[float] = [1.0] * schema.n_groups
         self._group_enc_failed: List[bool] = [False] * schema.n_groups
         self._group_plain_pages: List[int] = [0] * schema.n_groups
-        # Store-level vectorized-execution counters (metrics exporter).
+        # Store-level batch-scan counters (metrics exporter).
         self.batch_scans = 0
         self.batches_emitted = 0
         self.bytes_decoded = 0
@@ -1043,176 +1043,19 @@ class GroupedTupleStore:
         for rid in self.rids():
             yield rid, self.read_row(rid)
 
-    def scan_column(self, column_name: str) -> Iterator[Tuple[int, Any]]:
-        """Column scan touching only that column's group chain.
-
-        Snapshot-isolated: the chain is captured at call time, so the
-        iterator streams the pre-write version regardless of concurrent
-        DML or migrations."""
-        with self._mutation_lock:
-            snap = self.snapshot()
-            try:
-                group_index = snap.group_of(column_name)
-                self.access_stats.record_scan([column_name])
-                members = snap.groups[group_index]
-                offset = next(
-                    i
-                    for i, name in enumerate(members)
-                    if name.lower() == column_name.lower()
-                )
-            except BaseException:
-                snap.release()
-                raise
-
-        def values() -> Iterator[Tuple[int, Any]]:
-            try:
-                tag = snap.tags[group_index]
-                for page_id in snap.chains[group_index]:
-                    page = self.pool.get(page_id)
-                    enc = page.header.get("enc")
-                    if enc is None:
-                        self._charge_decode_tag(
-                            tag, page.n_records * PLAIN_VALUE_BYTES
-                        )
-                        for rid, fragment in page.records:
-                            yield rid, fragment[offset]
-                    else:
-                        kind, payload = enc["cols"][offset]
-                        self._charge_decode_tag(tag, enc["col_bytes"][offset])
-                        decoded = decode_column(kind, payload)
-                        for rid, value in zip(enc["rids"], decoded):
-                            yield rid, value
-            finally:
-                snap.release()
-
-        return values()
-
     def scan_groups(
         self,
         column_names: Sequence[str],
         snapshot: Optional[StoreSnapshot] = None,
     ) -> Iterator[Tuple[int, Tuple[Any, ...]]]:
-        """Scan a *set* of columns together, touching only the page chains
-        of the groups that cover them.
-
-        Yields ``(rid, values)`` with ``values`` ordered like
-        ``column_names``, rid-aligned across the covering groups.  The
-        scan iterates a :class:`StoreSnapshot` captured at call time (or
-        the caller-provided one), so concurrent writes and in-flight
-        ``restructure()`` swaps are invisible to it.  The captured chains
-        are walked **in lockstep**: every mutation applies to all chains
-        identically (inserts append everywhere, deletes remove everywhere,
-        restructures rebuild in the shared rid order), so all chains
-        enumerate records in the same order and the scan streams lazily —
-        an early-exiting consumer (LIMIT) only reads the page prefix it
-        consumed, and a full pass reads each covering chain sequentially
-        exactly once.  Charges one co-access scan over the set (or a plain
-        full scan when the set covers every column) — the workload signals
-        the layout advisor prices.  Iteration order is the heap order of
-        the covering chains; callers wanting presentation order go through
-        :meth:`repro.engine.table.Table.scan_columns`.
-
-        A snapshot passed in stays the caller's to release; one taken
-        here is released when the iterator is exhausted or closed.
-        """
-        names = list(column_names)
-        if not names:
-            return iter(())
-        owns = snapshot is None
-        with self._mutation_lock:
-            snap = snapshot if snapshot is not None else self.snapshot()
-            try:
-                # (group_index, fragment_offset, output_offset) per column,
-                # resolved against the captured grouping.
-                placements = snap.placements(names)
-                if {name.lower() for name in names} == snap.column_set():
-                    # A full-width request is a table scan, not a column-set
-                    # signal: keep the historical full_scans accounting (and
-                    # the advisor's hot-column ranking unskewed by SELECT *).
-                    self.access_stats.full_scans += 1
-                else:
-                    self.access_stats.record_scan(names)
-            except BaseException:
-                if owns:
-                    snap.release()
-                raise
-        covering = sorted({group_index for group_index, _, _ in placements})
-        by_group: Dict[int, List[Tuple[int, int]]] = {}
-        for group_index, frag_offset, out_offset in placements:
-            by_group.setdefault(group_index, []).append((frag_offset, out_offset))
-        chain_records = self._chain_records
-
-        def rows() -> Iterator[Tuple[int, Tuple[Any, ...]]]:
-            try:
-                width = len(names)
-                driver = covering[0]
-                others = covering[1:]
-                needed = {
-                    group_index: [frag for frag, _ in by_group[group_index]]
-                    for group_index in covering
-                }
-                cursors = {
-                    group_index: chain_records(snap, group_index, needed[group_index])
-                    for group_index in others
-                }
-                fallback: set = set()
-                for rid, fragment in chain_records(snap, driver, needed[driver]):
-                    slot: List[Any] = [None] * width
-                    for frag_offset, out_offset in by_group[driver]:
-                        slot[out_offset] = fragment[frag_offset]
-                    for group_index in others:
-                        record = None
-                        if group_index not in fallback:
-                            record = next(cursors[group_index], None)
-                            if record is None or record[0] != rid:
-                                # Lockstep invariant violated (should not
-                                # happen); degrade this chain to per-rid
-                                # directory lookups — slower, still correct.
-                                fallback.add(group_index)
-                                record = None
-                        if record is None:
-                            record = (rid, snap.fragment_at(group_index, rid))
-                        for frag_offset, out_offset in by_group[group_index]:
-                            slot[out_offset] = record[1][frag_offset]
-                    yield rid, tuple(slot)
-            finally:
-                if owns:
-                    snap.release()
-
-        return rows()
-
-    def _chain_records(
-        self, snap: StoreSnapshot, group_index: int, needed_offsets: Sequence[int]
-    ) -> Iterator[Tuple[int, Tuple[Any, ...]]]:
-        """Stream one captured chain's ``(rid, fragment)`` records in page
-        order, decoding encoded pages lazily.  Only ``needed_offsets`` of
-        each fragment are guaranteed populated (others are ``None`` on
-        encoded pages); decoded bytes are charged for exactly those
-        columns, against the tag captured at snapshot time."""
-        width = max(1, len(snap.groups[group_index]))
-        needed = sorted(set(needed_offsets))
-        tag = snap.tags[group_index]
-        for page_id in snap.chains[group_index]:
-            page = self.pool.get(page_id)
-            enc = page.header.get("enc")
-            if enc is None:
-                self._charge_decode_tag(
-                    tag, page.n_records * len(needed) * PLAIN_VALUE_BYTES
-                )
-                for record in page.records:
-                    yield record
-                continue
-            self._charge_decode_tag(
-                tag, sum(enc["col_bytes"][offset] for offset in needed)
-            )
-            columns: List[Optional[List[Any]]] = [None] * width
-            for offset in needed:
-                kind, payload = enc["cols"][offset]
-                columns[offset] = decode_column(kind, payload)
-            for i, rid in enumerate(enc["rids"]):
-                yield rid, tuple(
-                    column[i] if column is not None else None for column in columns
-                )
+        """``(rid, values)`` view of :meth:`scan_group_batches`, ``values``
+        ordered like ``column_names``, in the heap order of the covering
+        chains.  Same snapshot, statistics and laziness contract: the
+        snapshot is pinned and the workload charged at call time, and an
+        early-exiting consumer reads only the page prefix behind the
+        batches it pulled."""
+        batches = self.scan_group_batches(column_names, snapshot=snapshot)
+        return (pair for rids, cols in batches for pair in zip(rids, zip(*cols)))
 
     def _chain_batches(
         self,
@@ -1238,42 +1081,34 @@ class GroupedTupleStore:
         cursor = 0
         n_dead = len(dead) if dead else 0
         for page_id in snap.chains[group_index]:
+            page = None
+            meta = self._page_meta.get(page_id) if n_dead else None
+            if meta is not None and meta[0]:
+                count = meta[0]
+            else:
+                # Record count not cached yet: fetch the page to learn it.
+                page = self.pool.get(page_id)
+                enc = page.header.get("enc")
+                count = len(enc["rids"]) if enc is not None else page.n_records
+                if page_id not in self._page_meta:
+                    self._page_meta[page_id] = (count, {})
+            alive: Optional[List[int]] = None
             if n_dead:
                 while cursor < n_dead and dead[cursor][1] <= position:
                     cursor += 1
-                meta = self._page_meta.get(page_id)
-                if (
-                    meta is not None
-                    and meta[0]
-                    and cursor < n_dead
-                    and dead[cursor][0] <= position
-                    and position + meta[0] <= dead[cursor][1]
-                ):
-                    # Provably dead with a cached record count: skip the
-                    # page without touching the buffer pool at all.
-                    self.pages_skipped += 1
-                    self._group_pages_skipped[gid] = (
-                        self._group_pages_skipped.get(gid, 0) + 1
-                    )
-                    position += meta[0]
-                    continue
-            page = self.pool.get(page_id)
-            enc = page.header.get("enc")
-            count = len(enc["rids"]) if enc is not None else page.n_records
-            if page.page_id not in self._page_meta:
-                self._page_meta[page.page_id] = (count, {})
-            alive: Optional[List[int]] = None
-            if n_dead:
                 alive = _alive_offsets(dead, cursor, position, count)
                 if alive is not None and not alive:
-                    # Fetched (the count was not cached yet) but proven
-                    # dead: still skipped before any decode work.
+                    # Provably dead: skipped before any decode work, and
+                    # with a cached count without touching the pool.
                     self.pages_skipped += 1
                     self._group_pages_skipped[gid] = (
                         self._group_pages_skipped.get(gid, 0) + 1
                     )
                     position += count
                     continue
+            if page is None:
+                page = self.pool.get(page_id)
+                enc = page.header.get("enc")
             self._group_pages_scanned[gid] = (
                 self._group_pages_scanned.get(gid, 0) + 1
             )
@@ -1313,16 +1148,27 @@ class GroupedTupleStore:
         snapshot: Optional[StoreSnapshot] = None,
         predicate_ranges: Optional[Dict[str, Any]] = None,
     ) -> Iterator[Tuple[List[int], List[List[Any]]]]:
-        """Batched form of :meth:`scan_groups`: yields ``(rids, columns)``
-        with ``columns`` ordered like ``column_names`` and every list
-        rid-aligned, ``batch_size`` rows per batch (the last one short).
+        """Scan a *set* of columns together, touching only the page chains
+        of the groups that cover them: yields ``(rids, columns)`` with
+        ``columns`` ordered like ``column_names`` and every list
+        rid-aligned, ``batch_size`` rows per batch (the last one short),
+        in the heap order of the covering chains.
 
         The covering chains are captured in a :class:`StoreSnapshot` at
-        call time (or taken from the caller) and stream page-at-a-time
-        with encoded pages decoded lazily into whole column fragments — no
-        per-row tuples are built here; late materialization is the
-        *caller's* choice.  Charges the same workload statistics as
-        :meth:`scan_groups`.
+        call time (or taken from the caller, whose it stays to release),
+        so concurrent writes and in-flight ``restructure()`` swaps are
+        invisible to the scan.  They are walked **in lockstep**: every
+        mutation applies to all chains identically (inserts append
+        everywhere, deletes remove everywhere, restructures rebuild in the
+        shared rid order), so all chains enumerate records in the same
+        order and the scan streams page-at-a-time — an early-exiting
+        consumer (LIMIT) only reads the page prefix behind the batches it
+        pulled.  Encoded pages are decoded lazily into whole column
+        fragments; no per-row tuples are built here, late materialization
+        is the *caller's* choice.  Charges one co-access scan over the set
+        (or a plain full scan when the set covers every column, so
+        ``SELECT *`` does not skew the advisor's hot-column ranking) — the
+        workload signals the layout advisor prices.
 
         ``predicate_ranges`` (lower-cased column name → sargable interval
         set, see :func:`repro.engine.expr.extract_sargable_ranges`) arms
@@ -1334,12 +1180,16 @@ class GroupedTupleStore:
         the full predicate.  Ranges naming columns outside ``column_names``
         are ignored (ignoring a constraint only under-skips)."""
         names = list(column_names)
-        if not names or batch_size < 1:
-            return iter(())
+        if not names:
+            raise ValueError("a store scan needs at least one column")
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         owns = snapshot is None
         with self._mutation_lock:
             snap = snapshot if snapshot is not None else self.snapshot()
             try:
+                # (group_index, fragment_offset, output_offset) per column,
+                # resolved against the captured grouping.
                 placements = snap.placements(names)
                 if {name.lower() for name in names} == snap.column_set():
                     self.access_stats.full_scans += 1

@@ -173,101 +173,70 @@ class Table:
     def scan(self) -> Iterator[Tuple[int, int, Tuple[Any, ...]]]:
         """Yield ``(position, rid, row)`` in presentation order.
 
-        Rides :meth:`scan_columns` over the full column set, so a scan
-        opened before a concurrent write or layout migration streams
-        exactly the pre-write rows (snapshot isolation)."""
-        return self.scan_columns(self.column_names)
-
-    def scan_columns(
-        self, names: Sequence[str]
-    ) -> Iterator[Tuple[int, int, Tuple[Any, ...]]]:
-        """Yield ``(position, rid, values)`` in presentation order,
-        touching only the page chains covering ``names``.
-
-        The narrow scan the query pipeline rides: the store walks each
-        covering chain sequentially (charging per-column and co-access
-        statistics), and the positional index restores presentation
-        order on top of the rid-aligned fragments.  The snapshot is
-        acquired *at operator open* — the positional order and the store
-        chains are captured atomically under the store's mutation lock,
-        so the iterator is isolated from concurrent DML and background
-        restructure swaps.  The store stream is consumed *on demand*:
-        while presentation order tracks heap order (no positional
-        inserts or moves — the common case) each row is handed through
-        as it is read, so an early-exiting consumer (LIMIT) touches only
-        a page prefix; rows surfaced out of order are buffered until
-        their position comes up.  An empty ``names`` yields empty tuples
-        without touching any page — what a bare ``COUNT(*)`` costs."""
-        if not names:
-            with self.store.mutation_lock:
-                order = list(self.positions)
-
-            def empties() -> Iterator[Tuple[int, int, Tuple[Any, ...]]]:
-                for position, rid in enumerate(order):
-                    yield position, rid, ()
-
-            return empties()
-        with self.store.mutation_lock:
-            # One critical section pins both identities of the table: the
-            # presentation order and the physical chains must describe the
-            # same set of rows or the merge below would report a missing
-            # rid on a perfectly healthy table.
-            snap = self.store.snapshot()
-            try:
-                order = list(self.positions)
-                source = self.store.scan_groups(names, snapshot=snap)
-            except BaseException:
-                snap.release()
-                raise
-
-        def rows() -> Iterator[Tuple[int, int, Tuple[Any, ...]]]:
-            try:
-                buffered: Dict[int, Tuple[Any, ...]] = {}
-                for position, rid in enumerate(order):
-                    while rid not in buffered:
-                        try:
-                            heap_rid, values = next(source)
-                        except StopIteration:
-                            raise StorageError(
-                                f"rid {rid} missing from column scan of "
-                                f"{self.name!r}"
-                            ) from None
-                        buffered[heap_rid] = values
-                    yield position, rid, buffered.pop(rid)
-            finally:
-                snap.release()
-
-        return rows()
+        The row view of :meth:`scan_column_batches` over the full column
+        set, so a scan opened before a concurrent write or layout
+        migration streams exactly the pre-write rows (snapshot
+        isolation)."""
+        batches = self.scan_column_batches(self.column_names)
+        return (
+            item
+            for positions, rids, cols in batches
+            for item in zip(positions, rids, zip(*cols))
+        )
 
     def scan_column_batches(
         self,
         names: Sequence[str],
         batch_size: int = DEFAULT_BATCH_SIZE,
         predicate_ranges: Optional[Dict[str, Any]] = None,
-    ) -> Iterator[Tuple[Any, List[int], List[List[Any]]]]:
-        """Batched companion to :meth:`scan_columns`: yields
-        ``(start_position, rids, columns)`` in presentation order, with
-        ``columns`` holding one rid-aligned value list per name.
+    ) -> Iterator[Tuple[Sequence[int], List[int], List[List[Any]]]]:
+        """Yield ``(positions, rids, columns)`` batches in presentation
+        order, touching only the page chains covering ``names``;
+        ``columns`` holds one rid-aligned value list per name and
+        ``positions`` is a ``range`` when the batch is contiguous.
 
-        While presentation order tracks heap order (no positional inserts
-        or moves — the common case) the store's batches are passed through
-        untouched; once they diverge, rows are buffered per rid and
-        re-emitted in presentation order.  The snapshot is acquired at
-        operator open, exactly like :meth:`scan_columns`, and charges the
-        same workload statistics.
+        The narrow scan the query pipeline rides: the store walks each
+        covering chain sequentially (charging per-column and co-access
+        statistics), and the positional index restores presentation order
+        on top of the rid-aligned fragments.  The snapshot is acquired *at
+        operator open* — the positional order and the store chains are
+        captured atomically under the store's mutation lock, so the
+        iterator is isolated from concurrent DML and background
+        restructure swaps.  While presentation order tracks heap order (no
+        positional inserts or moves — the common case) the store's batches
+        stream straight through, so an early-exiting consumer (LIMIT)
+        touches only a page prefix; from the first batch that breaks the
+        order on, the remainder is buffered and re-emitted sorted by
+        position.
+
+        An empty ``names`` is row counting: rid-only batches straight off
+        the positional index, no page touched — what a bare ``COUNT(*)``
+        costs.
 
         ``predicate_ranges`` (lowered column name → ``expr.IntervalSet``)
         turns on zone-map data skipping: pages proven to hold no possible
-        match are dropped before decode.  Because skipped pages leave holes
-        in the presentation order, the first tuple element becomes a
-        *list* of positions instead of a scalar start — callers that only
-        consume ``columns`` (the vectorized filter pipeline) are shape
-        agnostic.  Survivors are a superset of the true matches; callers
-        still apply the full predicate."""
+        match are dropped before decode, leaving holes in ``positions``
+        (the only source of holes).
+        Survivors are a superset of the true matches; callers still apply
+        the full predicate."""
         names = list(names)
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if not names:
-            return iter(())
+            with self.store.mutation_lock:
+                order = list(self.positions)
+
+            def rid_batches() -> Iterator[Tuple[Sequence[int], List[int], List[List[Any]]]]:
+                for lo in range(0, len(order), batch_size):
+                    rids = order[lo : lo + batch_size]
+                    yield range(lo, lo + len(rids)), rids, []
+
+            return rid_batches()
         with self.store.mutation_lock:
+            # One critical section pins both identities of the table: the
+            # presentation order and the physical chains must describe the
+            # same set of rows or the merge below would report a missing
+            # rid on a perfectly healthy table.
             snap = self.store.snapshot()
             try:
                 expected = list(self.positions)
@@ -280,102 +249,54 @@ class Table:
             except BaseException:
                 snap.release()
                 raise
-        width = len(names)
-        if predicate_ranges:
-            return self._skipping_batches(snap, expected, source, width, batch_size)
 
-        def batches() -> Iterator[Tuple[int, List[int], List[List[Any]]]]:
-            start = 0
-            pending: Dict[int, Tuple[Any, ...]] = {}
-
-            def drain() -> Iterator[Tuple[int, List[int], List[List[Any]]]]:
-                nonlocal start
-                batch_rids: List[int] = []
-                batch_rows: List[Tuple[Any, ...]] = []
-                while start + len(batch_rids) < len(expected):
-                    row = pending.pop(expected[start + len(batch_rids)], None)
-                    if row is None:
-                        break
-                    batch_rids.append(expected[start + len(batch_rids)])
-                    batch_rows.append(row)
-                if batch_rids:
-                    columns = [[row[j] for row in batch_rows] for j in range(width)]
-                    yield start, batch_rids, columns
-                    start += len(batch_rids)
-
-            try:
-                for rids, cols in source:
-                    if not pending and rids == expected[start : start + len(rids)]:
-                        yield start, rids, cols
-                        start += len(rids)
-                        continue
-                    for i, rid in enumerate(rids):
-                        pending[rid] = tuple(column[i] for column in cols)
-                    yield from drain()
-                while start < len(expected):
-                    if expected[start] not in pending:
-                        raise StorageError(
-                            f"rid {expected[start]} missing from column scan "
-                            f"of {self.name!r}"
-                        )
-                    yield from drain()
-            finally:
-                snap.release()
-
-        return batches()
-
-    def _skipping_batches(
-        self,
-        snap: Any,
-        expected: List[int],
-        source: Iterator[Tuple[List[int], List[List[Any]]]],
-        width: int,
-        batch_size: int,
-    ) -> Iterator[Tuple[List[int], List[int], List[List[Any]]]]:
-        """Merge loop of a zone-map-skipping scan: yields ``(positions,
-        rids, columns)`` with an explicit presentation-position list per
-        batch (skipped pages leave holes, so a scalar start offset cannot
-        describe a batch).  While heap order tracks presentation order
-        (the common case) surviving batches stream straight through; after
-        a positional insert/move breaks monotonicity the remainder is
-        buffered and re-emitted sorted by position."""
-
-        def batches() -> Iterator[Tuple[List[int], List[int], List[List[Any]]]]:
-            pos_of = {rid: i for i, rid in enumerate(expected)}
-            emitted_through = -1
+        def batches() -> Iterator[Tuple[Sequence[int], List[int], List[List[Any]]]]:
+            cursor = 0  # first presentation position not yet emitted
+            seen = 0
+            pos_of: Optional[Dict[int, int]] = None
             held: List[Tuple[int, int, Tuple[Any, ...]]] = []
             try:
                 for rids, cols in source:
-                    positions: List[int] = []
-                    for rid in rids:
-                        position = pos_of.get(rid)
-                        if position is None:
-                            raise StorageError(
-                                f"rid {rid} missing from positional index "
-                                f"of {self.name!r}"
-                            )
-                        positions.append(position)
+                    n = len(rids)
+                    seen += n
+                    if not held and rids == expected[cursor : cursor + n]:
+                        yield range(cursor, cursor + n), rids, cols
+                        cursor += n
+                        continue
+                    # Skipped pages or a positional insert/move: map rids
+                    # to positions explicitly from here on.
+                    if pos_of is None:
+                        pos_of = {rid: i for i, rid in enumerate(expected)}
+                    try:
+                        positions = [pos_of[rid] for rid in rids]
+                    except KeyError as missing:
+                        raise StorageError(
+                            f"rid {missing.args[0]} missing from positional "
+                            f"index of {self.name!r}"
+                        ) from None
                     if (
-                        not held
-                        and positions[0] > emitted_through
+                        predicate_ranges  # only skipping may leave holes
+                        and not held
+                        and positions[0] >= cursor
                         and all(a < b for a, b in zip(positions, positions[1:]))
                     ):
-                        emitted_through = positions[-1]
                         yield positions, rids, cols
+                        cursor = positions[-1] + 1
                         continue
-                    for i, rid in enumerate(rids):
-                        held.append(
-                            (positions[i], rid, tuple(col[i] for col in cols))
-                        )
-                if held:
-                    held.sort()
-                    for lo in range(0, len(held), batch_size):
-                        chunk = held[lo : lo + batch_size]
-                        yield (
-                            [position for position, _, _ in chunk],
-                            [rid for _, rid, _ in chunk],
-                            [[row[j] for _, _, row in chunk] for j in range(width)],
-                        )
+                    held.extend(zip(positions, rids, zip(*cols)))
+                if not predicate_ranges and seen != len(expected):
+                    raise StorageError(
+                        f"column scan of {self.name!r} returned {seen} rows "
+                        f"for {len(expected)} positions"
+                    )
+                held.sort()
+                for lo in range(0, len(held), batch_size):
+                    chunk = held[lo : lo + batch_size]
+                    yield (
+                        [position for position, _, _ in chunk],
+                        [rid for _, rid, _ in chunk],
+                        [list(column) for column in zip(*(row for _, _, row in chunk))],
+                    )
             finally:
                 snap.release()
 

@@ -13,8 +13,7 @@ Covers the tentpole claims end to end:
 * trace spans report ``pages_skipped`` consistent with the pager's
   independent per-tag I/O accounting,
 * the property: random DML ∘ migrations ∘ encodings, then random
-  sargable predicates — the skipping scan, the non-skipping scan, and a
-  dict model all agree.
+  sargable predicates — the skipping scan and a dict model agree.
 """
 
 from __future__ import annotations
@@ -247,14 +246,6 @@ class TestPlannerAccessPath:
         db.execute("CREATE UNIQUE INDEX idx_v ON t (v)")
         assert db.execute("SELECT k FROM t WHERE v = ?", (770,)).rows == [(110,)]
 
-    def test_skipping_can_be_disabled(self):
-        db = build_big_db(n_rows=400, data_skipping=False)
-        db.execute("CREATE UNIQUE INDEX idx_v ON t (v)")
-        result, trace = db.trace_statement("SELECT k FROM t WHERE v = 700")
-        assert result.rows == [(100,)]
-        # With the flag off the planner never leaves the scan path.
-        assert find_prefix(trace, "IndexScan") is None
-
 
 # -- DML through the same machinery -------------------------------------------
 
@@ -438,57 +429,42 @@ def predicate_sql(predicates):
 
 @settings(max_examples=25, deadline=None)
 @given(ops=DML_OPS, predicates=PREDICATES)
-def test_skipping_scan_equals_plain_scan_equals_model(ops, predicates):
-    skipping = Database(page_capacity=8)
-    plain = Database(page_capacity=8, data_skipping=False)
-    ddl = "CREATE TABLE t (k INT PRIMARY KEY, a INT, b INT, c INT)"
-    for db in (skipping, plain):
-        db.execute(ddl)
-        db.execute("CREATE INDEX idx_a ON t (a)")
+def test_skipping_scan_equals_model(ops, predicates):
+    db = Database(page_capacity=8)
+    db.execute("CREATE TABLE t (k INT PRIMARY KEY, a INT, b INT, c INT)")
+    db.execute("CREATE INDEX idx_a ON t (a)")
     model = {}
     next_key = 0
     for kind, x, y in ops:
         if kind == "insert":
             row = (x % 101 - 50, (x // 7) % 101 - 50, y)
-            for db in (skipping, plain):
-                db.execute(
-                    "INSERT INTO t VALUES (?, ?, ?, ?)", (next_key, *row)
-                )
+            db.execute("INSERT INTO t VALUES (?, ?, ?, ?)", (next_key, *row))
             model[next_key] = row
             next_key += 1
         elif kind == "null_insert":
             row = (None, x % 101 - 50, None)
-            for db in (skipping, plain):
-                db.execute(
-                    "INSERT INTO t VALUES (?, ?, ?, ?)", (next_key, *row)
-                )
+            db.execute("INSERT INTO t VALUES (?, ?, ?, ?)", (next_key, *row))
             model[next_key] = row
             next_key += 1
         elif kind == "update":
-            for db in (skipping, plain):
-                db.execute("UPDATE t SET b = ? WHERE a = ?", (y, x))
+            db.execute("UPDATE t SET b = ? WHERE a = ?", (y, x))
             for key, row in model.items():
                 if row[0] == x:
                     model[key] = (row[0], y, row[2])
         elif kind == "delete":
-            for db in (skipping, plain):
-                db.execute("DELETE FROM t WHERE a = ?", (x,))
+            db.execute("DELETE FROM t WHERE a = ?", (x,))
             model = {k: r for k, r in model.items() if r[0] != x}
         elif kind == "layout":
-            for db in (skipping, plain):
-                db.execute(f"ALTER TABLE t SET LAYOUT {x}")
+            db.execute(f"ALTER TABLE t SET LAYOUT {x}")
         else:  # encode: force a checkpoint + page encoding pass
-            for db in (skipping, plain):
-                db.checkpoint()
-                table = db.table("t")
-                for g in range(table.store.n_groups):
-                    table.store.encode_group(g)
+            db.checkpoint()
+            table = db.table("t")
+            for g in range(table.store.n_groups):
+                table.store.encode_group(g)
     sql = f"SELECT a, b, c FROM t WHERE {predicate_sql(predicates)}"
-    skipping_rows = sorted(skipping.execute(sql).rows, key=repr)
-    plain_rows = sorted(plain.execute(sql).rows, key=repr)
-    expected = sorted(model_matches(model, predicates), key=repr)
-    assert skipping_rows == plain_rows == expected
-    skipping.table("t").validate()
+    rows = sorted(db.execute(sql).rows, key=repr)
+    assert rows == sorted(model_matches(model, predicates), key=repr)
+    db.table("t").validate()
 
 
 # -- crash recovery -----------------------------------------------------------

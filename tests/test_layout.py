@@ -12,7 +12,12 @@ from repro.engine.hybridstore import (
 from repro.engine.layout import LayoutAdvisor, LayoutMigration, plan_groupings
 from repro.engine.pager import BufferPool
 from repro.engine.schema import Column, TableSchema
-from repro.engine.store import AccessStats, GroupedTupleStore, LayoutPolicy
+from repro.engine.store import (
+    DEFAULT_BATCH_SIZE,
+    AccessStats,
+    GroupedTupleStore,
+    LayoutPolicy,
+)
 from repro.engine.table import Table
 from repro.engine.types import DBType
 from repro.errors import SchemaError
@@ -117,7 +122,7 @@ class TestAccessStats:
         rid = store.rids()[0]
         store.get(rid)
         list(store.scan())
-        list(store.scan_column("c1"))
+        list(store.scan_groups(["c1"]))
         store.update_column(rid, "c1", 99)
         store.update(rid, (1, 2, 3, 4))
         store.delete(store.rids()[-1])
@@ -137,7 +142,7 @@ class TestAccessStats:
 
     def test_schema_changes_move_column_stats(self):
         store = make_store(n_rows=5)
-        list(store.scan_column("c0"))
+        list(store.scan_groups(["c0"]))
         store.rename_column("c0", "z")
         assert store.access_stats.columns["z"].scans == 1
         assert "c0" not in store.access_stats.columns
@@ -153,7 +158,7 @@ class TestAccessStats:
         with pytest.raises(SchemaError):
             store.update_column(store.rids()[0], "nosuch", 1)
         with pytest.raises(SchemaError):
-            list(store.scan_column("nosuch"))
+            list(store.scan_groups(["nosuch"]))
         with pytest.raises(SchemaError):
             store.drop_column("nosuch")
         assert store.access_stats.to_dict() == before
@@ -173,7 +178,7 @@ class TestAdvisor:
     def test_scan_heavy_splits_hot_column(self):
         store = make_store(layout=LayoutPolicy.ROW)
         for _ in range(50):
-            list(store.scan_column("c2"))
+            list(store.scan_groups(["c2"]))
         recommendation = LayoutAdvisor(min_ops=8).advise(store)
         assert recommendation is not None and recommendation.worthwhile
         assert ["c2"] in recommendation.target_groups
@@ -190,7 +195,7 @@ class TestAdvisor:
     def test_min_ops_gate(self):
         store = make_store()
         store.access_stats.reset()
-        list(store.scan_column("c0"))
+        list(store.scan_groups(["c0"]))
         assert LayoutAdvisor(min_ops=1000).advise(store) is None
 
     def test_no_recommendation_when_current_is_best(self):
@@ -204,7 +209,7 @@ class TestAdvisor:
         store = make_store(layout=LayoutPolicy.ROW)
         store.access_stats.reset()
         for _ in range(2):
-            list(store.scan_column("c0"))
+            list(store.scan_groups(["c0"]))
         recommendation = LayoutAdvisor(min_ops=1, threshold=1e9).advise(store)
         if recommendation is not None:
             assert not recommendation.worthwhile
@@ -228,7 +233,7 @@ class TestMigration:
             rid = store.insert((step, step + 1, step + 2, step + 3))
             assert store.read_row(rid) == (step, step + 1, step + 2, step + 3)
             store.update_column(rid, "c1", -step)
-            assert dict(store.scan_column("c1"))[rid] == -step
+            assert dict(store.scan_groups(["c1"]))[rid] == (-step,)
             store.delete(rid)
             step += 1
         assert {frozenset(g) for g in store.schema.groups} == {
@@ -272,7 +277,7 @@ class TestMigration:
             "c1" not in group for group in store.schema.groups for _ in [0]
         )
         # New column survived with its default.
-        assert set(dict(store.scan_column("extra")).values()) == {7}
+        assert set(dict(store.scan_groups(["extra"])).values()) == {(7,)}
 
 
 class TestTableTick:
@@ -295,7 +300,7 @@ class TestTableTick:
         table.set_auto_layout(True)
         table.layout_advisor.min_ops = 8
         for _ in range(40):
-            list(table.store.scan_column("c3"))
+            list(table.store.scan_groups(["c3"]))
         report = table.layout_tick()
         assert report["action"] == "migration_started"
         assert table.migration_active
@@ -308,7 +313,7 @@ class TestTableTick:
     def test_tick_idle_without_auto(self):
         table = self.make_table()
         for _ in range(40):
-            list(table.store.scan_column("c3"))
+            list(table.store.scan_groups(["c3"]))
         assert table.layout_tick()["action"] == "idle"
         assert not table.migration_active
 
@@ -393,7 +398,7 @@ class TestSqlAndDatabase:
         db.execute("ALTER TABLE t SET LAYOUT AUTO")
         table.layout_advisor.min_ops = 8
         for _ in range(60):
-            list(table.store.scan_column("a"))
+            list(table.store.scan_groups(["a"]))
             db.execute("SELECT 1")
         assert ["a"] in table.schema.groups
         actions = [r["action"] for r in db.maintenance_reports]
@@ -409,7 +414,7 @@ class TestSqlAndDatabase:
         db.execute("ALTER TABLE t SET LAYOUT AUTO")
         table.layout_advisor.min_ops = 1
         for _ in range(30):
-            list(table.store.scan_column("a"))
+            list(table.store.scan_groups(["a"]))
         db.execute("BEGIN")
         for _ in range(20):
             db.execute("SELECT 1")
@@ -434,7 +439,7 @@ class TestSqlAndDatabase:
         db.execute("ALTER TABLE t SET LAYOUT AUTO")
         table.layout_advisor.min_ops = 1
         for _ in range(50):
-            list(table.store.scan_column("a"))
+            list(table.store.scan_groups(["a"]))
         db.execute("ALTER TABLE t SET LAYOUT ROW")
         assert not table.auto_layout
         for _ in range(30):
@@ -491,7 +496,7 @@ class TestCli:
         for i in range(300):
             shell.handle_line(f"sql INSERT INTO t VALUES ({i + 10}, {i})")
         for _ in range(300):
-            list(table.store.scan_column("a"))
+            list(table.store.scan_groups(["a"]))
         output = shell.handle_line("layout-advise t")
         assert "recommended" in output
         assert "['a']" in output
@@ -523,7 +528,7 @@ class TestCoAccessStats:
 
     def test_scan_column_records_singleton_set(self):
         store = make_store(n_rows=10)
-        list(store.scan_column("c0"))
+        list(store.scan_groups(["c0"]))
         assert store.access_stats.group_scans == {("c0",): 1}
 
     def test_scan_groups_values_are_rid_aligned(self):
@@ -566,15 +571,15 @@ class TestCoAccessStats:
 
     def test_scan_groups_streams_lazily(self):
         # An early-exiting consumer (LIMIT) must only read the page
-        # prefix it consumed, not materialise the whole chain.
-        pool = BufferPool(page_capacity=8)
+        # prefix behind the batches it pulled, not the whole chain.
+        pool = BufferPool(page_capacity=64)
         schema = TableSchema.from_pairs(
             [(f"c{i}", DBType.INTEGER) for i in range(4)]
         )
         store = GroupedTupleStore(
-            schema, pool=pool, layout=LayoutPolicy.COLUMN, page_capacity=8
+            schema, pool=pool, layout=LayoutPolicy.COLUMN, page_capacity=64
         )
-        for i in range(64):
+        for i in range(2 * DEFAULT_BATCH_SIZE):
             store.insert((i, i, i, i))
         store.checkpoint()
         pool.drop_cache()
@@ -582,8 +587,9 @@ class TestCoAccessStats:
         iterator = store.scan_groups(["c0", "c2"])
         next(iterator)
         next(iterator)
-        # Two rows touched the first page of each covering chain only.
-        assert pool.stats.delta(before).reads == 2
+        # Two rows pulled one batch: the first half of each covering chain.
+        assert pool.stats.delta(before).reads == 2 * DEFAULT_BATCH_SIZE // 64
+        assert sum(store.pages_in_group(g) for g in (0, 2)) == 4 * DEFAULT_BATCH_SIZE // 64
 
     def test_decay_prunes_dead_sets(self):
         stats = AccessStats()
@@ -777,7 +783,7 @@ class TestPerGroupIo:
             store.insert((i, i))
         store.checkpoint()
         pool.drop_cache()
-        list(store.scan_column("a"))
+        list(store.scan_groups(["a"]))
         a_reads = store.group_io_stats(0).reads
         summary = store.group_summary()
         assert a_reads >= store.pages_in_group(0)

@@ -64,7 +64,7 @@ def drive_split_migration(service, session, table, column="a", scans=60):
     service.execute(session.session_id, f"ALTER TABLE {table.name} SET LAYOUT AUTO")
     table.layout_advisor.min_ops = 8
     for _ in range(scans):
-        list(table.store.scan_column(column))
+        list(table.store.scan_groups([column]))
     actions = []
     for _ in range(40):
         actions += [r["action"] for r in service.maintenance_tick(steps=1)]
@@ -120,7 +120,7 @@ class TestSnapshotCarriesLayout:
         table = build_wide_table(service, session)
         service.workbook.database.checkpoint()
         for _ in range(10):
-            list(table.store.scan_column("a"))
+            list(table.store.scan_groups(["a"]))
         io_before = table.store.group_io_snapshot()
         assert any(entry["writes"] or entry["allocations"] for entry in io_before)
         service.compact()
@@ -600,7 +600,7 @@ def test_crash_recovery_matches_live_state(actions, cut_seed):
                 )
             elif kind == "scan":
                 for _ in range(8):
-                    list(table.store.scan_column(x))  # unlogged, stats only
+                    list(table.store.scan_groups([x]))  # unlogged, stats only
             elif kind == "point":
                 rids = table.store.rids()
                 for rid in rids[: min(x, len(rids))]:

@@ -202,7 +202,7 @@ def test_migration_lifecycle_events():
     table.layout_advisor.min_ops = 8
     table.store.access_stats.reset()
     for _ in range(24):
-        list(table.store.scan_column("a"))
+        list(table.store.scan_groups(["a"]))
     for _ in range(60):
         table.layout_tick(steps=2)
         if not table.migration_active and db.events.of_kind("migration_finish"):
@@ -267,7 +267,7 @@ def test_tag_stats_miss_returns_shared_immutable_empty():
 def test_pager_stats_snapshot_aggregates_tags():
     db = build_grouped_db(n_rows=60)
     store = db.table("t").store
-    for _ in store.scan_column("a"):
+    for _ in store.scan_groups(["a"]):
         pass
     snap = store.pool.stats_snapshot()
     assert snap["pager_reads"] == store.pool.stats.reads

@@ -136,7 +136,7 @@ class TestLayoutState:
         source = self.build()
         table = source.database.table("t")
         for _ in range(7):
-            list(table.store.scan_column("b"))
+            list(table.store.scan_groups(["b"]))
         for rid in table.store.rids()[:5]:
             table.store.get(rid)
         table.store.access_stats.decay()
@@ -187,7 +187,7 @@ class TestLayoutState:
         table.migrate_layout([["a"], ["b", "c", "d"]], online=False)
         table.checkpoint()
         for _ in range(5):
-            list(table.store.scan_column("a"))
+            list(table.store.scan_groups(["a"]))
         before = table.store.group_io_snapshot()
         assert any(entry["writes"] or entry["allocations"] for entry in before)
         wb = workbook_from_dict(workbook_to_dict(source))

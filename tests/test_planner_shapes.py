@@ -192,13 +192,6 @@ class TestColumnSets:
         )
         assert scan_of(plan, "a").column_names == ["x", "y"]
 
-    def test_pushdown_disabled_scans_full_width(self, db_two_tables):
-        planner = Planner(db_two_tables.catalog, projection_pushdown=False)
-        plan = planner.plan_select(parse_statement("SELECT x FROM a WHERE y > 3")).plan
-        assert scan_of(plan, "a").column_names == ["x", "y"]
-        # Predicates still absorb into the (full-width) scan.
-        assert scan_of(plan, "a").predicates
-
 
 class TestAccounting:
     def test_rows_out_counters(self, db_two_tables):

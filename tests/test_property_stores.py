@@ -140,9 +140,9 @@ def test_store_with_online_migrations_matches_dict_model(operations, layout):
             model[rid][store.schema.column_index(name)] = y
         elif op == "scan_col":
             name = columns[x % len(columns)]
-            got = dict(store.scan_column(name))
+            got = dict(store.scan_groups([name]))
             index = store.schema.column_index(name)
-            assert got == {rid: row[index] for rid, row in model.items()}
+            assert got == {rid: (row[index],) for rid, row in model.items()}
         elif op == "add_col" and len(extra_columns) < 3:
             name = f"x{len(extra_columns)}"
             store.add_column(Column(name, DBType.INTEGER, default=0))

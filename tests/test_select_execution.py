@@ -329,9 +329,10 @@ class TestColumnSetWork:
 
     def test_narrow_results_match_full_scan(self, sample):
         narrow = sample.execute("SELECT val FROM t WHERE grp = 'b' ORDER BY id")
-        sample.projection_pushdown = False
-        full = sample.execute("SELECT val FROM t WHERE grp = 'b' ORDER BY id")
-        assert narrow.rows == full.rows == [(30.0,), (None,)]
+        full = sample.execute("SELECT * FROM t ORDER BY id")  # every column
+        grp, val = full.columns.index("grp"), full.columns.index("val")
+        filtered = [(row[val],) for row in full.rows if row[grp] == "b"]
+        assert narrow.rows == filtered == [(30.0,), (None,)]
 
     def test_narrow_scan_correct_over_column_layout(self, db):
         db.execute("CREATE TABLE w (a INT, b INT, c INT, d INT)")

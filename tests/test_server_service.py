@@ -305,7 +305,7 @@ class TestSessionsAndBroadcast:
         table.layout_advisor.min_ops = 1
         table.store.access_stats.reset()
         for _ in range(40):
-            list(table.store.scan_column("a"))
+            list(table.store.scan_groups(["a"]))
         service._maintenance_interval = 0  # operator: maintenance off
         for _ in range(5):
             service.step()

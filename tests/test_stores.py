@@ -6,11 +6,9 @@ here at page granularity — the core of experiment E6.
 
 import pytest
 
-from repro.engine.columnstore import ColumnStore
-from repro.engine.hybridstore import HybridStore
 from repro.engine.pager import BufferPool
-from repro.engine.rowstore import RowStore
 from repro.engine.schema import Column, TableSchema
+from repro.engine.store import GroupedTupleStore, LayoutPolicy
 from repro.engine.types import DBType
 from repro.errors import SchemaError, StorageError
 
@@ -26,41 +24,46 @@ def fill(store, n):
     return [store.insert((i, f"t{i}", i * 0.5, f"u{i}")) for i in range(n)]
 
 
-STORES = [
-    pytest.param(lambda: RowStore(schema4(), page_capacity=8), id="row"),
-    pytest.param(lambda: ColumnStore(schema4(), page_capacity=8), id="column"),
-    pytest.param(lambda: HybridStore(schema4(group_size=2), page_capacity=8), id="hybrid"),
-]
+def make_store(layout, pool=None):
+    """A store over ``schema4``; HYBRID keeps the schema's own width-2
+    groups, ROW and COLUMN regroup it to their extreme."""
+    group_size = 2 if layout is LayoutPolicy.HYBRID else None
+    return GroupedTupleStore(
+        schema4(group_size), pool=pool, layout=layout, page_capacity=8
+    )
 
 
-@pytest.mark.parametrize("make", STORES)
+ROW, COLUMN, HYBRID = LayoutPolicy.ROW, LayoutPolicy.COLUMN, LayoutPolicy.HYBRID
+
+
+@pytest.mark.parametrize("layout", list(LayoutPolicy), ids=lambda layout: layout.value)
 class TestCommonBehaviour:
-    def test_insert_get_roundtrip(self, make):
-        store = make()
+    def test_insert_get_roundtrip(self, layout):
+        store = make_store(layout)
         rids = fill(store, 20)
         for i, rid in enumerate(rids):
             assert store.get(rid) == (i, f"t{i}", i * 0.5, f"u{i}")
 
-    def test_n_rows(self, make):
-        store = make()
+    def test_n_rows(self, layout):
+        store = make_store(layout)
         fill(store, 5)
         assert store.n_rows == 5
 
-    def test_update_full_row(self, make):
-        store = make()
+    def test_update_full_row(self, layout):
+        store = make_store(layout)
         rids = fill(store, 3)
         store.update(rids[1], (99, "new", 9.9, "z"))
         assert store.get(rids[1]) == (99, "new", 9.9, "z")
         assert store.get(rids[0])[0] == 0
 
-    def test_update_single_column(self, make):
-        store = make()
+    def test_update_single_column(self, layout):
+        store = make_store(layout)
         rids = fill(store, 3)
         store.update_column(rids[2], "b", "patched")
         assert store.get(rids[2]) == (2, "patched", 1.0, "u2")
 
-    def test_delete(self, make):
-        store = make()
+    def test_delete(self, layout):
+        store = make_store(layout)
         rids = fill(store, 4)
         store.delete(rids[1])
         assert store.n_rows == 3
@@ -68,34 +71,34 @@ class TestCommonBehaviour:
         with pytest.raises(StorageError):
             store.get(rids[1])
 
-    def test_scan_yields_all_rows(self, make):
-        store = make()
+    def test_scan_yields_all_rows(self, layout):
+        store = make_store(layout)
         rids = fill(store, 10)
         scanned = dict(store.scan())
         assert set(scanned) == set(rids)
         assert scanned[rids[3]] == (3, "t3", 1.5, "u3")
 
-    def test_scan_column(self, make):
-        store = make()
+    def test_scan_one_column(self, layout):
+        store = make_store(layout)
         fill(store, 6)
-        values = [value for _, value in store.scan_column("a")]
+        values = [value for _, (value,) in store.scan_groups(["a"])]
         assert sorted(values) == list(range(6))
 
-    def test_add_column_values_default(self, make):
-        store = make()
+    def test_add_column_values_default(self, layout):
+        store = make_store(layout)
         rids = fill(store, 5)
         store.add_column(Column("e", DBType.INTEGER, default=7))
         for rid in rids:
             assert store.get(rid) == store.get(rid)[:4] + (7,)
 
-    def test_drop_column(self, make):
-        store = make()
+    def test_drop_column(self, layout):
+        store = make_store(layout)
         rids = fill(store, 5)
         store.drop_column("c")
         assert store.get(rids[0]) == (0, "t0", "u0")
 
-    def test_rename_column_metadata_only(self, make):
-        store = make()
+    def test_rename_column_metadata_only(self, layout):
+        store = make_store(layout)
         fill(store, 2)
         before = store.pool.stats.snapshot()
         store.checkpoint()
@@ -105,14 +108,14 @@ class TestCommonBehaviour:
         assert store.pool.stats.writes == baseline_writes  # nothing rewritten
         assert store.schema.has_column("bee")
 
-    def test_validate_passes(self, make):
-        store = make()
+    def test_validate_passes(self, layout):
+        store = make_store(layout)
         fill(store, 25)
         store.delete(store.rids()[3])
         store.validate()
 
-    def test_insert_after_schema_change(self, make):
-        store = make()
+    def test_insert_after_schema_change(self, layout):
+        store = make_store(layout)
         fill(store, 3)
         store.add_column(Column("e", DBType.TEXT, default="?"))
         rid = store.insert((9, "x", 0.0, "y", "z"))
@@ -124,27 +127,27 @@ class TestLayoutCosts:
     """The E6 cost model at page granularity."""
 
     def test_row_store_add_column_rewrites_all_pages(self):
-        store = RowStore(schema4(), page_capacity=8)
+        store = make_store(ROW)
         fill(store, 80)  # width 4, 8-value pages -> 2 rows/page -> 40 pages
         total_pages = store.n_pages
         rewritten = store.add_column(Column("e", default=0))
         assert rewritten == total_pages == 40
 
     def test_column_store_add_column_rewrites_nothing(self):
-        store = ColumnStore(schema4(), page_capacity=8)
+        store = make_store(COLUMN)
         fill(store, 80)
         rewritten = store.add_column(Column("e", default=0))
         assert rewritten == 0
 
     def test_hybrid_add_column_new_group_rewrites_nothing(self):
-        store = HybridStore(schema4(group_size=2), page_capacity=8)
+        store = make_store(HYBRID)
         fill(store, 80)
         rewritten = store.add_column(Column("e", default=0))
         assert rewritten == 0
         assert store.schema.groups[-1] == ["e"]
 
     def test_hybrid_add_column_into_group_rewrites_one_group(self):
-        store = HybridStore(schema4(group_size=2), page_capacity=8)
+        store = make_store(HYBRID)
         fill(store, 80)  # width-2 groups, 4 rows/page -> 20 pages/group
         pages_before = store.pages_in_group(1)
         rewritten = store.add_column(Column("e", default=0), group_index=1)
@@ -152,12 +155,12 @@ class TestLayoutCosts:
         assert rewritten < store.n_pages  # strictly less than a full rewrite
 
     def test_row_store_drop_column_rewrites_all_pages(self):
-        store = RowStore(schema4(), page_capacity=8)
+        store = make_store(ROW)
         fill(store, 80)
         assert store.drop_column("b") == 40  # every page of the sole group
 
     def test_column_store_drop_column_frees_chain(self):
-        store = ColumnStore(schema4(), page_capacity=8)
+        store = make_store(COLUMN)
         fill(store, 80)
         frees_before = store.pool.stats.frees
         assert store.drop_column("b") == 0
@@ -167,8 +170,8 @@ class TestLayoutCosts:
         """The block-budget model: a fresh single-column chain packs
         page_capacity records per block, so ADD COLUMN via a new group
         writes ~width× fewer blocks than the row store's full rewrite."""
-        row_store = RowStore(schema4(), page_capacity=8)
-        hybrid = HybridStore(schema4(group_size=2), page_capacity=8)
+        row_store = make_store(ROW)
+        hybrid = make_store(HYBRID)
         fill(row_store, 80)
         fill(hybrid, 80)
         row_store.checkpoint()
@@ -186,7 +189,7 @@ class TestLayoutCosts:
         assert hybrid_blocks * 4 == row_blocks
 
     def test_hybrid_drop_sole_member_rewrites_nothing(self):
-        store = HybridStore(schema4(group_size=2), page_capacity=8)
+        store = make_store(HYBRID)
         fill(store, 40)
         store.add_column(Column("e", default=1))  # own group
         assert store.drop_column("e") == 0
@@ -195,7 +198,7 @@ class TestLayoutCosts:
     def test_single_column_update_touches_one_group(self):
         """Tuple-update parity: updating one column in the hybrid layout
         dirties only that column's group chain."""
-        store = HybridStore(schema4(group_size=2), page_capacity=8)
+        store = make_store(HYBRID)
         rids = fill(store, 16)
         store.checkpoint()
         before = store.pool.stats.writes
@@ -205,8 +208,8 @@ class TestLayoutCosts:
 
     def test_row_insert_cost_scales_with_groups(self):
         """An insert touches one page per group: the hybrid trade-off."""
-        row_store = RowStore(schema4(), page_capacity=8)
-        column_store = ColumnStore(schema4(), page_capacity=8)
+        row_store = make_store(ROW)
+        column_store = make_store(COLUMN)
         fill(row_store, 8)
         fill(column_store, 8)
         row_store.checkpoint()
@@ -223,7 +226,7 @@ class TestLayoutCosts:
 
 class TestHybridCompaction:
     def test_compact_groups_repartitions(self):
-        store = HybridStore(schema4(group_size=2), page_capacity=8)
+        store = make_store(HYBRID)
         rids = fill(store, 20)
         store.add_column(Column("e", default=5))
         store.compact_groups([["a", "b", "c", "d", "e"]])
@@ -233,7 +236,7 @@ class TestHybridCompaction:
         store.validate()
 
     def test_compact_rejects_wrong_cover(self):
-        store = HybridStore(schema4(group_size=2), page_capacity=8)
+        store = make_store(HYBRID)
         fill(store, 4)
         with pytest.raises(SchemaError):
             store.compact_groups([["a", "b"]])
@@ -243,7 +246,7 @@ class TestHybridCompaction:
         rebuilding, so a failure mid-rebuild corrupted the store.  With
         build-then-swap-then-free, an injected crash at any allocation
         leaves data, layout and directory exactly as they were."""
-        store = HybridStore(schema4(group_size=2), page_capacity=8)
+        store = make_store(HYBRID)
         rids = fill(store, 20)
         before_rows = [store.read_row(rid) for rid in rids]
         before_groups = store.schema.groups
@@ -280,7 +283,7 @@ class TestHybridCompaction:
         store.validate()
 
     def test_group_summary(self):
-        store = HybridStore(schema4(group_size=2), page_capacity=8)
+        store = make_store(HYBRID)
         fill(store, 20)
         summary = store.group_summary()
         assert len(summary) == 2
@@ -291,8 +294,8 @@ class TestHybridCompaction:
 class TestSharedPool:
     def test_two_stores_share_io_accounting(self):
         pool = BufferPool(page_capacity=8)
-        first = RowStore(schema4(), pool=pool)
-        second = RowStore(schema4(), pool=pool)
+        first = make_store(ROW, pool=pool)
+        second = make_store(ROW, pool=pool)
         fill(first, 8)
         fill(second, 8)
         assert pool.disk.stats.allocations >= 2
