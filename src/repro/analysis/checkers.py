@@ -32,13 +32,6 @@ RC007    Lock discipline: in a class that owns a mutation lock, methods
          ``with ....mutation_lock``) or declare the caller-holds-lock
          contract in their docstring (``__init__`` is exempt — the
          object is not yet shared).
-RC008    Index-maintenance completeness: in a class that owns secondary
-         indexes (``self.indexes``), every method reachable from the WAL
-         replay interpreter (``apply_op``) that calls a row-mutating
-         store primitive (``store.insert`` / ``update`` /
-         ``update_column`` / ``delete``) must also invoke an
-         ``_index_*`` maintenance helper — otherwise a DML path leaves
-         registered indexes stale (deliberate exceptions are baselined).
 =======  ====================================================================
 """
 
@@ -782,106 +775,6 @@ def _declares_lock_contract(method: ast.AST) -> bool:
     doc = ast.get_docstring(method) or ""
     lowered = doc.lower()
     return any(phrase in lowered for phrase in _LOCK_CONTRACTS)
-
-
-# ---------------------------------------------------------------------------
-# RC008 — index-maintenance completeness
-# ---------------------------------------------------------------------------
-
-#: Store primitives that change row contents (and therefore index keys).
-_ROW_MUTATORS = ("insert", "update", "update_column", "delete")
-
-
-def _store_mutator_call(node: ast.AST) -> Optional[ast.Call]:
-    """A ``<anything>.store.<row-mutator>(...)`` call, else None."""
-    if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
-        return None
-    if node.func.attr not in _ROW_MUTATORS:
-        return None
-    receiver = node.func.value
-    if isinstance(receiver, ast.Attribute) and receiver.attr == "store":
-        return node
-    return None
-
-
-def _calls_index_helper(method: ast.AST) -> bool:
-    """True when the method invokes any ``_index_*`` maintenance helper
-    (directly or via ``self.``)."""
-    for node in ast.walk(method):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = None
-            if isinstance(func, ast.Attribute):
-                name = func.attr
-            elif isinstance(func, ast.Name):
-                name = func.id
-            if name is not None and name.startswith("_index_"):
-                return True
-    return False
-
-
-@register("RC008", "index-maintenance completeness")
-def check_index_maintenance(index: ProjectIndex) -> List[Diagnostic]:
-    """Every store-mutation path reachable from ``apply_op`` must keep
-    the owning class's secondary indexes maintained.
-
-    Reachability is the same name-based over-approximation RC001 uses:
-    a flagged method *might* run during replay, which is the safe
-    direction — a missed index update silently returns wrong rows."""
-    reachable_nodes = {
-        id(info.node) for info in reachable(index, ("apply_op",))
-    }
-    out: List[Diagnostic] = []
-    for module in index.modules:
-        for _, node in walk_scoped(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            methods = [
-                item
-                for item in node.body
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            ]
-            owns_indexes = any(
-                isinstance(sub, ast.Assign)
-                and any(
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                    and target.attr == "indexes"
-                    for target in sub.targets
-                )
-                for method in methods
-                for sub in ast.walk(method)
-            )
-            if not owns_indexes:
-                continue
-            for method in methods:
-                if method.name == "__init__" or method.name.startswith("_index_"):
-                    continue  # construction / the helpers themselves
-                if id(method) not in reachable_nodes:
-                    continue
-                mutator: Optional[ast.Call] = None
-                for sub in ast.walk(method):
-                    mutator = _store_mutator_call(sub)
-                    if mutator is not None:
-                        break
-                if mutator is None:
-                    continue
-                if _calls_index_helper(method):
-                    continue
-                out.append(
-                    Diagnostic(
-                        "RC008",
-                        module.path,
-                        mutator.lineno,
-                        f"{node.name}.{method.name}:store-mutation",
-                        f"{node.name}.{method.name} mutates rows via "
-                        f"store.{mutator.func.attr}() without calling an "
-                        "_index_* maintenance helper — registered secondary "
-                        "indexes would go stale on this path",
-                    )
-                )
-    return out
 
 
 @register("RC007", "lock discipline")

@@ -26,12 +26,8 @@ from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequenc
 from repro.analysis.sanitizer import NULL_SANITIZER, Sanitizer
 from repro.engine import sql_ast as ast
 from repro.engine.catalog import Catalog
-from repro.engine.expr import (
-    Scope,
-    compile_batch_predicate,
-    compile_expression,
-    extract_sargable_ranges,
-)
+from repro.engine.executor import ExecContext
+from repro.engine.expr import Scope
 from repro.engine.hybridstore import suggested_tick_budget
 from repro.engine.maintenance import MaintenanceWorker
 from repro.engine.pager import IOStats
@@ -237,6 +233,7 @@ class Database:
     def _attach(self, table: Table) -> Table:
         table.listeners.append(self._dispatch)
         table.events = self.events
+        table.transactions = self.transactions
         return table
 
     # -- schema API ----------------------------------------------------------------
@@ -498,7 +495,8 @@ class Database:
         timed = self.metrics_registry.enabled
         started = time.perf_counter() if timed else 0.0
         try:
-            return self._dispatch_statement(statement, params, resolver)
+            with self.transactions.statement_scope():
+                return self._dispatch_statement(statement, params, resolver)
         finally:
             if timed:
                 self._stmt_counter.value += 1
@@ -594,11 +592,8 @@ class Database:
             for index, value in zip(indexes, row):
                 full[index] = value
             insert_position = None if position is None else position + inserted
-            rid = table.insert(full, position=insert_position)
+            table.insert(full, position=insert_position)
             inserted += 1
-            self.transactions.record_undo(
-                (lambda t, r: (lambda: t.delete_rids([r], emit=True)))(table, rid)
-            )
         return ResultSet(rowcount=inserted)
 
     def _dml_targets(
@@ -611,121 +606,21 @@ class Database:
         """Rows a DML statement touches: ``(position, rid, full_row)``.
 
         Without a WHERE every row is a target and streams off the full
-        scan.  With one, the predicate rides a *narrow* batched scan over
-        just the referenced columns (selection vectors when the expression
-        batch-compiles, row closures otherwise; a WHERE naming no column
-        reads no page at all) and full rows are fetched only for the
-        matching rids — the page-I/O saving the hybrid layout grants
-        writes too.  The scan is handed the WHERE clause's sargable
-        interval sets so zone maps drop non-matching pages before decode,
-        and a point constraint on an indexed column short-circuits to an
-        index probe — DML rides the same selective-read machinery SELECT
-        does.
+        scan.  With one, the planner picks the access path a SELECT with
+        the same WHERE would get — the narrow, zone-skipping batched scan
+        over just the referenced columns, or an index probe — and full
+        rows are fetched only for the rows it locates: the page-I/O
+        saving the hybrid layout grants writes too.
         """
         if where is None:
             return list(table.scan())
-        refs = {
-            node.name.lower()
-            for node in ast.walk_expression(where)
-            if isinstance(node, ast.ColumnRef)
-        }
-        names = [name for name in table.column_names if name.lower() in refs]
-        ranges = extract_sargable_ranges(where, params, table.name) or None
-        if ranges:
-            probe = self._dml_index_probe(table, where, params, planner, ranges)
-            if probe is not None:
-                return probe
-        narrow_scope = Scope([(table.name, name) for name in names])
-        batch_fn = compile_batch_predicate(where, narrow_scope)
-        row_fn = None if batch_fn is not None else planner._compile(where, narrow_scope)
-        matches: List[Tuple[int, int]] = []
-        scanned = 0
-        batches = 0
-        skipped_before = table.store.pages_skipped
-        for positions, rids, cols in table.scan_column_batches(
-            names, predicate_ranges=ranges
-        ):
-            n = len(rids)
-            scanned += n
-            batches += 1
-            if batch_fn is not None:
-                for i, verdict in enumerate(batch_fn(cols, params, n)):
-                    if verdict is True:
-                        matches.append((positions[i], rids[i]))
-            else:
-                for i in range(n):
-                    values = tuple(column[i] for column in cols)
-                    if row_fn(values, params) is True:
-                        matches.append((positions[i], rids[i]))
-        if self.tracer.active:
-            self.tracer.current.annotate_child(
-                f"DmlScan({table.name}, cols=[{', '.join(names)}])",
-                rows_scanned=scanned,
-                cols_read=len(names),
-                batches=batches,
-                rows_per_batch=scanned // batches if batches else 0,
-                rows_matched=len(matches),
-                pages_skipped=table.store.pages_skipped - skipped_before,
-            )
-        matches.sort()
-        store = table.store
-        return [
-            (position, rid, store.read_row(rid)) for position, rid in matches
-        ]
-
-    def _dml_index_probe(
-        self,
-        table: Table,
-        where: ast.Expression,
-        params: Sequence[Any],
-        planner: Planner,
-        ranges: Dict[str, Any],
-    ) -> Optional[List[Tuple[int, int, Tuple[Any, ...]]]]:
-        """Index fast path for a DML WHERE with a point constraint on an
-        indexed column: probe the tree instead of scanning, re-check the
-        full predicate on each fetched row.  Returns None when no index
-        applies (the batched scan runs instead)."""
-        chosen = None
-        for name, interval_set in ranges.items():
-            index = table.index_for(name)
-            if index is None or interval_set.includes_null:
-                continue
-            points = interval_set.points()
-            if points is not None:
-                chosen = (index, points)
-                break
-        if chosen is None:
-            return None
-        index, points = chosen
-        predicate = planner._compile(
-            where, Scope([(table.name, name) for name in table.column_names])
-        )
-        table.index_lookups += 1
-        targets: List[Tuple[int, int, Tuple[Any, ...]]] = []
-        with table.store.mutation_lock:
-            position_of = {
-                rid: position for position, rid in enumerate(table.positions)
-            }
-            rids: List[int] = []
-            for key in points:
-                hit = index.tree.get(key)
-                if hit is None:
-                    continue
-                rids.extend(hit if isinstance(hit, list) else [hit])
-            for rid in rids:
-                position = position_of.get(rid)
-                if position is None:
-                    continue
-                row = table.store.read_row(rid)
-                if predicate(row, params) is True:
-                    targets.append((position, rid, row))
-        targets.sort()
-        if self.tracer.active:
-            self.tracer.current.annotate_child(
-                f"DmlIndexProbe({table.name}, index={index.name})",
-                index_probes=len(points),
-                rows_matched=len(targets),
-            )
+        tracer = self.tracer
+        with tracer.span("plan"):
+            node = planner.plan_dml_scan(table, where)
+        with tracer.span("execute") as execute_span:
+            targets = list(node.located(ExecContext(params)))
+            if tracer.active:
+                _annotate_plan(execute_span, node)
         return targets
 
     def _execute_update(
@@ -741,13 +636,7 @@ class Database:
         targets = self._dml_targets(table, statement.where, params, planner)
         for position, rid, row in targets:
             changes = {name: fn(row, params) for name, fn in assignment_fns}
-            old_values = {
-                name: row[table.schema.column_index(name)] for name, _ in assignment_fns
-            }
             table.update_rid(rid, changes, position=position)
-            self.transactions.record_undo(
-                (lambda t, r, old: (lambda: t.update_rid(r, old)))(table, rid, old_values)
-            )
         return ResultSet(rowcount=len(targets))
 
     def _execute_delete(
@@ -756,14 +645,6 @@ class Database:
         table = self.catalog.get(statement.table)
         doomed = self._dml_targets(table, statement.where, params, planner)
         table.delete_rids([rid for _, rid, _ in doomed])
-        for position, rid, row in doomed:
-            self.transactions.record_undo(
-                (
-                    lambda t, p, r, old_rid: (
-                        lambda: t.insert(r, position=min(p, t.n_rows), rid=old_rid)
-                    )
-                )(table, position, row, rid)
-            )
         return ResultSet(rowcount=len(doomed))
 
     # -- DDL ---------------------------------------------------------------------------
@@ -825,22 +706,27 @@ class Database:
             return ResultSet(rowcount=rewritten)
         if isinstance(action, ast.AlterDropColumn):
             column = table.schema.column(action.name)
+            column_position = table.schema.column_index(action.name)
             saved = [
                 pair
                 for _, rids, cols in table.scan_column_batches([action.name])
                 for pair in zip(rids, cols[0])
             ]
-            group_index = table.schema.group_of(action.name)
+            indexes_before = dict(table.indexes)
             rewritten = table.drop_column(action.name)
+            dropped = {
+                key: index
+                for key, index in indexes_before.items()
+                if key not in table.indexes
+            }
 
-            def undo_drop(
-                t: Table = table,
-                c: Column = column,
-                values: List[Tuple[int, Any]] = saved,
-            ) -> None:
-                t.add_column(c, emit=True)
-                for rid, value in values:
-                    t.store.update_column(rid, c.name, value)
+            def undo_drop() -> None:
+                table.add_column(column, emit=True, position=column_position)
+                for rid, value in saved:
+                    table.update_rid(rid, {column.name: value}, emit=False)
+                # Undo runs newest-first, so the rows are back to what
+                # the dropped trees indexed.
+                table.indexes.update(dropped)
 
             self.transactions.record_undo(undo_drop)
             return ResultSet(rowcount=rewritten)

@@ -197,6 +197,16 @@ class ProjectedScan(PlanNode):
         )
 
     def run(self, ctx: ExecContext) -> Iterator[Tuple[Any, ...]]:
+        return self._survivors(ctx, located=False)
+
+    def located(self, ctx: ExecContext) -> Iterator[Tuple[int, int, Tuple[Any, ...]]]:
+        """``(position, rid, full row)`` of every surviving row, in
+        presentation order — a DML statement's targets.  The full row is
+        fetched for survivors only; :meth:`run` is the values view of the
+        same iterator."""
+        return self._survivors(ctx, located=True)
+
+    def _survivors(self, ctx: ExecContext, located: bool) -> Iterator[Any]:
         """Batched execution: selection vectors over column fragments,
         output tuples materialised only for surviving rids.
 
@@ -228,9 +238,10 @@ class ProjectedScan(PlanNode):
         source = self.table.scan_column_batches(
             self.column_names, predicate_ranges=ranges
         )
+        read_row = self.table.store.read_row
 
-        def rows() -> Iterator[Tuple[Any, ...]]:
-            for _, rids, cols in source:
+        def rows() -> Iterator[Any]:
+            for positions, rids, cols in source:
                 n = len(rids)
                 self.rows_scanned += n
                 self.batches += 1
@@ -258,9 +269,15 @@ class ProjectedScan(PlanNode):
                             keep_row = False
                             break
                     if keep_row:
-                        yield values
+                        self.rows_out += 1
+                        # run() stays a bare-tuple stream: building the
+                        # triple per row costs a full scan ~5 %.
+                        if located:
+                            yield positions[i], rids[i], read_row(rids[i])
+                        else:
+                            yield values
 
-        return self._count(rows())
+        return rows()
 
 
 class IndexScan(PlanNode):
@@ -367,6 +384,14 @@ class IndexScan(PlanNode):
         return rids
 
     def run(self, ctx: ExecContext) -> Iterator[Tuple[Any, ...]]:
+        return self._survivors(ctx, located=False)
+
+    def located(self, ctx: ExecContext) -> Iterator[Tuple[int, int, Tuple[Any, ...]]]:
+        """``(position, rid, full row)`` of every surviving row, in
+        presentation order (see :meth:`ProjectedScan.located`)."""
+        return self._survivors(ctx, located=True)
+
+    def _survivors(self, ctx: ExecContext, located: bool) -> Iterator[Any]:
         ranges = None
         conjuncts = [expr for _, _, expr in self.predicates if expr is not None]
         if conjuncts:
@@ -374,43 +399,41 @@ class IndexScan(PlanNode):
             for conjunct in conjuncts[1:]:
                 combined = ast.BinaryOp("AND", combined, conjunct)
             ranges = extract_sargable_ranges(combined, ctx.params, self.binding)
-        store = self.table.store
-        self.table.index_lookups += 1
-        fetched: List[Tuple[int, Tuple[Any, ...]]] = []
+        table = self.table
+        store = table.store
+        table.index_lookups += 1
         with store.mutation_lock:
-            position_of = {
-                rid: position for position, rid in enumerate(self.table.positions)
-            }
             column_indexes = [
-                self.table.schema.column_index(name) for name in self.column_names
+                table.schema.column_index(name) for name in self.column_names
             ]
-            seen = set()
-            for rid in self._candidate_rids(ranges):
-                if rid in seen:
-                    continue
-                seen.add(rid)
-                position = position_of.get(rid)
-                if position is None:
-                    continue  # entry for a row deleted mid-probe
-                row = store.get(rid)
-                fetched.append(
-                    (position, tuple(row[i] for i in column_indexes))
-                )
-        fetched.sort()
+            # positions_of drops duplicates and entries of rows deleted
+            # mid-probe, and answers in presentation order.
+            candidates = table.positions_of(self._candidate_rids(ranges))
+            fetched = [
+                (position, rid, store.read_row(rid))
+                for rid, position in candidates.items()
+            ]
+        if not located:
+            # A SELECT's fetches are the workload's point reads (the
+            # advisor's window); for the rows a DML statement locates,
+            # Table charges the read of each one it changes.
+            store.access_stats.point_reads += len(fetched)
         params = ctx.params
 
-        def rows() -> Iterator[Tuple[Any, ...]]:
-            for _, values in fetched:
+        def rows() -> Iterator[Any]:
+            for position, rid, row in fetched:
                 self.rows_scanned += 1
+                values = tuple(row[i] for i in column_indexes)
                 keep = True
                 for predicate, _, _ in self.predicates:
                     if predicate(values, params) is not True:
                         keep = False
                         break
                 if keep:
-                    yield values
+                    self.rows_out += 1
+                    yield (position, rid, row) if located else values
 
-        return self._count(rows())
+        return rows()
 
 
 class ValuesScan(PlanNode):

@@ -51,6 +51,7 @@ from repro.engine.executor import (
 )
 from repro.engine.expr import Scope, collect_aggregates, compile_expression
 from repro.engine.hybridstore import pages_for_group
+from repro.engine.table import Table
 from repro.errors import PlanError
 
 __all__ = ["RangeResolver", "PlannedQuery", "Planner"]
@@ -124,6 +125,23 @@ class Planner:
         if isinstance(stmt, ast.CompoundSelect):
             return self._plan_compound(stmt)
         return self._plan_select(stmt)
+
+    def plan_dml_scan(self, table: Table, where: ast.Expression) -> PlanNode:
+        """The access path that finds a DML statement's rows: a scan of
+        just the columns ``where`` names with its conjuncts pushed in, or
+        the index probe :meth:`_choose_access_path` prices below it — the
+        operators a SELECT with the same WHERE would get.  The caller
+        drives the node's ``located()``."""
+        refs = {
+            node.name.lower()
+            for node in ast.walk_expression(where)
+            if isinstance(node, ast.ColumnRef)
+        }
+        names = [name for name in table.column_names if name.lower() in refs]
+        scan = ProjectedScan(table, table.name, names)
+        for conjunct in _split_conjuncts(where):
+            scan.add_predicate(self._compile(conjunct, scan.scope), "pushed", conjunct)
+        return self._choose_access_path(scan)
 
     def _plan_compound(self, stmt: ast.CompoundSelect) -> PlannedQuery:
         planned = [self._plan_select(select) for select in stmt.selects]
@@ -303,6 +321,14 @@ class Planner:
         if not ranges:
             return scan
         table = scan.table
+        candidates = [
+            (interval_set, index)
+            for name, interval_set in ranges.items()
+            for index in [table.index_for(name)]
+            if index is not None and not interval_set.includes_null
+        ]
+        if not candidates:
+            return scan  # nothing to price the scan against
         store = table.store
         n_rows = store.n_rows
         page_capacity = store.pool.page_capacity
@@ -327,10 +353,7 @@ class Planner:
             + _ROW_DECODE_COST * n_rows * surviving
         )
         best: Optional[Tuple[float, Any]] = None
-        for name, interval_set in ranges.items():
-            index = table.index_for(name)
-            if index is None or interval_set.includes_null:
-                continue
+        for interval_set, index in candidates:
             points = interval_set.points()
             if points is not None:
                 estimated = (

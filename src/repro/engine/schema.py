@@ -219,6 +219,13 @@ class TableSchema:
         self._rebuild_names()
         return group_index if not removed_group else group_index
 
+    def move_column(self, name: str, index: int) -> None:
+        """Move a column to logical position ``index``; the physical
+        grouping is untouched (the two orders are independent)."""
+        column = self._columns.pop(self.column_index(name))
+        self._columns.insert(index, column)
+        self._rebuild_names()
+
     def rename_column(self, old: str, new: str) -> None:
         if not self.has_column(old):
             raise SchemaError(f"no such column {old!r}")

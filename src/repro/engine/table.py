@@ -10,16 +10,23 @@ A table row has three identities:
   manager uses to translate sheet edits into updates (paper §3, Interface
   Manager).
 
-All mutations funnel through this class so that constraint checking, index
-maintenance and change events stay consistent.  Change events drive the
-two-way sync layer: every listener receives :class:`ChangeEvent` records
-after the fact.
+Every row change — insert, update, delete, and the undo of each — is one
+call of :meth:`Table._change`, which holds the store's mutation lock across
+the whole change: all key constraints are checked before anything is
+touched, then the store, the positional index and every key index (the
+primary key's included) are written together and the inverse is handed to
+the open statement's undo scope; once the lock is released the
+:class:`ChangeEvent` that drives the two-way sync layer is emitted.
+``insert`` / ``update_rid`` / ``delete_at`` / ``delete_rids`` only work out
+the before and after row; nothing else in the engine calls the store's row
+mutators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.sanitizer import NULL_SANITIZER
 from repro.engine.hybridstore import restructure_blocks
@@ -37,11 +44,13 @@ __all__ = ["Table", "ChangeEvent", "TableIndex"]
 
 @dataclass
 class TableIndex:
-    """One secondary index: ``column`` value → rid (unique) or rid bucket.
+    """One key index: ``column`` value → rid (unique) or rid bucket.
 
     NULL keys are not indexed (SQL: NULL never equals anything, and an
     ``IS NULL`` probe is served by zone maps instead), so ``len(tree)``
-    counts the *non-null* rows only."""
+    counts the *non-null* rows only.  The primary key is one of these
+    (``Table.primary_index``: unique, NULL rejected, neither persisted nor
+    droppable — it follows from the schema)."""
 
     name: str
     column: str
@@ -92,13 +101,15 @@ class Table:
         self.layout_advisor = LayoutAdvisor()
         self.layout_stats_horizon = 2048
         self._layout_migration: Optional[LayoutMigration] = None
-        self._pk_index: Optional[BPlusTree] = None
+        self.primary_index: Optional[TableIndex] = None
         if schema.primary_key is not None:
-            self._pk_index = BPlusTree(unique=True)
-        # Secondary indexes by lowered index name; every DML path below
-        # funnels through the _index_* helpers so the trees never drift
-        # from the store (checker RC008 enforces this statically).
+            self.primary_index = TableIndex("PRIMARY", schema.primary_key, True)
+        # Named (CREATE INDEX) indexes by lowered index name.
         self.indexes: Dict[str, TableIndex] = {}
+        # The owning Database's TransactionManager (wired in on attach):
+        # while one of its statement scopes is open, _change hands it each
+        # change's inverse.  None = nothing to undo into.
+        self.transactions = None
         # Executor probes through index_for(); counted for the
         # db_index_lookups metric.
         self.index_lookups = 0
@@ -139,20 +150,17 @@ class Table:
         prepared = []
         for column, value in zip(self.schema.columns, values):
             coerced = coerce_value(value, column.dtype)
-            if coerced is None and column.default is not None:
+            if coerced is None:
                 coerced = column.default
-            if coerced is None and column.not_null:
-                raise ConstraintError(
-                    f"column {column.name!r} of table {self.name!r} is NOT NULL"
-                )
+                if coerced is None and column.not_null:
+                    raise self._null_violation(column)
             prepared.append(coerced)
         return tuple(prepared)
 
-    def _pk_value(self, row: Sequence[Any]) -> Any:
-        pk = self.schema.primary_key
-        if pk is None:
-            return None
-        return row[self.schema.column_index(pk)]
+    def _null_violation(self, column: Column) -> ConstraintError:
+        return ConstraintError(
+            f"column {column.name!r} of table {self.name!r} is NOT NULL"
+        )
 
     # -- reads ---------------------------------------------------------------
 
@@ -307,17 +315,38 @@ class Table:
 
     def find_by_key(self, key: Any) -> Optional[int]:
         """rid for a primary-key value, or None."""
-        if self._pk_index is None:
+        if self.primary_index is None:
             raise ExecutionError(f"table {self.name!r} has no primary key")
-        return self._pk_index.get(key)
+        return self.primary_index.tree.get(key)
 
-    # -- secondary indexes ----------------------------------------------------
+    def positions_of(self, rids: Iterable[int]) -> Dict[int, int]:
+        """rid → presentation position of the live rows among ``rids``,
+        in position order.  One O(table) pass over the positional index —
+        the only rid → position lookup in the engine."""
+        wanted = set(rids)
+        if not wanted:
+            return {}
+        with self.store.mutation_lock:
+            return {
+                rid: position
+                for position, rid in enumerate(self.positions)
+                if rid in wanted
+            }
+
+    # -- key indexes ------------------------------------------------------------
+
+    def key_indexes(self) -> List[TableIndex]:
+        """The primary key's index, then every named one: the sequence
+        :meth:`_change` checks and re-keys and :meth:`index_for` searches."""
+        if self.primary_index is None:
+            return list(self.indexes.values())
+        return [self.primary_index, *self.indexes.values()]
 
     def index_for(self, column: str) -> Optional[TableIndex]:
         """Any index over ``column`` (unique preferred), or None."""
         column_l = column.lower()
         best: Optional[TableIndex] = None
-        for index in self.indexes.values():
+        for index in self.key_indexes():
             if index.column.lower() == column_l:
                 if index.unique:
                     return index
@@ -330,7 +359,8 @@ class Table:
         Runs under the store mutation lock so the initial build and
         subsequent DML maintenance cannot interleave."""
         name_l = name.lower()
-        if name_l in self.indexes:
+        # key_indexes, not self.indexes: the primary key's name is taken too.
+        if any(index.name.lower() == name_l for index in self.key_indexes()):
             raise SchemaError(f"index {name!r} already exists")
         self.schema.column(column)  # raises SchemaError on unknown column
         with self.store.mutation_lock:
@@ -361,67 +391,100 @@ class Table:
         self._record_event("index_drop", index=index.name)
         return index
 
-    def _index_key(self, index: TableIndex, row: Sequence[Any]) -> Any:
-        return row[self.schema.column_index(index.column)]
-
-    def _index_check_insert(self, row: Sequence[Any]) -> None:
-        """Unique-violation check, run *before* the store mutation so a
-        rejected insert leaves no partial state."""
-        for index in self.indexes.values():
-            if not index.unique:
-                continue
-            key = self._index_key(index, row)
-            if key is not None and key in index.tree:
-                raise ConstraintError(
-                    f"duplicate key {key!r} violates unique index "
-                    f"{index.name!r} of table {self.name!r}"
-                )
-
-    def _index_insert(self, rid: int, row: Sequence[Any]) -> None:
-        for index in self.indexes.values():
-            key = self._index_key(index, row)
-            if key is not None:
-                index.tree.insert(key, rid)
-
-    def _index_delete(self, rid: int, row: Sequence[Any]) -> None:
-        for index in self.indexes.values():
-            key = self._index_key(index, row)
-            if key is not None:
-                index.tree.delete(key, None if index.unique else rid)
-
-    def _index_update(
-        self, rid: int, old_row: Sequence[Any], new_row: Sequence[Any]
-    ) -> None:
-        """Re-key every index whose column changed; uniqueness was already
-        vetted by :meth:`_index_check_update`."""
-        for index in self.indexes.values():
-            old_key = self._index_key(index, old_row)
-            new_key = self._index_key(index, new_row)
-            if old_key is new_key or old_key == new_key:
-                continue
-            if old_key is not None:
-                index.tree.delete(old_key, None if index.unique else rid)
-            if new_key is not None:
-                index.tree.insert(new_key, rid)
-
-    def _index_check_update(
-        self, rid: int, old_row: Sequence[Any], new_row: Sequence[Any]
-    ) -> None:
-        for index in self.indexes.values():
-            if not index.unique:
-                continue
-            old_key = self._index_key(index, old_row)
-            new_key = self._index_key(index, new_row)
-            if new_key is None or new_key == old_key:
-                continue
-            holder = index.tree.get(new_key)
-            if holder is not None and holder != rid:
-                raise ConstraintError(
-                    f"duplicate key {new_key!r} violates unique index "
-                    f"{index.name!r} of table {self.name!r}"
-                )
-
     # -- writes -----------------------------------------------------------------
+
+    def _check_keys(
+        self,
+        keyed: Sequence[Tuple[TableIndex, int]],
+        rid: Optional[int],
+        old: Optional[Sequence[Any]],
+        new: Sequence[Any],
+    ) -> None:
+        """Raise if any unique index would refuse ``new`` for ``rid``."""
+        for index, col in keyed:
+            if not index.unique:
+                continue
+            key = new[col]
+            primary = index is self.primary_index
+            if key is None:
+                if primary:
+                    raise ConstraintError(
+                        f"primary key of {self.name!r} may not be NULL"
+                    )
+                continue
+            if old is not None and old[col] == key:
+                continue
+            if index.tree.get(key, rid) != rid:
+                raise ConstraintError(
+                    f"duplicate primary key {key!r} in table {self.name!r}"
+                    if primary
+                    else f"duplicate key {key!r} violates unique index "
+                    f"{index.name!r} of table {self.name!r}"
+                )
+
+    def _change(
+        self,
+        rid: Optional[int],
+        position: Optional[int],
+        old: Optional[Tuple[Any, ...]],
+        new: Optional[Tuple[Any, ...]],
+        emit: bool,
+        touched: Sequence[str] = (),
+    ) -> int:
+        """The one place a row changes: ``old`` → ``new``, ``None``
+        standing for "no row" (so insert, update and delete are one shape
+        and a change's inverse is the same call with the two swapped).
+        ``touched`` names the columns an update assigned; a delete
+        without a ``position`` looks its row up.
+
+        The store mutation lock is held from the first check to the last
+        index write, so a scan opening from another thread sees store,
+        positional index and key indexes all before or all after the
+        change; a constraint violation raises before anything is written."""
+        with self.store.mutation_lock:
+            column_index = self.schema.column_index
+            keyed = [(index, column_index(index.column)) for index in self.key_indexes()]
+            if new is not None:
+                self._check_keys(keyed, rid, old, new)
+            if old is None:
+                rid = self.store.insert(new, rid=rid)
+                if position is None or position >= len(self.positions):
+                    position = len(self.positions)
+                    self.positions.append(rid)
+                else:
+                    self.positions.insert_at(position, rid)
+            elif new is None:
+                if position is None:
+                    position = self.positions_of([rid])[rid]
+                self.positions.delete_at(position)
+                self.store.delete(rid)
+            elif len(touched) == 1:
+                # Single-column update: touch only that column's group (the
+                # tuple-update cost baseline for E6).
+                (name,) = touched
+                self.store.update_column(rid, name, new[column_index(name)])
+            else:
+                self.store.update(rid, new)
+            for index, col in keyed:
+                old_key = None if old is None else old[col]
+                new_key = None if new is None else new[col]
+                if old_key is new_key or old_key == new_key:
+                    continue
+                if old_key is not None:
+                    index.tree.delete(old_key, None if index.unique else rid)
+                if new_key is not None:
+                    index.tree.insert(new_key, rid)
+            undo = self.transactions
+            if undo is not None and undo.statement is not None:
+                # Un-delete where the row was; un-insert wherever it is by then.
+                back = position if new is None else None
+                undo.statement.append(
+                    partial(self._change, rid, back, new, old, emit, touched)
+                )
+        if emit:
+            kind = "delete" if new is None else "insert" if old is None else "update"
+            self._emit(ChangeEvent(self.name, kind, position, rid, new, old))
+        return rid
 
     def insert(
         self,
@@ -432,33 +495,11 @@ class Table:
     ) -> int:
         """Insert a row, by default appending; ``position`` inserts into the
         middle of the presentation order (paper's positional insert).
-        ``rid`` restores a specific record id (rollback only)."""
+        ``rid`` restores a specific record id."""
         row = self._prepare_row(values)
-        key = self._pk_value(row)
-        if self._pk_index is not None:
-            if key is None:
-                raise ConstraintError(
-                    f"primary key of {self.name!r} may not be NULL"
-                )
-            if key in self._pk_index:
-                raise ConstraintError(
-                    f"duplicate primary key {key!r} in table {self.name!r}"
-                )
-        self._index_check_insert(row)
-        rid = self.store.insert(row, rid=rid)
-        if position is None or position >= len(self.positions):
-            position = len(self.positions)
-            self.positions.append(rid)
-        else:
-            if position < 0:
-                raise ExecutionError(f"negative position {position}")
-            self.positions.insert_at(position, rid)
-        if self._pk_index is not None:
-            self._pk_index.insert(key, rid)
-        self._index_insert(rid, row)
-        if emit:
-            self._emit(ChangeEvent(self.name, "insert", position, rid, row))
-        return rid
+        if position is not None and position < 0:
+            raise ExecutionError(f"negative position {position}")
+        return self._change(rid, position, None, row, emit)
 
     def insert_many(self, rows: Sequence[Sequence[Any]]) -> List[int]:
         return [self.insert(row) for row in rows]
@@ -475,75 +516,28 @@ class Table:
         new_values = list(old_row)
         for column_name, value in changes.items():
             column = self.schema.column(column_name)
-            index = self.schema.column_index(column_name)
             coerced = coerce_value(value, column.dtype)
             if coerced is None and column.not_null:
-                raise ConstraintError(
-                    f"column {column.name!r} of table {self.name!r} is NOT NULL"
-                )
-            new_values[index] = coerced
+                raise self._null_violation(column)
+            new_values[self.schema.column_index(column_name)] = coerced
         new_row = tuple(new_values)
-        old_key = self._pk_value(old_row)
-        new_key = self._pk_value(new_row)
-        if self._pk_index is not None and old_key != new_key:
-            if new_key is None:
-                raise ConstraintError(f"primary key of {self.name!r} may not be NULL")
-            if new_key in self._pk_index:
-                raise ConstraintError(
-                    f"duplicate primary key {new_key!r} in table {self.name!r}"
-                )
-            self._pk_index.delete(old_key)
-            self._pk_index.insert(new_key, rid)
-        self._index_check_update(rid, old_row, new_row)
-        self._index_update(rid, old_row, new_row)
-        if len(changes) == 1:
-            # Single-column update: touch only that column's group (the
-            # tuple-update cost baseline for E6).
-            ((column_name, _),) = changes.items()
-            index = self.schema.column_index(column_name)
-            self.store.update_column(rid, column_name, new_row[index])
-        else:
-            self.store.update(rid, new_row)
-        if emit:
-            self._emit(
-                ChangeEvent(self.name, "update", position, rid, new_row, old_row)
-            )
+        self._change(rid, position, old_row, new_row, emit, list(changes))
         return new_row
 
     def delete_at(self, position: int, emit: bool = True) -> Tuple[Any, ...]:
         """Delete the row at a presentation position."""
-        rid = self.positions.delete_at(position)
+        rid = self.positions.rid_at(position)
         row = self.store.get(rid)
-        if self._pk_index is not None:
-            self._pk_index.delete(self._pk_value(row))
-        self._index_delete(rid, row)
-        self.store.delete(rid)
-        if emit:
-            self._emit(ChangeEvent(self.name, "delete", position, rid, None, row))
+        self._change(rid, position, row, None, emit)
         return row
 
     def delete_rids(self, rids: Sequence[int], emit: bool = True) -> int:
         """Delete rows by rid (used by DELETE ... WHERE plans)."""
-        doomed = set(rids)
-        if not doomed:
-            return 0
-        # Find positions in one pass, then delete from the tail backwards so
-        # earlier positions stay valid.
-        pairs = [
-            (position, rid)
-            for position, rid in enumerate(self.positions)
-            if rid in doomed
-        ]
-        for position, rid in reversed(pairs):
-            row = self.store.get(rid)
-            if self._pk_index is not None:
-                self._pk_index.delete(self._pk_value(row))
-            self._index_delete(rid, row)
-            self.positions.delete_at(position)
-            self.store.delete(rid)
-            if emit:
-                self._emit(ChangeEvent(self.name, "delete", position, rid, None, row))
-        return len(pairs)
+        located = list(self.positions_of(rids).items())
+        # From the tail backwards so earlier positions stay valid.
+        for rid, position in reversed(located):
+            self._change(rid, position, self.store.get(rid), None, emit)
+        return len(located)
 
     # -- schema evolution ----------------------------------------------------------
 
@@ -553,9 +547,16 @@ class Table:
         group_index: Optional[int] = None,
         new_group: Optional[bool] = None,
         emit: bool = True,
+        position: Optional[int] = None,
     ) -> int:
-        """ADD COLUMN; returns pages rewritten (0 for a fresh group)."""
-        rewritten = self.store.add_column(column, group_index, new_group)
+        """ADD COLUMN; returns pages rewritten (0 for a fresh group).
+        ``position``: logical index instead of last — the undo of DROP
+        COLUMN puts the column back where row inverses recorded before
+        the drop expect it."""
+        with self.store.mutation_lock:
+            rewritten = self.store.add_column(column, group_index, new_group)
+            if position is not None:
+                self.schema.move_column(column.name, position)
         if emit:
             self._emit(ChangeEvent(self.name, "add_column", column=column.name))
         return rewritten
@@ -579,7 +580,7 @@ class Table:
 
     def rename_column(self, old: str, new: str, emit: bool = True) -> None:
         self.store.rename_column(old, new)
-        for index in self.indexes.values():
+        for index in self.key_indexes():
             if index.column.lower() == old.lower():
                 index.column = new
         if emit:
@@ -802,18 +803,24 @@ class Table:
                 f"positional index has {len(self.positions)} entries, "
                 f"store has {self.store.n_rows} rows"
             )
-        if self._pk_index is not None:
-            self._pk_index.validate()
-            if len(self._pk_index) != self.store.n_rows:
-                raise StorageError("primary key index size drifted")
-        for index in self.indexes.values():
+        rows = {rid: self.store.read_row(rid) for rid in self.store.rids()}
+        for index in self.key_indexes():
             index.tree.validate()
             col = self.schema.column_index(index.column)
-            non_null = sum(
-                1 for rid in self.store.rids() if self.store.get(rid)[col] is not None
-            )
-            if len(index.tree) != non_null:
+            expected: Dict[Any, List[int]] = {}
+            for rid, row in rows.items():
+                if row[col] is not None:
+                    expected.setdefault(row[col], []).append(rid)
+            if index is self.primary_index and len(expected) != len(rows):
                 raise StorageError(
-                    f"secondary index {index.name!r} holds {len(index.tree)} "
-                    f"entries for {non_null} non-null rows"
+                    f"primary key of {self.name!r} is NULL or repeated in the rows"
+                )
+            actual = {
+                key: sorted(hit) if isinstance(hit, list) else [hit]
+                for key, hit in index.tree.items()
+            }
+            if actual != {key: sorted(rids) for key, rids in expected.items()}:
+                raise StorageError(
+                    f"index {index.name!r} of table {self.name!r} drifted from "
+                    f"the rows ({len(actual)} keys indexed, {len(expected)} stored)"
                 )

@@ -6,7 +6,9 @@ considered as 'data definition language' and generally cannot participate in
 transactions."  DataSpread requires both to change; this module provides the
 second half: every mutation — tuple *or schema* — appends an inverse
 operation to the active transaction's undo log, so ``ROLLBACK`` restores
-both data and schema.
+both data and schema.  The same inverses make each statement atomic: they
+are collected per statement (:meth:`TransactionManager.statement_scope`)
+and run at once if the statement fails part-way.
 
 The design is deliberately simple (single-writer, no concurrency): the
 paper explicitly leaves the transaction manager's full redesign to future
@@ -23,7 +25,8 @@ direct API call) drove the transition.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, List, Optional
 
 from repro.errors import TransactionError
 
@@ -79,6 +82,9 @@ class TransactionManager:
         self.committed = 0
         self.rolled_back = 0
         self._hooks: List[TransactionHook] = []
+        #: The open statement's undo log (None between statements): what
+        #: ``Table``'s mutation chokepoint feeds its inverses to.
+        self.statement: Optional[List[Callable[[], None]]] = None
 
     # -- lifecycle hooks (durability layer) ---------------------------------
 
@@ -125,8 +131,35 @@ class TransactionManager:
         return self.current is not None and self.current.active
 
     def record_undo(self, closure: Callable[[], None]) -> None:
-        """Register an inverse op if a transaction is open (no-op in
-        autocommit mode)."""
-        if self.in_transaction:
+        """Register an inverse op with the open statement, else with the
+        open transaction (no-op in autocommit mode outside a statement)."""
+        if self.statement is not None:
+            self.statement.append(closure)
+        elif self.in_transaction:
             assert self.current is not None
             self.current.record_undo(closure)
+
+    @contextmanager
+    def statement_scope(self) -> Iterator[None]:
+        """Statement atomicity: inverses recorded while the scope is open
+        run (newest first) if the statement raises, so a failed statement
+        leaves nothing behind; on success they join the enclosing scope or
+        the open transaction, or are dropped in autocommit mode.  Scopes
+        nest — a change listener may run a statement of its own."""
+        outer, scope = self.statement, []
+        self.statement = scope
+        try:
+            yield
+        except BaseException:
+            self.statement = None  # the inverses must not record themselves
+            while scope:
+                scope.pop()()
+            raise
+        else:
+            if outer is not None:
+                outer.extend(scope)
+            elif self.in_transaction:
+                for closure in scope:
+                    self.current.record_undo(closure)
+        finally:
+            self.statement = outer

@@ -7,6 +7,7 @@ suite fails the moment someone introduces a new violation without
 either fixing or baselining it.
 """
 
+import ast as python_ast
 import textwrap
 from dataclasses import replace
 from pathlib import Path
@@ -377,68 +378,33 @@ class TestRC007LockDiscipline:
         )
 
 
-class TestRC008IndexMaintenance:
-    FIXTURE = """
-        class Table:
-            def __init__(self):
-                self.indexes = {{}}
-
-            def _index_insert(self, rid, row):
-                pass
-
-            def insert(self, row):
-                rid = self.store.insert(row)
-                {maintain}
-
-        def apply_op(workbook, op):
-            workbook.insert(op)
-        """
-
-    def test_unmaintained_mutation_fires(self, tmp_path):
-        diags = check(
-            tmp_path, self.FIXTURE.format(maintain="return rid"), "RC008"
-        )
-        assert diags and "stale" in diags[0].message
-        assert "Table.insert:store-mutation" in diags[0].symbol
-
-    def test_maintained_mutation_is_quiet(self, tmp_path):
-        assert not check(
-            tmp_path,
-            self.FIXTURE.format(maintain="self._index_insert(rid, row)"),
-            "RC008",
-        )
-
-    def test_unreachable_method_is_exempt(self, tmp_path):
-        # Not reachable from apply_op → replay can never run it.
-        assert not check(
-            tmp_path,
-            """
-            class Table:
-                def __init__(self):
-                    self.indexes = {}
-
-                def _index_insert(self, rid, row):
-                    pass
-
-                def bulk_load(self, rows):
-                    self.store.insert(rows)
-            """,
-            "RC008",
-        )
-
-    def test_indexless_class_is_exempt(self, tmp_path):
-        assert not check(
-            tmp_path,
-            """
-            class Loader:
-                def load(self, row):
-                    self.store.insert(row)
-
-            def apply_op(workbook, op):
-                workbook.load(op)
-            """,
-            "RC008",
-        )
+def test_store_row_mutators_are_called_only_from_the_table_chokepoint():
+    """What a retired checker used to police, now true by construction: in the engine
+    and the interface layer the store's row mutators have one caller, so
+    no write can miss constraint checks, locking, index maintenance, the
+    undo scope or the change event.  (``baselines/naive_db.py`` drives a
+    store of its own and is not part of either package; a ``Sheet``'s
+    ``store`` is its cell store, not a tuple store.)"""
+    callers = set()
+    for package in ("engine", "core"):
+        for path in sorted((REPO_ROOT / "src" / "repro" / package).glob("*.py")):
+            if (package, path.name) == ("core", "sheet.py"):
+                continue
+            tree = python_ast.parse(path.read_text())
+            for function in python_ast.walk(tree):
+                if not isinstance(function, python_ast.FunctionDef):
+                    continue
+                for node in python_ast.walk(function):
+                    if (
+                        isinstance(node, python_ast.Call)
+                        and isinstance(node.func, python_ast.Attribute)
+                        and node.func.attr
+                        in ("insert", "update", "update_column", "delete")
+                        and isinstance(node.func.value, python_ast.Attribute)
+                        and node.func.value.attr == "store"
+                    ):
+                        callers.add(f"{package}/{path.name}:{function.name}")
+    assert callers == {"engine/table.py:_change"}
 
 
 # -- framework ----------------------------------------------------------------
@@ -455,7 +421,6 @@ class TestFramework:
             "RC005",
             "RC006",
             "RC007",
-            "RC008",
         }
 
     def test_repo_tree_is_clean_modulo_baseline(self):

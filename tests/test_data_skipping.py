@@ -212,6 +212,15 @@ class TestPlannerAccessPath:
         assert scan.counters["index_probes"] == 1
         assert scan.counters["rows_scanned"] == 1
 
+    def test_primary_key_lookup_needs_no_create_index(self):
+        db = build_big_db()
+        assert db.table("t").indexes == {}
+        trace = db.execute("EXPLAIN TRACE SELECT v FROM t WHERE k = 100").rows
+        probe = [line for (line,) in trace if "IndexScan" in line]
+        assert len(probe) == 1 and "index=PRIMARY on k" in probe[0]
+        assert "index_probes=1" in probe[0] and "rows_out=1" in probe[0]
+        assert db.execute("SELECT v FROM t WHERE k = 100").rows == [(700,)]
+
     def test_non_selective_predicate_stays_a_scan(self):
         db = build_big_db()
         db.execute("CREATE INDEX idx_v ON t (v)")
@@ -268,8 +277,13 @@ class TestDmlSelectiveReads:
         db.execute("CREATE UNIQUE INDEX idx_v ON t (v)")
         table = db.table("t")
         before = table.index_lookups
-        db.execute("DELETE FROM t WHERE v = 777")
+        result, trace = db.trace_statement("DELETE FROM t WHERE v = 777")
         assert table.index_lookups > before
+        # The probe is the plan operator a SELECT would get.
+        probe = trace.find("execute").children[0]
+        assert probe.name.startswith("IndexScan(t as t, index=idx_v on v")
+        assert probe.counters["index_probes"] == 1
+        assert probe.counters["rows_out"] == result.rowcount == 1
         table.validate()
 
     def test_update_after_skipping_scan_stays_correct(self):

@@ -4,11 +4,14 @@ Catches semantic drift in joins, aggregation, NULL handling and ORDER BY
 that unit tests with hand-computed expectations might miss.
 """
 
+import sqlite3
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.sqlite_backend import SqliteComparator
+from repro.errors import ConstraintError
 
 
 SETUP = [
@@ -97,6 +100,35 @@ class TestDmlAgreement:
             ]
         )
         comparator.assert_match("SELECT * FROM t2")
+
+    @pytest.mark.parametrize(
+        "failing",
+        [
+            "INSERT INTO k VALUES (10, 1, 'a'), (11, 2, 'b'), (0, 3, 'c')",
+            "INSERT INTO k VALUES (10, 1, 'a'), (11, 2, NULL)",
+            "INSERT INTO k SELECT id + 10, u + 10, tag FROM k",
+            "UPDATE k SET u = 40 WHERE id >= 1",
+            "UPDATE k SET tag = CASE WHEN id = 2 THEN NULL ELSE 'z' END",
+        ],
+    )
+    def test_failed_statement_is_backed_out_on_both(self, comparator, failing):
+        """SQLite's default conflict action (ABORT) undoes the failing
+        statement's earlier rows; so must we."""
+        comparator.setup(
+            [
+                "CREATE TABLE k (id INTEGER PRIMARY KEY, u INTEGER, tag TEXT NOT NULL)",
+                "CREATE UNIQUE INDEX k_u ON k (u)",
+                "INSERT INTO k VALUES (0, 5, 'p'), (1, 20, 'q'), (2, 30, 'r')",
+            ]
+        )
+        with pytest.raises(ConstraintError):
+            comparator.database.execute(failing)
+        with pytest.raises(sqlite3.IntegrityError):
+            comparator.connection.execute(failing)
+        ok, ours, theirs = comparator.ordered_match("SELECT * FROM k")
+        assert ok, f"ours={ours} sqlite={theirs}"
+        comparator.setup(["INSERT INTO k VALUES (10, 1, 'after')"])
+        comparator.assert_match("SELECT * FROM k")
 
 
 @settings(max_examples=40, deadline=None)

@@ -248,3 +248,127 @@ class TestTransactions:
         people.execute("DELETE FROM people WHERE pid = 2")
         people.execute("ROLLBACK")
         people.table("people").validate()
+
+
+def _state(db, name="s"):
+    """Everything a failed statement must leave alone: rows in order,
+    the rid at every position, and every key index entry."""
+    table = db.table(name)
+    table.validate()
+    return (
+        table.rows(),
+        list(table.positions),
+        {
+            index.name: sorted(index.tree.items(), key=repr)
+            for index in table.key_indexes()
+        },
+    )
+
+
+#: statements whose k-th row violates a constraint after earlier rows of
+#: the same statement were already changed.
+FAILING_STATEMENTS = [
+    "INSERT INTO s VALUES (10, 1, 'a'), (11, 2, 'b'), (0, 3, 'c')",  # dup PK
+    "INSERT INTO s VALUES (10, 1, 'a'), (11, 2, NULL)",  # NOT NULL
+    "INSERT INTO s VALUES (10, 1, 'a'), (11, 5, 'b')",  # unique index
+    "INSERT INTO s SELECT id + 10, u + 10, tag FROM s",  # 3rd source row: dup u
+    "INSERT INTO s VALUES (10, 1, 'a'), (0, 2, 'b') AT POSITION 1",  # mid-table
+    "UPDATE s SET u = 40 WHERE id >= 1",  # second target collides with first
+    "UPDATE s SET tag = CASE WHEN id = 2 THEN NULL ELSE 'z' END",
+    "UPDATE s SET id = id + 1",  # 0 -> 1 collides at the first row already
+]
+
+
+@pytest.fixture
+def constrained(db):
+    db.execute(
+        "CREATE TABLE s (id INT PRIMARY KEY, u INT, tag TEXT NOT NULL)"
+    )
+    db.execute("CREATE UNIQUE INDEX s_u ON s (u)")
+    db.execute("INSERT INTO s VALUES (0, 5, 'p'), (1, 20, 'q'), (2, 30, 'r')")
+    return db
+
+
+class TestStatementAtomicity:
+    @pytest.mark.parametrize("sql", FAILING_STATEMENTS)
+    def test_failed_statement_leaves_nothing_in_autocommit(self, constrained, sql):
+        before = _state(constrained)
+        with pytest.raises((ConstraintError, ExecutionError)):
+            constrained.execute(sql)
+        assert _state(constrained) == before
+
+    @pytest.mark.parametrize("sql", FAILING_STATEMENTS)
+    def test_failed_statement_inside_a_transaction(self, constrained, sql):
+        start = _state(constrained)
+        constrained.execute("BEGIN")
+        constrained.execute("INSERT INTO s VALUES (7, 70, 'kept')")
+        constrained.execute("UPDATE s SET tag = 'edited' WHERE id = 1")
+        middle = _state(constrained)
+        with pytest.raises((ConstraintError, ExecutionError)):
+            constrained.execute(sql)
+        # The transaction is still open, minus the failed statement only.
+        assert constrained.in_transaction
+        assert _state(constrained) == middle
+        constrained.execute("DELETE FROM s WHERE id = 0")
+        constrained.execute("ROLLBACK")
+        assert _state(constrained) == start
+
+    def test_listeners_see_the_compensating_events(self, constrained):
+        events = []
+        constrained.add_listener(events.append)
+        with pytest.raises(ConstraintError):
+            constrained.execute(FAILING_STATEMENTS[0])
+        assert [e.kind for e in events] == ["insert", "insert", "delete", "delete"]
+
+    def test_rollback_of_multi_row_delete_restores_presentation_order(self, constrained):
+        constrained.execute("INSERT INTO s VALUES (3, 40, 's'), (4, 50, 't')")
+        start = _state(constrained)
+        constrained.execute("BEGIN")
+        constrained.execute("DELETE FROM s WHERE id IN (1, 3)")
+        constrained.execute("ROLLBACK")
+        assert _state(constrained) == start
+
+    def test_rollback_of_drop_column_restores_its_indexes(self, db):
+        db.execute("CREATE TABLE d (id INT PRIMARY KEY, tag TEXT, u INT)")
+        db.execute("CREATE UNIQUE INDEX d_u ON d (u)")
+        db.execute("CREATE INDEX d_u2 ON d (u)")
+        db.execute("CREATE INDEX d_tag ON d (tag)")
+        db.execute("INSERT INTO d VALUES (0, 'p', 5), (1, 'q', 20), (2, 'r', NULL)")
+        start = _state(db, "d")
+        table = db.table("d")
+        db.execute("BEGIN")
+        db.execute("ALTER TABLE d DROP COLUMN u")
+        assert set(table.indexes) == {"d_tag"}
+        db.execute("INSERT INTO d VALUES (9, 'late')")
+        db.execute("ROLLBACK")
+        assert set(table.indexes) == {"d_u", "d_u2", "d_tag"}
+        assert _state(db, "d") == start
+        # Definitions and contents: the restored index still enforces and
+        # still answers.
+        with pytest.raises(ConstraintError):
+            db.execute("INSERT INTO d VALUES (8, 'dup', 20)")
+        assert table.store.get(table.indexes["d_u"].tree.get(5))[0] == 0
+
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_rollback_replays_row_inverses_recorded_before_a_drop_column(
+        self, db, indexed
+    ):
+        """Row inverses are full rows in schema order, so the undo of DROP
+        COLUMN must put the column back where it was (here: the middle)
+        before the older UPDATE/DELETE/INSERT inverses run."""
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, c INT NOT NULL, v TEXT)")
+        if indexed:
+            db.execute("CREATE INDEX tc ON t (c)")
+        db.execute("INSERT INTO t VALUES (1, 10, 'a'), (2, 10, 'b'), (3, 30, 'c')")
+        start = _state(db, "t")
+        db.execute("BEGIN")
+        db.execute("UPDATE t SET v = 'q' WHERE id = 2")
+        db.execute("DELETE FROM t WHERE id = 1")
+        db.execute("INSERT INTO t VALUES (4, 40, 'd')")
+        db.execute("ALTER TABLE t DROP COLUMN c")
+        db.execute("UPDATE t SET v = 'z' WHERE id = 3")
+        db.execute("ROLLBACK")
+        assert not db.in_transaction
+        assert db.table("t").column_names == ["id", "c", "v"]
+        assert _state(db, "t") == start
+        assert db.execute("SELECT c, v FROM t WHERE id = 2").rows == [(10, "b")]

@@ -10,6 +10,7 @@ import pytest
 from repro.core.address import CellAddress
 from repro.errors import (
     CatalogError,
+    ConstraintError,
     ServerError,
     SheetError,
     StaleWriteError,
@@ -483,6 +484,35 @@ class TestTransactionsInWal:
         assert table.column_names == ["k", "v"]
         assert [row for _, _, row in table.scan()] == [(1, "a")]
         reopened.close()
+
+    @pytest.mark.parametrize("in_txn", [False, True])
+    def test_failed_statement_leaves_live_and_log_equal(self, tmp_path, in_txn):
+        """A statement that fails on its k-th row is backed out of the
+        engine just as its record is cut from the WAL: recovery and the
+        live workbook never diverge."""
+        service = make_service(tmp_path)
+        sid = service.connect("alice").session_id
+        service.execute(sid, "CREATE TABLE s (id INT PRIMARY KEY, v INT)")
+        service.execute(sid, "INSERT INTO s VALUES (0, 3)")
+        if in_txn:
+            service.execute(sid, "BEGIN")
+            service.execute(sid, "INSERT INTO s VALUES (5, 5)")
+        lsn_before = service.wal.last_lsn
+        failing = "INSERT INTO s VALUES (10, 1), (11, 2), (0, 3)"
+        with pytest.raises(ConstraintError):
+            service.execute(sid, failing)
+        assert service.wal.last_lsn == lsn_before
+        assert all(r.op.get("sql") != failing for r in service.wal.records())
+        if in_txn:
+            service.execute(sid, "COMMIT")
+        table = service.workbook.database.table("s")
+        live = table.rows()
+        assert live == ([(0, 3), (5, 5)] if in_txn else [(0, 3)])
+        table.validate()
+        service.wal.sync()
+        recovered = recover_state(str(tmp_path / "svc")).workbook.database.table("s")
+        assert recovered.rows() == live
+        service.close()
 
     def test_commit_makes_batch_durable(self, tmp_path):
         service = make_service(tmp_path)

@@ -1,13 +1,16 @@
 """Unit tests for the Table abstraction: positional order, key index,
 change events."""
 
+import threading
+
 import pytest
 
 from repro.engine.schema import Column, TableSchema
 from repro.engine.store import LayoutPolicy
 from repro.engine.table import ChangeEvent, Table
 from repro.engine.types import DBType
-from repro.errors import ConstraintError, ExecutionError
+from repro.errors import ConstraintError, ExecutionError, SchemaError, StorageError
+from repro.index.positional import PositionalIndex
 
 
 def make_table(pk=True):
@@ -176,3 +179,104 @@ class TestValidation:
         table.update_rid(rid, {"b": "z"})
         table.checkpoint()
         assert table.store.pool.stats.writes - before == 1
+
+
+class TestOneWritePath:
+    """Every row change is one ``Table._change``: all constraints checked
+    before anything is written, everything written under one lock."""
+
+    def test_rejected_update_leaves_every_index_untouched(self):
+        table = make_table()
+        table.create_index("u_name", "name", unique=True)
+        first = table.insert((1, "a"))
+        table.insert((2, "b"))
+        # The primary key would accept 5; the unique index refuses "b".
+        with pytest.raises(ConstraintError):
+            table.update_rid(first, {"id": 5, "name": "b"})
+        assert table.find_by_key(1) == first
+        assert table.find_by_key(5) is None
+        with pytest.raises(ConstraintError):
+            table.insert((1, "c"))
+        assert table.rows() == [(1, "a"), (2, "b")]
+        table.validate()
+
+    def test_rejected_insert_writes_nothing(self):
+        table = make_table()
+        table.insert((1, "a"))
+        for bad, position in [((1, "dup"), None), ((2, "b"), -1)]:
+            with pytest.raises((ConstraintError, ExecutionError)):
+                table.insert(bad, position=position)
+        assert table.rows() == [(1, "a")] and table.n_rows == 1
+        table.validate()
+
+    def test_primary_key_is_a_key_index(self):
+        table = make_table()
+        rid = table.insert((7, "x"))
+        index = table.index_for("id")
+        assert index is table.primary_index and index.unique
+        assert index.tree.get(7) == rid
+        assert table.indexes == {}  # not a named (droppable, persisted) one
+        table.rename_column("id", "key")
+        assert table.index_for("key") is index and table.find_by_key(7) == rid
+        # Its name is taken, in any spelling.
+        with pytest.raises(SchemaError):
+            table.create_index("primary", "name", unique=False)
+
+    @pytest.mark.parametrize("name", ["PRIMARY", "u_name", "by_name"])
+    def test_validate_compares_index_entries_not_sizes(self, name):
+        table = make_table()
+        table.create_index("u_name", "name", unique=True)
+        table.create_index("by_name", "name", unique=False)
+        rids = [table.insert((i, f"n{i}")) for i in range(4)]
+        table.validate()
+        # Same number of entries, wrong content: re-point one key.
+        index = {i.name: i for i in table.key_indexes()}[name]
+        key = 0 if name == "PRIMARY" else "n0"
+        index.tree.delete(key, None if index.unique else rids[0])
+        index.tree.insert(-1 if name == "PRIMARY" else "zz", rids[0])
+        with pytest.raises(StorageError):
+            table.validate()
+
+    @pytest.mark.parametrize("mutator", ["append", "delete_at"])
+    def test_scan_from_another_thread_never_sees_half_a_change(
+        self, monkeypatch, mutator
+    ):
+        """The positional index is written mid-change; a scan opened right
+        then must wait for the change to finish, not report a rid the two
+        structures disagree on."""
+        table = make_table()
+        for i in range(5):
+            table.insert((i, str(i)))
+        seen = {}
+
+        def scan():
+            try:
+                seen["rows"] = list(table.scan())
+            except Exception as error:  # noqa: BLE001 - reported below
+                seen["error"] = error
+
+        real = getattr(PositionalIndex, mutator)
+
+        def racing(self, *args):
+            result = real(self, *args)
+            reader = threading.Thread(target=scan)
+            reader.start()
+            reader.join(timeout=0.2)
+            seen["blocked"] = reader.is_alive()
+            seen["thread"] = reader
+            return result
+
+        monkeypatch.setattr(PositionalIndex, mutator, racing)
+        if mutator == "append":
+            table.insert((5, "5"))
+            expected = [0, 1, 2, 3, 4, 5]
+        else:
+            table.delete_at(2)
+            expected = [0, 1, 3, 4]
+        seen["thread"].join(timeout=5)
+        assert not seen["thread"].is_alive()
+        assert "error" not in seen, seen.get("error")
+        assert seen["blocked"], "the scan ran inside the half-applied change"
+        assert [row[0] for _, _, row in seen["rows"]] == expected
+        assert [p for p, _, _ in seen["rows"]] == list(range(len(expected)))
+        table.validate()

@@ -354,14 +354,18 @@ def test_dml_where_reads_fewer_pages_than_full_row_path(sql, remaining):
 def test_dml_where_scans_only_referenced_columns():
     db = build_dml_db()
     _, trace = db.trace_statement("UPDATE t SET c7 = 0 WHERE c0 < 35")
-    scan = _find_prefix(trace, "DmlScan")
+    # The operator a SELECT with the same WHERE gets, under the same
+    # plan/execute spans.
+    assert trace.find("plan") is not None
+    scan = _find_prefix(trace.find("execute"), "ProjectedScan(t as t, cols=[c0]")
     assert scan is not None
     # Zone maps may prune pages the predicate provably misses, so the
     # scan examines at most every row and at least the matches.
     assert 15 <= scan.counters["rows_scanned"] <= 400
     assert scan.counters["cols_read"] == 1
     assert scan.counters["batches"] >= 1
-    assert scan.counters["rows_matched"] == 15
+    assert scan.counters["rows_out"] == 15
+    assert scan.counters["pages_skipped"] >= 0
     assert (
         scan.counters["rows_per_batch"]
         == scan.counters["rows_scanned"] // scan.counters["batches"]
@@ -372,9 +376,10 @@ def test_dml_without_where_short_circuits_predicate_path():
     for sql, remaining in [("UPDATE t SET c7 = 0", 400), ("DELETE FROM t", 0)]:
         db = build_dml_db()
         result, trace = db.trace_statement(sql)
-        # No predicate scan at all: every row is a target, so no DmlScan
-        # span exists and the rowcount covers the whole table.
-        assert _find_prefix(trace, "DmlScan") is None
+        # No predicate scan at all: every row is a target, so no plan
+        # operator runs and the rowcount covers the whole table.
+        assert _find_prefix(trace, "ProjectedScan") is None
+        assert _find_prefix(trace, "IndexScan") is None
         assert result.rowcount == 400
         assert db.execute("SELECT COUNT(*) FROM t").rows[0][0] == remaining
 
