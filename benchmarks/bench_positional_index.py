@@ -1,19 +1,31 @@
 """E5 — §3 positional index: O(log n) positional access vs the rownum
 emulation a vanilla RDBMS needs.
 
-Three operations per table size n, DataSpread (order-statistic tree) vs the
+Four operations per table size n, DataSpread (order-statistic tree) vs the
 naive baseline (explicit rownum column, OFFSET-style scans, renumbering):
 
 * ``window(pos, 40)`` — the viewport fetch,
 * ``row_at(pos)`` — a point positional lookup,
 * ``insert_at(middle)`` — a middle insert, which the baseline pays O(n)
-  renumbering for.
+  renumbering for,
+* ``position_of(rid)`` — the reverse lookup an indexed point statement
+  makes (which sheet row shows the record the key index found).  The
+  baseline reads it off the stored rownum, and it is the renumbering above
+  that keeps that column true; the tree ranks the rid by climbing parent
+  links.  Asserted on logical work, not wall-clock: ``rank_steps`` per
+  lookup stays ≤ 4·log2(n) after middle inserts, against ~n/2 rows the
+  baseline renumbers per insert.  Headline numbers land in
+  ``BENCH_positional_index.json``; ``BENCH_SMOKE=1`` (the CI step, with
+  ``-k reverse_lookup``) drops the largest size.
 
 Expected shape: DataSpread flat-ish in n (log factor); baseline linear in n
-for all three — the gap at n=50k should be orders of magnitude.  The
+for the first three — the gap at n=50k should be orders of magnitude.  The
 ``rows_scanned`` / ``rows_renumbered`` extra-info fields show the logical
 work driving the wall-clock gap.
 """
+
+import math
+import os
 
 import pytest
 
@@ -23,7 +35,10 @@ from repro.engine.table import Table
 from repro.engine.types import DBType
 from repro.workloads.traces import random_jump_trace
 
-SIZES = [1000, 10_000, 50_000]
+from .conftest import write_bench_json
+
+SMOKE = os.environ.get("BENCH_SMOKE") == "1"
+SIZES = [1000, 10_000] if SMOKE else [1000, 10_000, 50_000]
 WINDOW = 40
 
 
@@ -122,3 +137,40 @@ def test_point_lookup_offset_scan(benchmark, n_rows):
     benchmark(lookup)
     benchmark.extra_info["n_rows"] = n_rows
     benchmark.extra_info["system"] = "naive-rownum"
+
+
+def test_reverse_lookup_climbs_where_rownum_renumbers(benchmark):
+    middle_inserts, naive_inserts, probes = 64, 3, 500
+    report = []
+    for n_rows in SIZES:
+        table = make_dataspread_table(n_rows)
+        for i in range(middle_inserts):
+            table.insert((n_rows + i, 0.0), position=(i * 7919) % table.n_rows, emit=False)
+        counts = table.positions.counts
+        worst = 0
+        for probe in range(probes):
+            position = (probe * 104_729) % table.n_rows
+            rid = table.rid_at(position)
+            before = counts.rank_steps
+            assert table.positions_of([rid]) == {rid: position}
+            worst = max(worst, counts.rank_steps - before)
+        bound = 4 * math.log2(table.n_rows)
+        assert worst <= bound, f"{worst} parent links climbed at n={n_rows}"
+
+        naive = make_naive_table(n_rows)
+        for i in range(naive_inserts):
+            rid = naive.insert_at(n_rows // 2, (n_rows + i, 0.0))
+            assert naive.position_of(rid) == n_rows // 2
+        report.append(
+            {
+                "n_rows": n_rows,
+                "rank_steps_worst": worst,
+                "rank_steps_bound": round(bound, 1),
+                "naive_rows_renumbered_per_insert": naive.rows_renumbered // naive_inserts,
+            }
+        )
+    rids = iter([table.rid_at((i * 104_729) % table.n_rows) for i in range(10_000)] * 100)
+    benchmark(lambda: table.positions_of([next(rids)]))
+    benchmark.extra_info["n_rows"] = table.n_rows
+    benchmark.extra_info["system"] = "dataspread"
+    write_bench_json("positional_index", {"reverse_lookup": report})

@@ -72,6 +72,11 @@ class NaiveDbTable:
         hits.sort()
         return [row for _, row in hits]
 
+    def position_of(self, rid: int) -> int:
+        """O(1): the stored rownum — true only because every insert and
+        delete renumbers the rows after it."""
+        return self.store.get(rid)[0]
+
     def scan_ordered(self) -> List[Tuple[Any, ...]]:
         rows = sorted(self.store.scan(), key=lambda item: item[1][0])
         self.rows_scanned += len(rows)

@@ -353,7 +353,7 @@ class IndexScan(PlanNode):
             # Unconstrained at run time (or the predicate admits NULLs,
             # which the index does not hold): every live row is a
             # candidate; the residual predicates do the filtering.
-            return list(self.table.positions)
+            return self.table.positions.to_list()
         rids: List[int] = []
 
         def collect(value: Any) -> None:

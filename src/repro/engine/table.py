@@ -232,7 +232,7 @@ class Table:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if not names:
             with self.store.mutation_lock:
-                order = list(self.positions)
+                order = self.positions.to_list()
 
             def rid_batches() -> Iterator[Tuple[Sequence[int], List[int], List[List[Any]]]]:
                 for lo in range(0, len(order), batch_size):
@@ -247,7 +247,7 @@ class Table:
             # rid on a perfectly healthy table.
             snap = self.store.snapshot()
             try:
-                expected = list(self.positions)
+                expected = self.positions.to_list()
                 source = self.store.scan_group_batches(
                     names,
                     batch_size,
@@ -321,17 +321,15 @@ class Table:
 
     def positions_of(self, rids: Iterable[int]) -> Dict[int, int]:
         """rid → presentation position of the live rows among ``rids``,
-        in position order.  One O(table) pass over the positional index —
-        the only rid → position lookup in the engine."""
-        wanted = set(rids)
-        if not wanted:
-            return {}
+        in position order.  O(log n) per rid (the positional index ranks
+        each by climbing its tree) — the only rid → position lookup in
+        the engine.  Sized for the few rids of a point statement: k climbs
+        and a sort beat one pass over the index up to k ≈ n/10."""
+        position_of = self.positions.position_of
         with self.store.mutation_lock:
-            return {
-                rid: position
-                for position, rid in enumerate(self.positions)
-                if rid in wanted
-            }
+            located = {rid: position_of(rid) for rid in rids}
+        live = sorted((pos, rid) for rid, pos in located.items() if pos is not None)
+        return {rid: pos for pos, rid in live}
 
     # -- key indexes ------------------------------------------------------------
 

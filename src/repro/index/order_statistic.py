@@ -7,7 +7,9 @@ The crux is a data structure that supports, all in logarithmic time:
 * ``get(pos)`` — fetch the element currently at a position,
 * ``insert(pos, x)`` — insert, implicitly renumbering everything after,
 * ``delete(pos)`` — remove, implicitly renumbering,
-* slicing — fetch the window ``[pos, pos+k)`` the interface is showing.
+* slicing — fetch the window ``[pos, pos+k)`` the interface is showing,
+* ``rank_of(x)`` — where an element is now: elements are distinct, a dict
+  finds the node, and parent links rank it by climbing to the root.
 
 A naive database emulation (``ORDER BY rownum LIMIT 1 OFFSET pos`` plus
 renumbering on insert) is O(n) per operation; experiment E5 charts the gap.
@@ -22,7 +24,7 @@ the middle of a sheet) O(k + log n).
 from __future__ import annotations
 
 import random
-from typing import Any, Generic, Iterator, List, Optional, Sequence, TypeVar
+from typing import Dict, Generic, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.errors import DataSpreadError
 
@@ -32,7 +34,7 @@ T = TypeVar("T")
 
 
 class _Node(Generic[T]):
-    __slots__ = ("value", "priority", "size", "left", "right")
+    __slots__ = ("value", "priority", "size", "left", "right", "parent")
 
     def __init__(self, value: T, priority: int):
         self.value = value
@@ -40,13 +42,21 @@ class _Node(Generic[T]):
         self.size = 1
         self.left: Optional["_Node[T]"] = None
         self.right: Optional["_Node[T]"] = None
+        self.parent: Optional["_Node[T]"] = None
 
     def refresh(self) -> None:
-        self.size = 1
-        if self.left is not None:
-            self.size += self.left.size
-        if self.right is not None:
-            self.size += self.right.size
+        """Re-derive ``size`` and adopt both children.  Every child link is
+        assigned just before a refresh, so only the root of a detached
+        piece can carry a stale ``parent`` (see ``_set_root``)."""
+        size = 1
+        left, right = self.left, self.right
+        if left is not None:
+            size += left.size
+            left.parent = self
+        if right is not None:
+            size += right.size
+            right.parent = self
+        self.size = size
 
 
 def _merge(left: Optional[_Node], right: Optional[_Node]) -> Optional[_Node]:
@@ -80,36 +90,45 @@ def _split(node: Optional[_Node], count: int):
 
 
 class OrderStatisticTree(Generic[T]):
-    """A mutable sequence with logarithmic positional updates."""
+    """A mutable sequence of distinct hashable values with logarithmic
+    positional updates and a logarithmic value → position lookup."""
 
     def __init__(self, values: Optional[Sequence[T]] = None, seed: int = 0x5EED):
         self._rng = random.Random(seed)
         self._root: Optional[_Node[T]] = None
+        # value -> its node: where rank_of starts its climb.
+        self._nodes: Dict[T, _Node[T]] = {}
         if values:
-            self._root = self._build(list(values))
+            self._set_root(self._build(list(values)))
 
     # -- construction -----------------------------------------------------
 
-    def _priority(self) -> int:
-        return self._rng.getrandbits(62)
+    def _set_root(self, root: Optional[_Node[T]]) -> None:
+        self._root = root
+        if root is not None:
+            root.parent = None
+
+    def _new_node(self, value: T) -> _Node[T]:
+        if value in self._nodes:
+            raise DataSpreadError(f"value {value!r} is already in the sequence")
+        node = self._nodes[value] = _Node(value, self._rng.getrandbits(62))
+        return node
 
     def _build(self, values: List[T]) -> Optional[_Node[T]]:
-        """O(n) bulk load: balanced by construction, priorities fixed up by
-        a max-heapify-like pass (midpoint recursion keeps it balanced even
-        if priorities are ignored, so we just assign fresh priorities)."""
-        if not values:
-            return None
+        """O(n) bulk load: balanced by construction (midpoint recursion),
+        the heap invariant established by lifting the subtree maximum to
+        the root (duplicate priorities are fine for treap correctness)."""
+        fresh = set(values)
+        if len(fresh) != len(values) or not self._nodes.keys().isdisjoint(fresh):
+            raise DataSpreadError("values are already in the sequence or repeat")
 
         def rec(lo: int, hi: int) -> Optional[_Node[T]]:
             if lo >= hi:
                 return None
             mid = (lo + hi) // 2
-            node = _Node(values[mid], self._priority())
+            node = self._new_node(values[mid])
             node.left = rec(lo, mid)
             node.right = rec(mid + 1, hi)
-            # The midpoint recursion is balanced by construction; establish
-            # the heap invariant by lifting the subtree maximum to the root
-            # (duplicate priorities are fine for treap correctness).
             for child in (node.left, node.right):
                 if child is not None and child.priority > node.priority:
                     node.priority = child.priority
@@ -130,7 +149,7 @@ class OrderStatisticTree(Generic[T]):
             raise IndexError(f"position {pos} out of range for size {len(self)}")
         return pos
 
-    def get(self, pos: int) -> T:
+    def _node_at(self, pos: int) -> _Node[T]:
         pos = self._check_pos(pos, len(self))
         node = self._root
         while node is not None:
@@ -138,59 +157,77 @@ class OrderStatisticTree(Generic[T]):
             if pos < left_size:
                 node = node.left
             elif pos == left_size:
-                return node.value
+                return node
             else:
                 pos -= left_size + 1
                 node = node.right
         raise DataSpreadError("unreachable: tree size out of sync")
 
+    def get(self, pos: int) -> T:
+        return self._node_at(pos).value
+
     def set(self, pos: int, value: T) -> None:
-        pos = self._check_pos(pos, len(self))
-        node = self._root
-        while node is not None:
-            left_size = node.left.size if node.left is not None else 0
-            if pos < left_size:
-                node = node.left
-            elif pos == left_size:
-                node.value = value
-                return
-            else:
-                pos -= left_size + 1
-                node = node.right
-        raise DataSpreadError("unreachable: tree size out of sync")
+        node = self._node_at(pos)
+        if self._nodes.get(value, node) is not node:
+            raise DataSpreadError(f"value {value!r} is already in the sequence")
+        del self._nodes[node.value]
+        node.value = value
+        self._nodes[value] = node
+
+    def rank_of(self, value: T) -> Optional[Tuple[int, int]]:
+        """``(position, parent links climbed)`` of ``value``, or None when
+        it is not in the sequence — O(log n): its rank is its left subtree
+        plus, for every ancestor it hangs to the right of, that ancestor
+        and its left subtree (``parent.size - node.size``)."""
+        node = self._nodes.get(value)
+        if node is None:
+            return None
+        rank = node.left.size if node.left is not None else 0
+        steps = 0
+        parent = node.parent
+        while parent is not None:
+            if parent.right is node:
+                rank += parent.size - node.size
+            steps += 1
+            node, parent = parent, parent.parent
+        return rank, steps
 
     # -- mutation ----------------------------------------------------------
 
-    def insert(self, pos: int, value: T) -> None:
+    def _insert_pos(self, pos: int) -> int:
         if pos < 0:
             pos += len(self) + 1
         if not (0 <= pos <= len(self)):
             raise IndexError(f"insert position {pos} out of range for size {len(self)}")
+        return pos
+
+    def insert(self, pos: int, value: T) -> None:
+        pos = self._insert_pos(pos)
+        node = self._new_node(value)  # may refuse: before the tree is split
         first, second = _split(self._root, pos)
-        self._root = _merge(_merge(first, _Node(value, self._priority())), second)
+        self._set_root(_merge(_merge(first, node), second))
 
     def append(self, value: T) -> None:
-        self.insert(len(self), value)
+        """Insert at the end: one merge down the right spine, no split."""
+        self._set_root(_merge(self._root, self._new_node(value)))
 
     def delete(self, pos: int) -> T:
         pos = self._check_pos(pos, len(self))
         first, rest = _split(self._root, pos)
         target, second = _split(rest, 1)
         assert target is not None
-        self._root = _merge(first, second)
+        self._set_root(_merge(first, second))
+        del self._nodes[target.value]
         return target.value
 
     def insert_slice(self, pos: int, values: Sequence[T]) -> None:
         """Insert ``values`` starting at ``pos`` in O(k + log n)."""
-        if pos < 0:
-            pos += len(self) + 1
-        if not (0 <= pos <= len(self)):
-            raise IndexError(f"insert position {pos} out of range for size {len(self)}")
+        pos = self._insert_pos(pos)
         if not values:
             return
         middle = self._build(list(values))
         first, second = _split(self._root, pos)
-        self._root = _merge(_merge(first, middle), second)
+        self._set_root(_merge(_merge(first, middle), second))
 
     def delete_slice(self, pos: int, count: int) -> List[T]:
         """Delete ``count`` elements starting at ``pos``; returns them."""
@@ -203,82 +240,84 @@ class OrderStatisticTree(Generic[T]):
             raise IndexError(f"slice [{pos}, {pos + count}) exceeds size {len(self)}")
         first, rest = _split(self._root, pos)
         middle, second = _split(rest, count)
-        self._root = _merge(first, second)
-        removed: List[T] = []
-        _collect(middle, removed)
+        self._set_root(_merge(first, second))
+        removed = _collect(middle)
+        for value in removed:
+            del self._nodes[value]
         return removed
 
     # -- iteration -----------------------------------------------------------
 
     def iter_slice(self, pos: int, count: int) -> Iterator[T]:
         """Iterate the window ``[pos, pos+count)`` — the viewport fetch."""
-        if count <= 0 or pos >= len(self):
-            return iter(())
-        pos = max(pos, 0)
-        count = min(count, len(self) - pos)
-        out: List[T] = []
-        _collect_slice(self._root, pos, pos + count, 0, out)
-        return iter(out)
+        return _walk(self._root, max(pos, 0), count)
 
     def __iter__(self) -> Iterator[T]:
-        out: List[T] = []
-        _collect(self._root, out)
-        return iter(out)
+        return _walk(self._root, 0, len(self))
 
     def to_list(self) -> List[T]:
-        return list(self)
-
-    def index_of(self, predicate) -> Optional[int]:
-        """Linear search helper (used only in tests/tools)."""
-        for index, value in enumerate(self):
-            if predicate(value):
-                return index
-        return None
+        """The whole sequence at once — a third faster than ``list(self)``,
+        which resumes the lazy walk once per element."""
+        return _collect(self._root)
 
     # -- verification ---------------------------------------------------------
 
     def validate(self) -> None:
-        """Check size augmentation and heap order (property tests)."""
+        """Check size augmentation, heap order, parent links and that the
+        value → node map holds exactly the nodes in the tree."""
+        nodes = self._nodes
 
-        def rec(node: Optional[_Node]) -> int:
+        def rec(node: Optional[_Node], parent: Optional[_Node]) -> int:
             if node is None:
                 return 0
-            left = rec(node.left)
-            right = rec(node.right)
-            if node.size != left + right + 1:
+            if node.parent is not parent:
+                raise DataSpreadError("parent pointer broken")
+            if nodes.get(node.value) is not node:
+                raise DataSpreadError("value -> node map out of sync")
+            if node.size != rec(node.left, node) + rec(node.right, node) + 1:
                 raise DataSpreadError("size augmentation broken")
-            for child in (node.left, node.right):
-                if child is not None and child.priority > node.priority:
-                    raise DataSpreadError("heap order broken")
+            if parent is not None and node.priority > parent.priority:
+                raise DataSpreadError("heap order broken")
             return node.size
 
-        rec(self._root)
+        if rec(self._root, None) != len(nodes):
+            raise DataSpreadError("value -> node map out of sync")
 
 
-def _collect(node: Optional[_Node], out: List) -> None:
-    # Iterative in-order traversal (avoids recursion limits on deep trees).
+def _collect(node: Optional[_Node]) -> List:
+    """Every value of the subtree, in order, eagerly."""
+    out: List = []
     stack = []
-    current = node
-    while stack or current is not None:
-        while current is not None:
-            stack.append(current)
-            current = current.left
-        current = stack.pop()
-        out.append(current.value)
-        current = current.right
-
-
-def _collect_slice(
-    node: Optional[_Node], lo: int, hi: int, offset: int, out: List
-) -> None:
-    """Collect in-order values whose global rank is in [lo, hi)."""
-    if node is None:
-        return
-    left_size = node.left.size if node.left is not None else 0
-    my_rank = offset + left_size
-    if lo < my_rank:
-        _collect_slice(node.left, lo, hi, offset, out)
-    if lo <= my_rank < hi:
+    while stack or node is not None:
+        while node is not None:
+            stack.append(node)
+            node = node.left
+        node = stack.pop()
         out.append(node.value)
-    if hi > my_rank + 1:
-        _collect_slice(node.right, lo, hi, my_rank + 1, out)
+        node = node.right
+    return out
+
+
+def _walk(node: Optional[_Node], skip: int, count: int) -> Iterator:
+    """Lazily yield up to ``count`` in-order values of the subtree from
+    rank ``skip`` on: descend to that rank keeping the ancestors still to
+    be visited, then continue the in-order walk from there."""
+    stack = []
+    while node is not None:
+        left_size = node.left.size if node.left is not None else 0
+        if skip <= left_size:
+            stack.append(node)
+            if skip == left_size:
+                break
+            node = node.left
+        else:
+            skip -= left_size + 1
+            node = node.right
+    while stack and count > 0:
+        node = stack.pop()
+        yield node.value
+        count -= 1
+        node = node.right
+        while node is not None:
+            stack.append(node)
+            node = node.left

@@ -12,7 +12,11 @@ so that
   O(log n) / O(k + log n),
 * ``insert_at(pos, rid)`` / ``delete_at(pos)`` — a row added or removed in
   the *middle* of the displayed table — are O(log n) instead of the O(n)
-  renumbering a rownum column would need (experiment E5's baseline).
+  renumbering a rownum column would need (experiment E5's baseline),
+* ``position_of(rid)`` — where a row an index probe found is shown — is
+  O(log n) too: the tree keeps rid → node and ranks the node by climbing
+  its parent links (a rownum column answers by reading the stored number,
+  which is exactly what it renumbers on every insert to keep true).
 
 The index also counts its operations so benchmarks can report logical work
 alongside wall-clock time.
@@ -34,6 +38,8 @@ class _OpCounts:
     inserts: int = 0
     deletes: int = 0
     window_fetches: int = 0
+    #: parent links climbed by position_of: its work, ≤ the tree's depth each.
+    rank_steps: int = 0
 
 
 class PositionalIndex:
@@ -97,12 +103,13 @@ class PositionalIndex:
         self.insert_at(min(to_pos, len(self)), rid)
 
     def position_of(self, rid: int) -> Optional[int]:
-        """Linear scan fallback (O(n)); the interface manager keeps its own
-        key→position map so hot paths never call this."""
-        for position, candidate in enumerate(self._tree):
-            if candidate == rid:
-                return position
-        return None
+        """Presentation position of ``rid``, or None when it is not (or no
+        longer) in the index — O(log n), see the tree's ``rank_of``."""
+        found = self._tree.rank_of(rid)
+        if found is None:
+            return None
+        self.counts.rank_steps += found[1]
+        return found[0]
 
     def validate(self) -> None:
         self._tree.validate()

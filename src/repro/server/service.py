@@ -93,21 +93,20 @@ def _txn_control(op: Dict[str, Any]) -> Optional[str]:
     return _TXN_COMMANDS.get(str(op.get("sql", "")).strip().rstrip(";").strip().lower())
 
 
-def _is_readonly_sql(op: Dict[str, Any]) -> bool:
-    """True for a plain SELECT: no state change, so nothing to log or
-    replay — logging reads would bloat the WAL and make recovery
-    O(all queries ever run)."""
-    if op.get("type") != "sql" or _txn_control(op) is not None:
-        return False
-    statements = parse_sql(op["sql"])
-    return len(statements) == 1 and isinstance(
+def _is_readonly_sql(statements: Optional[List[Any]]) -> bool:
+    """True for a plain SELECT (``statements`` is what :func:`validate_op`
+    returned): no state change, so nothing to log or replay — logging
+    reads would bloat the WAL and make recovery O(all queries ever run)."""
+    return statements is not None and isinstance(
         statements[0], (sql_ast.SelectStmt, sql_ast.CompoundSelect)
     )
 
 
-def validate_op(workbook: Workbook, op: Any) -> None:
+def validate_op(workbook: Workbook, op: Any) -> Optional[List[Any]]:
     """Reject malformed operations *before* they reach the WAL, so the log
-    only ever contains applicable records."""
+    only ever contains applicable records.  Returns the parse of a ``sql``
+    op's text (its one statement, in a list) so the caller need not parse
+    again; None for every other op and for transaction control."""
     if not isinstance(op, dict) or not isinstance(op.get("type"), str):
         raise ServerError(f"operation must be a dict with a 'type', got {op!r}")
     kind = op["type"]
@@ -129,6 +128,7 @@ def validate_op(workbook: Workbook, op: Any) -> None:
                 raise SqlError(
                     f"sql operation takes one statement, got {len(statements)}"
                 )
+            return statements
     elif kind == "add_sheet":
         name = op.get("name")
         if not isinstance(name, str) or not name:
@@ -182,6 +182,7 @@ def validate_op(workbook: Workbook, op: Any) -> None:
         if not isinstance(op.get("name"), str) or not op["name"]:
             raise ServerError("index_drop requires a non-empty 'name' string")
     # txn markers carry no payload worth validating
+    return None
 
 
 def apply_op(workbook: Workbook, op: Dict[str, Any]) -> Any:
@@ -326,7 +327,8 @@ def recover_state(directory: str, eager: bool = True) -> RecoveryResult:
     store = SnapshotStore(directory)
     payload = store.load()
     if payload is not None:
-        workbook = workbook_from_dict(payload["workbook"], eager=eager)
+        # pop: the decoded dump is as large as the workbook built from it.
+        workbook = workbook_from_dict(payload.pop("workbook"), eager=eager)
         start_offset = int(payload["wal_offset"])
         snapshot_lsn = int(payload["wal_lsn"])
     else:
@@ -334,7 +336,7 @@ def recover_state(directory: str, eager: bool = True) -> RecoveryResult:
         start_offset = 0
         snapshot_lsn = 0
     wal_path = os.path.join(directory, WAL_FILENAME)
-    scan = read_wal(wal_path)
+    scan = read_wal(wal_path, payload_from=start_offset)
     records, intact_end, size = scan
     if payload is not None:
         _check_snapshot_wal_alignment(
@@ -695,7 +697,9 @@ class WorkbookService:
     ) -> ApplyResult:
         session = self.sessions.get(session_id)
         base = session.last_seen_version if base_version is None else base_version
-        validate_op(self.workbook, op)
+        # The one parse the service makes of a sql op: DDL promotion and
+        # the read-only test below read what validation parsed.
+        statements = validate_op(self.workbook, op)
         self._check_stale(session, op, base)
         control = _txn_control(op)
         if (
@@ -710,8 +714,9 @@ class WorkbookService:
                 f"{op['type']} operations cannot run inside an open "
                 "transaction (only SQL participates in rollback)"
             )
-        op = self._promote_layout_sql(op)
-        op = self._promote_index_sql(op)
+        if statements is not None and not self.workbook.database.in_transaction:
+            op = self._promote_layout_sql(op, statements[0])
+            op = self._promote_index_sql(op, statements[0])
         # Flush background layout records *before* taking the rollback
         # mark: they are maintenance history, not part of this operation,
         # and must never be truncated with it.
@@ -721,7 +726,7 @@ class WorkbookService:
         if (
             control is None
             and op["type"] not in ("txn_begin", "txn_commit", "txn_rollback")
-            and not _is_readonly_sql(op)
+            and not _is_readonly_sql(statements)
         ):
             with self.tracer.span("wal_append") as wal_span:
                 unsynced_before = self.wal.stats.syncs
@@ -797,50 +802,31 @@ class WorkbookService:
             result=result,
         )
 
-    def _promote_layout_sql(self, op: Dict[str, Any]) -> Dict[str, Any]:
+    @staticmethod
+    def _promote_layout_sql(op: Dict[str, Any], statement: Any) -> Dict[str, Any]:
         """``ALTER TABLE ... SET LAYOUT`` becomes a first-class
         ``layout_set`` record, so the WAL captures the layout transition
         semantically rather than as opaque SQL text.  Inside an open
-        transaction the statement stays SQL: rollback of a layout change
-        rides the engine's undo log, and the bracket's records are
-        discarded wholesale."""
-        if op.get("type") != "sql" or self.workbook.database.in_transaction:
-            return op
-        # Cheap gate before re-parsing on the apply hot path: every
-        # SET LAYOUT statement contains the keyword.
-        if "layout" not in op["sql"].lower():
-            return op
-        if _txn_control(op) is not None:
-            return op
-        statements = parse_sql(op["sql"])
-        if len(statements) == 1 and isinstance(statements[0], sql_ast.AlterTableStmt):
-            action = statements[0].action
-            if isinstance(action, sql_ast.AlterSetLayout):
-                return {
-                    "type": "layout_set",
-                    "table": statements[0].table,
-                    "mode": action.mode,
-                }
+        transaction the statement stays SQL (the caller does not promote
+        there): rollback of a layout change rides the engine's undo log,
+        and the bracket's records are discarded wholesale."""
+        if isinstance(statement, sql_ast.AlterTableStmt) and isinstance(
+            statement.action, sql_ast.AlterSetLayout
+        ):
+            return {
+                "type": "layout_set",
+                "table": statement.table,
+                "mode": statement.action.mode,
+            }
         return op
 
-    def _promote_index_sql(self, op: Dict[str, Any]) -> Dict[str, Any]:
+    @staticmethod
+    def _promote_index_sql(op: Dict[str, Any], statement: Any) -> Dict[str, Any]:
         """``CREATE/DROP INDEX`` becomes a first-class ``index_create`` /
         ``index_drop`` record — recovery then replays the index DDL
         semantically (and a snapshot can cover it) instead of re-parsing
-        opaque SQL text.  Inside an open transaction the statement stays
-        SQL so rollback rides the engine's undo log, mirroring
+        opaque SQL text.  Not inside an open transaction either, mirroring
         :meth:`_promote_layout_sql`."""
-        if op.get("type") != "sql" or self.workbook.database.in_transaction:
-            return op
-        # Cheap gate before re-parsing on the apply hot path.
-        if "index" not in op["sql"].lower():
-            return op
-        if _txn_control(op) is not None:
-            return op
-        statements = parse_sql(op["sql"])
-        if len(statements) != 1:
-            return op
-        statement = statements[0]
         if isinstance(statement, sql_ast.CreateIndexStmt):
             return {
                 "type": "index_create",

@@ -65,7 +65,9 @@ class SnapshotStore:
         temp_path = self.path + ".tmp"
         os.makedirs(self.directory, exist_ok=True)
         with open(temp_path, "w") as handle:
-            json.dump(payload, handle, separators=(",", ":"))
+            # dumps, not dump: only the one-shot call runs the C encoder
+            # (dump streams through the pure-Python one, ~3x slower here).
+            handle.write(json.dumps(payload, separators=(",", ":")))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp_path, self.path)

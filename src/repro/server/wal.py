@@ -120,18 +120,25 @@ class WalStats:
         self.bytes_written = 0
 
 
-def read_wal(path: str) -> Tuple[List[WalRecord], int, int]:
+def read_wal(path: str, payload_from: int = 0) -> Tuple[List[WalRecord], int, int]:
     """Read every intact record; returns ``(records, intact_end, file_size)``.
 
     ``intact_end`` is the byte offset of the end of the last intact record
     — the truncation point a repair should use.  Tolerates a torn tail;
-    raises :class:`WALError` on interior corruption or an LSN gap."""
+    raises :class:`WALError` on interior corruption or an LSN gap.
+
+    Records that begin before byte ``payload_from`` are checked like the
+    rest but keep only the ``type`` of their op: a snapshot covers them,
+    so recovery reads their extent, LSN and kind and never replays them —
+    and at 0.6 KiB a record they would otherwise make recovery's memory
+    grow with the age of the log."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except FileNotFoundError:
         return [], 0, 0
     records: List[WalRecord] = []
+    covered: Dict[str, Dict[str, Any]] = {}  # one stand-in op per type
     position = 0
     previous_lsn = 0
     size = len(data)
@@ -149,6 +156,8 @@ def read_wal(path: str) -> Tuple[List[WalRecord], int, int]:
                 "(damaged record followed by more data)"
             )
         lsn, op = record
+        if position < payload_from:
+            op = covered.setdefault(op["type"], {"type": op["type"]})
         records.append(WalRecord(lsn, op, position, newline + 1))
         previous_lsn = lsn
         position = newline + 1

@@ -85,8 +85,9 @@ class TestNaiveDbTable:
 
     def test_insert_at_renumbers_tail(self):
         table = self.make(10)
-        table.insert_at(5, (99, "mid"))
+        rid = table.insert_at(5, (99, "mid"))
         assert table.rows_renumbered == 5
+        assert table.position_of(rid) == 5
         assert table.row_at(5) == (99, "mid")
         assert table.row_at(6) == (5, "v5")
         assert table.n_rows == 11

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import datetime as dt
+import io
+import json
 import os
 import shutil
 
@@ -13,6 +16,8 @@ from repro.errors import (
     ConstraintError,
     ServerError,
     SheetError,
+    SqlError,
+    SqlSyntaxError,
     StaleWriteError,
 )
 from repro.server import (
@@ -20,6 +25,7 @@ from repro.server import (
     WorkbookService,
     read_wal,
     recover_state,
+    validate_op,
 )
 from repro.server.service import WAL_FILENAME
 
@@ -603,6 +609,112 @@ class TestSnapshotCompaction:
         assert first == second  # same path, replaced atomically
         assert not os.path.exists(first + ".tmp")
         service.close()
+
+
+    def test_snapshot_bytes_match_the_streaming_encoder(self, tmp_path):
+        """``write`` encodes with one ``json.dumps`` (the C encoder); the
+        file must be byte-for-byte what ``json.dump`` streamed before, for
+        every value type the dump can hold."""
+        service = make_service(tmp_path)
+        session = service.connect("alice")
+        service.execute(
+            session.session_id,
+            "CREATE TABLE v (id INT PRIMARY KEY, f FLOAT, t TEXT, b BOOL, d DATE)",
+        )
+        service.execute(
+            session.session_id,
+            "INSERT INTO v VALUES (?, ?, ?, ?, ?), (2, NULL, NULL, NULL, NULL)",
+            (1, 0.1 + 0.2, 'naïve "quoted" \\ 表', True, dt.date(2015, 8, 31)),
+        )
+        service.execute(session.session_id, "INSERT INTO v VALUES (3, 1e300, '', FALSE, NULL)")
+        service.set_cell(session.session_id, "Sheet1", "A1", "=1/3")
+        service.set_cell(session.session_id, "Sheet1", "A2", "text")
+        service.set_cell(session.session_id, "Sheet1", "A3", -7)
+        service.set_cell(session.session_id, "Sheet1", "A4", dt.datetime(2015, 8, 31, 9, 30, 15, 250))
+        path = service.compact(force=True)
+        with open(path, encoding="utf-8") as handle:
+            written = handle.read()
+        streamed = io.StringIO()
+        json.dump(json.loads(written), streamed, separators=(",", ":"))
+        assert written == streamed.getvalue()
+        assert '{"$date":"2015-08-31"}' in written
+        assert '{"$datetime":"2015-08-31T09:30:15.000250"}' in written
+        service.close()
+
+
+class TestOneServiceSideParse:
+    """A sql op's text is parsed once in the service, by ``validate_op``;
+    DDL promotion and the read-only test read that parse
+    (``Database.execute`` makes the second and last)."""
+
+    @pytest.fixture
+    def counted(self, tmp_path, monkeypatch):
+        from repro.engine import database as database_module
+        from repro.server import service as service_module
+
+        calls = {"service": 0, "database": 0}
+
+        def counting(module, key):
+            real = module.parse_sql
+
+            def parse_sql(text):
+                calls[key] += 1
+                return real(text)
+
+            monkeypatch.setattr(module, "parse_sql", parse_sql)
+
+        service = make_service(tmp_path)
+        session = service.connect("alice")
+        service.execute(session.session_id, "CREATE TABLE t (k INT PRIMARY KEY, v INT)")
+        service.execute(session.session_id, "INSERT INTO t VALUES (1, 10), (2, 20)")
+        counting(service_module, "service")
+        counting(database_module, "database")
+        yield service, session.session_id, calls
+        service.close()
+
+    @pytest.mark.parametrize(
+        "sql, engine_parses",
+        [
+            ("SELECT v FROM t WHERE k = 1", 1),
+            ("UPDATE t SET v = 11 WHERE k = 1", 1),
+            ("DELETE FROM t WHERE k = 2", 1),
+            ("CREATE INDEX t_v ON t (v)", 0),  # promoted: replayed as index_create
+            ("ALTER TABLE t SET LAYOUT COLUMN", 0),  # promoted: layout_set
+            ("BEGIN", 0),
+        ],
+    )
+    def test_parses_per_statement(self, counted, sql, engine_parses):
+        service, session_id, calls = counted
+        service.execute(session_id, sql)
+        assert calls == {
+            "service": 0 if sql == "BEGIN" else 1,
+            "database": engine_parses,
+        }
+
+    def test_refusals_keep_their_error_and_order(self, counted):
+        service, session_id, calls = counted
+        lsn = service.wal.last_lsn
+        with pytest.raises(ServerError, match="non-empty 'sql'"):
+            service.apply(session_id, {"type": "sql", "sql": "  "})
+        with pytest.raises(ServerError, match="non-empty 'sql'"):
+            service.apply(session_id, {"type": "sql", "sql": 7})
+        with pytest.raises(ServerError, match="must be a dict"):
+            service.apply(session_id, "SELECT 1")
+        assert calls["service"] == 0
+        with pytest.raises(SqlSyntaxError):
+            service.apply(session_id, {"type": "sql", "sql": "SELEC 1"})
+        with pytest.raises(SqlError, match="takes one statement, got 2"):
+            service.apply(session_id, {"type": "sql", "sql": "SELECT 1; SELECT 2"})
+        assert calls == {"service": 2, "database": 0}
+        assert service.wal.last_lsn == lsn
+
+    def test_validate_op_hands_back_its_parse(self, counted):
+        service, _, calls = counted
+        (statement,) = validate_op(service.workbook, {"type": "sql", "sql": "SELECT 1"})
+        assert type(statement).__name__ == "SelectStmt"
+        assert validate_op(service.workbook, {"type": "sql", "sql": " begin; "}) is None
+        assert validate_op(service.workbook, {"type": "add_sheet", "name": "S2"}) is None
+        assert calls["service"] == 1
 
 
 class TestCrashRecoveryInvariant:

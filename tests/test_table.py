@@ -1,15 +1,19 @@
 """Unit tests for the Table abstraction: positional order, key index,
 change events."""
 
+import random
 import threading
 
 import pytest
 
+from repro.engine.database import Database
 from repro.engine.schema import Column, TableSchema
 from repro.engine.store import LayoutPolicy
 from repro.engine.table import ChangeEvent, Table
 from repro.engine.types import DBType
 from repro.errors import ConstraintError, ExecutionError, SchemaError, StorageError
+from repro.index import order_statistic
+from repro.index.order_statistic import OrderStatisticTree
 from repro.index.positional import PositionalIndex
 
 
@@ -280,3 +284,73 @@ class TestOneWritePath:
         assert [row[0] for _, _, row in seen["rows"]] == expected
         assert [p for p, _, _ in seen["rows"]] == list(range(len(expected)))
         table.validate()
+
+
+class TestRidToPosition:
+    """``positions_of`` is a climb per rid, never a walk of the index."""
+
+    @staticmethod
+    def oracle(table, rids):
+        wanted = set(rids)
+        return [(rid, pos) for pos, rid in enumerate(table.positions) if rid in wanted]
+
+    def test_matches_the_enumerate_oracle_under_a_seeded_mix(self):
+        rng = random.Random(15)
+        db = Database()
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        table = db.table("t")
+        ever = [table.insert((key, 0)) for key in range(200)]
+        next_key = 200
+
+        def check():
+            probe = ever + ever[:7] + [10**9]  # duplicates and a rid never issued
+            assert list(table.positions_of(probe).items()) == self.oracle(table, ever)
+            table.validate()
+
+        check()
+        for step in range(120):
+            action = step % 5
+            live = [row[0] for row in table.rows()]
+            if action == 0:  # positional insert into the middle
+                ever.append(table.insert((next_key, step), position=rng.randrange(len(live) + 1)))
+                next_key += 1
+            elif action == 1:
+                db.execute("UPDATE t SET v = ? WHERE id = ?", (step, rng.choice(live)))
+            elif action == 2:
+                doomed = rng.sample(live, 3)
+                db.execute(f"DELETE FROM t WHERE id IN ({doomed[0]}, {doomed[1]}, {doomed[2]})")
+            elif action == 3:  # the insert is undone by rid, wherever it is by then
+                db.execute("BEGIN")
+                db.execute(f"INSERT INTO t VALUES ({next_key}, -1), ({next_key + 1}, -1)")
+                ever.extend(table.find_by_key(key) for key in (next_key, next_key + 1))
+                db.execute(f"DELETE FROM t WHERE id = {rng.choice(live)}")
+                db.execute("ROLLBACK")
+                next_key += 2
+            else:
+                dead = next(rid for rid in ever if not table.store.exists(rid))
+                alive = [table.rid_at(rng.randrange(table.n_rows)) for _ in range(2)]
+                assert table.delete_rids(alive + alive[:1] + [dead]) == len(set(alive))
+            check()
+        assert table.positions_of([]) == {}
+
+    def test_point_statements_never_walk_the_index(self, monkeypatch):
+        """The guard: with both whole-sequence traversals patched to raise,
+        an indexed point UPDATE, DELETE and SELECT still complete."""
+        db = Database()
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        table = db.table("t")
+        for key in range(5000):
+            table.insert((key, key))
+
+        def walked(*args, **kwargs):
+            raise AssertionError("a point statement walked the positional index")
+
+        monkeypatch.setattr(OrderStatisticTree, "__iter__", walked)
+        monkeypatch.setattr(order_statistic, "_collect", walked)
+        assert db.execute("UPDATE t SET v = -1 WHERE id = 2500").rowcount == 1
+        assert db.execute("DELETE FROM t WHERE id IN (17, 4000, 17)").rowcount == 2
+        assert db.execute("SELECT v FROM t WHERE id = 2500").rows == [(-1,)]
+        assert db.execute("SELECT v FROM t WHERE id = 4000").rows == []
+        assert table.row_at(17) == (18, 18)
+        with pytest.raises(AssertionError):
+            table.rows()

@@ -44,6 +44,27 @@ class TestAppendRead:
             assert previous.end_offset == current.offset
         assert records[-1].end_offset == size
 
+    def test_payloads_a_snapshot_covers_are_not_kept(self, tmp_path):
+        """``payload_from``: records that begin before it are still checked
+        and keep their extent, LSN and op type — what recovery reads of
+        them — but not the payload it never replays."""
+        path = wal_path(tmp_path)
+        with WriteAheadLog(path, fsync=False) as wal:
+            appended = [wal.append(op(n)) for n in range(1, 6)]
+        full, _, _ = read_wal(path)
+        records, intact_end, size = read_wal(path, payload_from=appended[3].offset)
+        assert [r.op for r in records[:3]] == [{"type": "set_cell"}] * 3
+        assert [r.op for r in records[3:]] == [op(4), op(5)]
+        assert [(r.lsn, r.offset, r.end_offset) for r in records] == [
+            (r.lsn, r.offset, r.end_offset) for r in full
+        ]
+        assert intact_end == size
+        with open(path, "r+b") as handle:  # damage a covered record: still refused
+            handle.seek(appended[1].offset + 12)
+            handle.write(b"#")
+        with pytest.raises(WALError):
+            read_wal(path, payload_from=appended[3].offset)
+
     def test_reopen_continues_lsn(self, tmp_path):
         path = wal_path(tmp_path)
         with WriteAheadLog(path, fsync=False) as wal:
