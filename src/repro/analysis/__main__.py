@@ -25,7 +25,7 @@ from repro.analysis.core import analyze_paths, registered_checkers
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Engine-invariant static checks (RC001..RC006).",
+        description="Engine-invariant static checks (RC0xx codes; see --list-codes).",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"],

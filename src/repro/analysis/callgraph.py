@@ -7,6 +7,11 @@ in the index.  That over-approximates reachability — which is the safe
 direction for a determinism checker: a nondeterministic call is flagged if
 it *might* be reachable from a replay entry point, and the baseline
 absorbs the deliberate cases.
+
+Dispatch tables get the same treatment: ``OPS[kind].apply(workbook, op)``
+names no handler, so reaching any definition of a module also "calls"
+every name that module's top-level statements mention — the function
+references a table such as ``OPS = {"set_cell": _apply_set_cell}`` holds.
 """
 
 from __future__ import annotations
@@ -62,6 +67,18 @@ def _called_names(node: ast.AST) -> Set[str]:
     return names
 
 
+def _table_names(module: Module) -> Set[str]:
+    """Every name the module's top-level statements (its tables and
+    registries, not its definitions) mention or call."""
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    names: Set[str] = set()
+    for statement in module.tree.body:
+        if not isinstance(statement, definitions):
+            names |= _called_names(statement)
+            names |= {n.id for n in ast.walk(statement) if isinstance(n, ast.Name)}
+    return names
+
+
 def reachable(
     index: ProjectIndex, entry_names: Iterable[str]
 ) -> List[DefInfo]:
@@ -72,6 +89,7 @@ def reachable(
     by_name = collect_defs(index)
     worklist: List[DefInfo] = []
     seen: Set[int] = set()
+    modules_seen: Set[str] = set()
 
     def push(candidates: Sequence[DefInfo]) -> None:
         for info in candidates:
@@ -86,7 +104,11 @@ def reachable(
     while worklist:
         info = worklist.pop()
         result.append(info)
-        for name in _called_names(info.node):
+        names = _called_names(info.node)
+        if info.module.path not in modules_seen:
+            modules_seen.add(info.module.path)
+            names |= _table_names(info.module)
+        for name in names:
             push(by_name.get(name, []))
     result.sort(key=lambda i: (i.module.path, i.scope))
     return result

@@ -11,11 +11,6 @@ RC002    All page I/O flows through the buffer pool: no direct
          ``DiskManager`` ``read``/``write``/``allocate``/``free`` calls
          outside ``pager.py`` (direct calls bypass per-group tag
          accounting, silently under-counting I/O stats).
-RC003    The WAL op vocabulary is one registry: every name in ``OP_TYPES``
-         has a ``validate_op`` arm and an ``apply_op`` arm, and the WAL
-         module's ``TXN_MARKERS`` stay inside the registry.  (Snapshot
-         coverage is structural: snapshots persist the whole workbook, so
-         apply coverage implies snapshot coverage.)
 RC004    Pull metrics collectors read only attributes that exist on the
          counter structs they scrape (constructor-assignment type
          propagation; unresolvable receivers are skipped, never guessed).
@@ -33,12 +28,16 @@ RC007    Lock discipline: in a class that owns a mutation lock, methods
          contract in their docstring (``__init__`` is exempt — the
          object is not yet shared).
 =======  ====================================================================
+
+Codes are never reused.  The gap in the numbering is the retired
+op-registry completeness check: the op vocabulary is one table (``OPS`` in
+``repro.server.service``), so that invariant now holds by construction.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import reachable
 from repro.analysis.core import (
@@ -183,108 +182,6 @@ def check_pager_discipline(index: ProjectIndex) -> List[Diagnostic]:
                         "stats are charged",
                     )
                 )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# RC003 — WAL op-registry completeness
-# ---------------------------------------------------------------------------
-
-
-def _module_string_tuples(tree: ast.Module) -> Dict[str, Tuple[str, ...]]:
-    """Module-level ``NAME = ("a", "b", ...)`` assignments of strings."""
-    result: Dict[str, Tuple[str, ...]] = {}
-    for node in tree.body:
-        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-            continue
-        target = node.targets[0]
-        if not isinstance(target, ast.Name):
-            continue
-        value = node.value
-        if not isinstance(value, (ast.Tuple, ast.List)):
-            continue
-        items = []
-        for element in value.elts:
-            if isinstance(element, ast.Constant) and isinstance(element.value, str):
-                items.append(element.value)
-            else:
-                break
-        else:
-            result[target.id] = tuple(items)
-    return result
-
-
-def _handled_ops(
-    fn: ast.AST, registry: Sequence[str], tuples: Dict[str, Tuple[str, ...]]
-) -> Set[str]:
-    """Op names a validate/apply function references: string literals plus
-    any module-level string tuple it names (``_STRUCTURAL`` etc.)."""
-    known = set(registry)
-    handled: Set[str] = set()
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if node.value in known:
-                handled.add(node.value)
-        elif isinstance(node, ast.Name) and node.id in tuples:
-            handled.update(name for name in tuples[node.id] if name in known)
-    return handled
-
-
-@register("RC003", "WAL op-registry completeness")
-def check_op_registry(index: ProjectIndex) -> List[Diagnostic]:
-    out: List[Diagnostic] = []
-    registries: List[Tuple[Module, Tuple[str, ...]]] = []
-    for module in index.modules:
-        tuples = _module_string_tuples(module.tree)
-        op_types = tuples.get("OP_TYPES")
-        if op_types is None:
-            continue
-        defs = {
-            node.name: node
-            for node in module.tree.body
-            if isinstance(node, ast.FunctionDef)
-        }
-        if "validate_op" not in defs or "apply_op" not in defs:
-            continue
-        registries.append((module, op_types))
-        for fn_name in ("validate_op", "apply_op"):
-            fn = defs[fn_name]
-            missing = [
-                op for op in op_types
-                if op not in _handled_ops(fn, op_types, tuples)
-            ]
-            for op in missing:
-                out.append(
-                    Diagnostic(
-                        "RC003",
-                        module.path,
-                        fn.lineno,
-                        f"{fn_name}:{op}",
-                        f"op type {op!r} is registered in OP_TYPES but has "
-                        f"no arm in {fn_name} — replay would reject or "
-                        "misapply it",
-                    )
-                )
-    # Cross-module: transaction markers declared next to the WAL replay
-    # rule must be registered op types, or recovery and validation disagree.
-    for module, op_types in registries:
-        registry = set(op_types)
-        for other in index.modules:
-            markers = _module_string_tuples(other.tree).get("TXN_MARKERS")
-            if markers is None:
-                continue
-            for marker in markers:
-                if marker not in registry:
-                    out.append(
-                        Diagnostic(
-                            "RC003",
-                            other.path,
-                            1,
-                            f"TXN_MARKERS:{marker}",
-                            f"WAL marker {marker!r} is not in OP_TYPES — "
-                            "validate_op would refuse to log it",
-                        )
-                    )
     return out
 
 

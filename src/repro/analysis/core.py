@@ -36,7 +36,7 @@ __all__ = [
 class Diagnostic:
     """One finding: a stable code, a location, and a baseline fingerprint."""
 
-    code: str     # "RC001" .. "RC006"
+    code: str     # "RC001" .. "RC007"
     path: str     # path relative to the analysis root, forward slashes
     line: int     # 1-based line of the offending node
     symbol: str   # line-independent fingerprint (scope:construct)

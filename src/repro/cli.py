@@ -57,7 +57,7 @@ def replay_report(path: str) -> str:
     ``path`` may be a service directory (snapshot + WAL) or a bare WAL
     file (replayed from an empty workbook).  Returns a human-readable
     summary plus a render of the first sheet's top-left window."""
-    from repro.server.service import WAL_FILENAME, apply_op, recover_state
+    from repro.server.service import WAL_FILENAME, recover_state, replay_ops
     from repro.server.wal import committed_ops, read_wal
 
     if not os.path.exists(path):
@@ -87,9 +87,7 @@ def replay_report(path: str) -> str:
         records, _, _ = read_wal(path)
         ops = committed_ops(records)
         workbook = Workbook()
-        for op in ops:
-            apply_op(workbook, op)
-        workbook.recalc_all()
+        replay_ops(workbook, ops)
         header = (
             f"replayed {path}: {len(ops)} committed ops "
             f"of {len(records)} records"

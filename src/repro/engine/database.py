@@ -42,7 +42,7 @@ from repro.errors import ExecutionError, PlanError, SqlError
 from repro.index.positional import PositionalIndex
 from repro.obs import EventLog, MetricsRegistry, Span, Tracer
 
-__all__ = ["Database", "ResultSet", "is_explain_trace"]
+__all__ = ["Database", "ResultSet", "is_explain_trace", "txn_command"]
 
 #: ``EXPLAIN TRACE <statement>`` — a per-statement trace capture prefix
 #: handled before the grammar (so the parser stays untouched).
@@ -94,6 +94,7 @@ class ResultSet:
         return [row[index] for row in self.rows]
 
 
+#: Transaction-control spellings → the :class:`Database` method each runs.
 _TXN_COMMANDS = {
     "begin": "begin",
     "begin transaction": "begin",
@@ -102,6 +103,11 @@ _TXN_COMMANDS = {
     "rollback": "rollback",
     "abort": "rollback",
 }
+
+
+def txn_command(sql: str) -> Optional[str]:
+    """"begin"/"commit"/"rollback" when ``sql`` is transaction control, else None."""
+    return _TXN_COMMANDS.get(sql.strip().rstrip(";").strip().lower())
 
 
 class Database:
@@ -417,15 +423,9 @@ class Database:
             _, span = self.trace_statement(sql[match.end():], params, resolver)
             lines = span.render().splitlines() if span is not None else []
             return ResultSet(["trace"], [(line,) for line in lines], len(lines))
-        command = _TXN_COMMANDS.get(sql.strip().rstrip(";").strip().lower())
-        if command == "begin":
-            self.begin()
-            return ResultSet()
-        if command == "commit":
-            self.commit()
-            return ResultSet()
-        if command == "rollback":
-            self.rollback()
+        command = txn_command(sql)
+        if command is not None:
+            getattr(self, command)()  # self.begin / self.commit / self.rollback
             return ResultSet()
         statements = parse_sql(sql)
         if len(statements) != 1:

@@ -8,6 +8,12 @@ mutation flows through one pipeline —
               →  visible-first recalc (union of session viewports)
               →  viewport-scoped broadcast  →  maybe compact
 
+The vocabulary that pipeline ships is one table, :data:`OPS`: an op type's
+validation, field types, replay arm and every per-type decision the
+pipeline takes (logged? allowed in a transaction? stale-checked? a
+structural shift? promoted from SQL?) are fields of its one entry, so the
+stages cannot drift apart.
+
 Durability: operations are logged to a :class:`~repro.server.wal.WriteAheadLog`
 *before* they mutate the workbook (a failed apply compensates by
 truncating the just-appended record, keeping log ≡ applied history).
@@ -34,13 +40,13 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.core.address import CellAddress, RangeAddress
 from repro.core.persist import workbook_from_dict
 from repro.core.workbook import Workbook
 from repro.engine import sql_ast
-from repro.engine.database import ResultSet, _TXN_COMMANDS
+from repro.engine.database import ResultSet, txn_command
 from repro.engine.hybridstore import suggested_tick_budget
 from repro.engine.maintenance import MaintenanceWorker
 from repro.engine.sql_parser import parse_sql
@@ -49,7 +55,7 @@ from repro.formula.parser import parse_formula
 from repro.server.broadcast import Broadcaster, Delta
 from repro.server.session import Session, SessionManager
 from repro.server.snapshot import SnapshotStore
-from repro.server.wal import WriteAheadLog, committed_ops, read_wal
+from repro.server.wal import WriteAheadLog, read_wal, transaction_brackets
 
 __all__ = [
     "WorkbookService",
@@ -57,49 +63,286 @@ __all__ = [
     "RecoveryResult",
     "validate_op",
     "apply_op",
+    "replay_ops",
     "recover_state",
 ]
 
 WAL_FILENAME = "wal.jsonl"
 
-#: Operation vocabulary (the WAL's logical schema).
-OP_TYPES = (
-    "set_cell",      # {sheet, ref, raw}
-    "sql",           # {sql, params?}
-    "add_sheet",     # {name}
-    "dbtable",       # {sheet, anchor, table, include_headers?, window_rows?}
-    "dbsql",         # {sheet, anchor, sql, include_headers?}
-    "insert_rows",   # {sheet, at, count?}
-    "delete_rows",
-    "insert_cols",
-    "delete_cols",
-    "layout_set",    # {table, mode: auto|manual|row|column|target, groups?}
-    "layout_step",   # {table, groups} — one applied migration restructure
-    "index_create",  # {name, table, column, unique?, if_not_exists?}
-    "index_drop",    # {name, if_exists?}
-    "txn_begin",     # markers written by the transaction hook
-    "txn_commit",
-    "txn_rollback",
-)
-
-_STRUCTURAL = ("insert_rows", "delete_rows", "insert_cols", "delete_cols")
 _LAYOUT_MODES = ("auto", "manual", "row", "column", "target")
 
+Op = Dict[str, Any]
 
-def _txn_control(op: Dict[str, Any]) -> Optional[str]:
-    """"begin"/"commit"/"rollback" when the op is transaction control."""
-    if op.get("type") != "sql":
+
+class OpEntry(NamedTuple):
+    """One row of :data:`OPS`: everything the pipeline asks about an op
+    type (the README's "Operation vocabulary" table mirrors the columns)."""
+
+    #: semantic checks past the field types; hands back a ``sql`` op's parse
+    validate: Callable[[Workbook, Op], Optional[List[Any]]]
+    #: this type's arm of the replay interpreter
+    apply: Callable[[Workbook, Op], Any]
+    #: field -> type the op must carry (a ``str`` must also be non-blank)
+    required: Mapping[str, type]
+    #: field -> type the op may carry
+    optional: Mapping[str, type] = {}
+    #: given what ``validate`` returned: does the op become a WAL record?
+    logged: Callable[[Optional[List[Any]]], bool] = lambda statements: True
+    #: may run inside an open transaction (the engine's undo log covers it)
+    in_transaction: bool = False
+    #: subject to the optimistic stale-write check
+    stale_checked: bool = False
+    #: ``(axis, sign)`` of the half-space shift a structural op performs
+    shift: Optional[Tuple[str, int]] = None
+    #: statement class -> builder of the first-class op it is logged as
+    promotions: Mapping[type, Callable[[Any], Optional[Op]]] = {}
+
+
+def _fields_only(workbook: Workbook, op: Op) -> None:
+    """The validate arm of ops whose field types are their whole contract."""
+
+
+def _require_table(workbook: Workbook, op: Op) -> None:
+    if not workbook.database.has_table(op["table"]):
+        raise ServerError(f"no such table {op['table']!r}")
+
+
+def _validate_set_cell(workbook: Workbook, op: Op) -> None:
+    workbook.sheet(op["sheet"])  # raises SheetError when missing
+    CellAddress.parse(op["ref"])
+    raw = op["raw"]
+    if isinstance(raw, str) and raw.startswith("="):
+        parse_formula(raw[1:])  # syntax-check; install happens at apply
+
+
+def _validate_sql(workbook: Workbook, op: Op) -> Optional[List[Any]]:
+    if txn_command(op["sql"]) is not None:
         return None
-    return _TXN_COMMANDS.get(str(op.get("sql", "")).strip().rstrip(";").strip().lower())
+    statements = parse_sql(op["sql"])
+    if len(statements) != 1:
+        raise SqlError(f"sql operation takes one statement, got {len(statements)}")
+    return statements
 
 
-def _is_readonly_sql(statements: Optional[List[Any]]) -> bool:
-    """True for a plain SELECT (``statements`` is what :func:`validate_op`
-    returned): no state change, so nothing to log or replay — logging
-    reads would bloat the WAL and make recovery O(all queries ever run)."""
-    return statements is not None and isinstance(
+def _sql_logged(statements: Optional[List[Any]]) -> bool:
+    # Transaction control (validated to None) is framed by the hook's
+    # markers, and a plain SELECT changes no state: logging reads would
+    # bloat the WAL and make recovery O(all queries ever run).
+    return statements is not None and not isinstance(
         statements[0], (sql_ast.SelectStmt, sql_ast.CompoundSelect)
     )
+
+
+def _validate_anchor(workbook: Workbook, op: Op) -> None:
+    workbook.sheet(op["sheet"])
+    CellAddress.parse(op["anchor"])
+
+
+def _validate_dbtable(workbook: Workbook, op: Op) -> None:
+    _validate_anchor(workbook, op)
+    _require_table(workbook, op)
+
+
+def _validate_structural(workbook: Workbook, op: Op) -> None:
+    workbook.sheet(op["sheet"])
+    if op["at"] < 0 or op.get("count", 1) < 1:
+        raise ServerError(f"{op['type']} requires at >= 0 and count >= 1")
+
+
+def _validate_layout(workbook: Workbook, op: Op) -> None:
+    _require_table(workbook, op)
+    mode = op.get("mode", "target")
+    if mode not in _LAYOUT_MODES:
+        raise ServerError(f"unknown layout mode {mode!r}")
+    groups = op.get("groups")  # a list when present: the field types ran first
+    if (mode == "target" or groups is not None) and not (
+        groups
+        and all(
+            isinstance(group, list)
+            and group
+            and all(isinstance(name, str) for name in group)
+            for group in groups
+        )
+    ):
+        raise ServerError(
+            f"{op['type']} requires 'groups': a non-empty list of "
+            "non-empty column-name lists"
+        )
+
+
+def _apply_set_cell(workbook: Workbook, op: Op) -> None:
+    workbook.set(op["sheet"], op["ref"], op["raw"])
+
+
+def _apply_sql(workbook: Workbook, op: Op) -> ResultSet:
+    return workbook.execute(op["sql"], tuple(op.get("params", ())))
+
+
+def _apply_add_sheet(workbook: Workbook, op: Op) -> Any:
+    return workbook.add_sheet(op["name"])
+
+
+def _apply_dbtable(workbook: Workbook, op: Op) -> Any:
+    return workbook.dbtable(
+        op["sheet"],
+        op["anchor"],
+        op["table"],
+        include_headers=op.get("include_headers", True),
+        window_rows=op.get("window_rows"),
+    )
+
+
+def _apply_dbsql(workbook: Workbook, op: Op) -> Any:
+    return workbook.dbsql(
+        op["sheet"],
+        op["anchor"],
+        op["sql"],
+        include_headers=op.get("include_headers", False),
+    )
+
+
+def _apply_structural(workbook: Workbook, op: Op) -> None:
+    # The op type *is* the Workbook method's name (see the loop below OPS).
+    getattr(workbook, op["type"])(op["sheet"], op["at"], op.get("count", 1))
+
+
+def _apply_layout_set(workbook: Workbook, op: Op) -> ResultSet:
+    table = workbook.database.table(op["table"])
+    mode = op.get("mode", "target")
+    if mode == "auto":
+        table.set_auto_layout(True)
+    elif mode == "manual":
+        table.set_auto_layout(False)
+        table.cancel_layout_migration()
+    elif mode == "target":
+        # (Re-)arm an online migration toward `groups` (advisor-started
+        # live, or a replayed start record); the steps themselves arrive
+        # as layout_step ops / maintenance ticks.
+        table.migrate_layout([list(g) for g in op["groups"]], online=True)
+    else:
+        # "row" / "column": same helper as the live ALTER ... SET LAYOUT
+        # path, so replay cannot drift from what the server did.
+        return ResultSet(rowcount=table.set_static_layout(mode).pages_written)
+    return ResultSet()
+
+
+def _apply_layout_step(workbook: Workbook, op: Op) -> ResultSet:
+    table = workbook.database.table(op["table"])
+    pages = table.store.restructure([list(g) for g in op["groups"]])
+    # A replayed step lands outside the armed LayoutMigration object; if
+    # it was the final one, retire the migration now so recovery does not
+    # report a finished migration as still in flight.
+    table.reconcile_layout_migration()
+    return ResultSet(rowcount=pages)
+
+
+def _apply_index_create(workbook: Workbook, op: Op) -> ResultSet:
+    # Same catalog helper as the live CREATE INDEX path, so replay
+    # rebuilds the identical tree (and re-raises on real conflicts).
+    workbook.database.catalog.create_index(
+        op["name"],
+        op["table"],
+        op["column"],
+        unique=op.get("unique", False),
+        if_not_exists=op.get("if_not_exists", False),
+    )
+    return ResultSet()
+
+
+def _apply_index_drop(workbook: Workbook, op: Op) -> ResultSet:
+    workbook.database.catalog.drop_index(
+        op["name"], if_exists=op.get("if_exists", False)
+    )
+    return ResultSet()
+
+
+def _promote_alter(statement: sql_ast.AlterTableStmt) -> Optional[Op]:
+    if not isinstance(statement.action, sql_ast.AlterSetLayout):
+        return None  # every other ALTER stays SQL
+    mode = statement.action.mode
+    return {"type": "layout_set", "table": statement.table, "mode": mode}
+
+
+#: op type -> entry: the WAL's logical schema.  Adding an op is adding a row
+#: — ``validate_op``, ``apply_op``, the apply pipeline and replay read this
+#: table and compare an op's type to nothing else.  Transaction markers
+#: (:data:`~repro.server.wal.TXN_MARKERS`) are WAL framing, not ops.
+OPS: Dict[str, OpEntry] = {
+    "set_cell": OpEntry(
+        _validate_set_cell, _apply_set_cell,
+        required={"sheet": str, "ref": str, "raw": object},
+        stale_checked=True,
+    ),
+    "sql": OpEntry(
+        _validate_sql, _apply_sql,
+        required={"sql": str},
+        optional={"params": list},
+        logged=_sql_logged,
+        in_transaction=True,
+        # DDL is logged as a semantic record, not opaque SQL text: recovery
+        # replays the transition itself and a snapshot can cover it.  Not
+        # inside an open transaction — there the statement stays SQL, its
+        # rollback rides the engine's undo log and the bracket's records
+        # are discarded wholesale.
+        promotions={
+            sql_ast.AlterTableStmt: _promote_alter,
+            sql_ast.CreateIndexStmt: lambda s: {
+                "type": "index_create",
+                "name": s.name,
+                "table": s.table,
+                "column": s.column,
+                "unique": s.unique,
+                "if_not_exists": s.if_not_exists,
+            },
+            sql_ast.DropIndexStmt: lambda s: {
+                "type": "index_drop",
+                "name": s.name,
+                "if_exists": s.if_exists,
+            },
+        },
+    ),
+    "add_sheet": OpEntry(_fields_only, _apply_add_sheet, required={"name": str}),
+    "dbtable": OpEntry(
+        _validate_dbtable, _apply_dbtable,
+        required={"sheet": str, "anchor": str, "table": str},
+        optional={"include_headers": bool, "window_rows": int},
+    ),
+    "dbsql": OpEntry(
+        _validate_anchor, _apply_dbsql,
+        required={"sheet": str, "anchor": str, "sql": str},
+        optional={"include_headers": bool},
+    ),
+    "layout_set": OpEntry(
+        _validate_layout, _apply_layout_set,
+        required={"table": str},
+        # mode: auto | manual | row | column | target (the default; needs groups)
+        optional={"mode": str, "groups": list},
+    ),
+    "layout_step": OpEntry(  # one applied migration restructure
+        _validate_layout, _apply_layout_step,
+        required={"table": str, "groups": list},
+    ),
+    "index_create": OpEntry(
+        _require_table, _apply_index_create,
+        required={"name": str, "table": str, "column": str},
+        optional={"unique": bool, "if_not_exists": bool},
+    ),
+    "index_drop": OpEntry(
+        _fields_only, _apply_index_drop,
+        required={"name": str},
+        optional={"if_exists": bool},
+    ),
+}
+for _verb, _sign in (("insert", 1), ("delete", -1)):
+    for _axis in ("row", "col"):
+        OPS[f"{_verb}_{_axis}s"] = OpEntry(
+            _validate_structural, _apply_structural,
+            required={"sheet": str, "at": int},
+            optional={"count": int},
+            shift=(_axis, _sign),
+        )
+
+OP_TYPES = tuple(OPS)
 
 
 def validate_op(workbook: Workbook, op: Any) -> Optional[List[Any]]:
@@ -110,159 +353,26 @@ def validate_op(workbook: Workbook, op: Any) -> Optional[List[Any]]:
     if not isinstance(op, dict) or not isinstance(op.get("type"), str):
         raise ServerError(f"operation must be a dict with a 'type', got {op!r}")
     kind = op["type"]
-    if kind not in OP_TYPES:
+    entry = OPS.get(kind)
+    if entry is None:
         raise ServerError(f"unknown operation type {kind!r}")
-    if kind == "set_cell":
-        workbook.sheet(str(op["sheet"]))  # raises SheetError when missing
-        CellAddress.parse(str(op["ref"]))
-        raw = op.get("raw")
-        if isinstance(raw, str) and raw.startswith("="):
-            parse_formula(raw[1:])  # syntax-check; install happens at apply
-    elif kind == "sql":
-        sql = op.get("sql")
-        if not isinstance(sql, str) or not sql.strip():
-            raise ServerError("sql operation requires a non-empty 'sql' string")
-        if _txn_control(op) is None:
-            statements = parse_sql(sql)
-            if len(statements) != 1:
-                raise SqlError(
-                    f"sql operation takes one statement, got {len(statements)}"
-                )
-            return statements
-    elif kind == "add_sheet":
-        name = op.get("name")
-        if not isinstance(name, str) or not name:
-            raise ServerError("add_sheet requires a non-empty 'name'")
-    elif kind == "dbtable":
-        workbook.sheet(str(op["sheet"]))
-        CellAddress.parse(str(op["anchor"]))
-        if not workbook.database.has_table(str(op["table"])):
-            raise ServerError(f"no such table {op['table']!r}")
-    elif kind == "dbsql":
-        workbook.sheet(str(op["sheet"]))
-        CellAddress.parse(str(op["anchor"]))
-        if not isinstance(op.get("sql"), str) or not op["sql"].strip():
-            raise ServerError("dbsql operation requires a non-empty 'sql' string")
-    elif kind in _STRUCTURAL:
-        workbook.sheet(str(op["sheet"]))
-        if int(op["at"]) < 0 or int(op.get("count", 1)) < 1:
-            raise ServerError(f"{kind} requires at >= 0 and count >= 1")
-    elif kind in ("layout_set", "layout_step"):
-        if not workbook.database.has_table(str(op.get("table", ""))):
-            raise ServerError(f"no such table {op.get('table')!r}")
-        mode = op.get("mode", "target")
-        if kind == "layout_set" and mode not in _LAYOUT_MODES:
-            raise ServerError(f"unknown layout mode {mode!r}")
-        if kind == "layout_step" or mode == "target":
-            groups = op.get("groups")
-            well_formed = (
-                isinstance(groups, list)
-                and bool(groups)
-                and all(
-                    isinstance(group, list)
-                    and bool(group)
-                    and all(isinstance(name, str) for name in group)
-                    for group in groups
-                )
-            )
-            if not well_formed:
-                raise ServerError(
-                    f"{kind} requires 'groups': a non-empty list of "
-                    "non-empty column-name lists"
-                )
-    elif kind == "index_create":
-        for field_name in ("name", "table", "column"):
-            if not isinstance(op.get(field_name), str) or not op[field_name]:
-                raise ServerError(
-                    f"index_create requires a non-empty {field_name!r} string"
-                )
-        if not workbook.database.has_table(str(op["table"])):
-            raise ServerError(f"no such table {op['table']!r}")
-    elif kind == "index_drop":
-        if not isinstance(op.get("name"), str) or not op["name"]:
-            raise ServerError("index_drop requires a non-empty 'name' string")
-    # txn markers carry no payload worth validating
-    return None
+    for name, wanted in entry.required.items():
+        value = op.get(name)
+        if wanted is str and not (isinstance(value, str) and value.strip()):
+            raise ServerError(f"{kind} operation requires a non-empty {name!r} string")
+        if name not in op or not isinstance(value, wanted):
+            raise ServerError(f"{kind} operation requires {name!r} ({wanted.__name__})")
+    for name, wanted in entry.optional.items():
+        if name in op and not isinstance(op[name], wanted):
+            raise ServerError(f"{kind} operation takes {name!r} as {wanted.__name__}")
+    return entry.validate(workbook, op)
 
 
-def apply_op(workbook: Workbook, op: Dict[str, Any]) -> Any:
+def apply_op(workbook: Workbook, op: Op) -> Any:
     """Apply one logged operation to a live workbook (also the replay
     interpreter — recovery feeds committed records straight through
     here)."""
-    kind = op["type"]
-    if kind == "set_cell":
-        workbook.set(op["sheet"], op["ref"], op["raw"])
-        return None
-    if kind == "sql":
-        return workbook.execute(op["sql"], tuple(op.get("params") or ()))
-    if kind == "add_sheet":
-        return workbook.add_sheet(op["name"])
-    if kind == "dbtable":
-        return workbook.dbtable(
-            op["sheet"],
-            op["anchor"],
-            op["table"],
-            include_headers=op.get("include_headers", True),
-            window_rows=op.get("window_rows"),
-        )
-    if kind == "dbsql":
-        return workbook.dbsql(
-            op["sheet"],
-            op["anchor"],
-            op["sql"],
-            include_headers=op.get("include_headers", False),
-        )
-    if kind in _STRUCTURAL:
-        method = getattr(workbook, kind)
-        method(op["sheet"], int(op["at"]), int(op.get("count", 1)))
-        return None
-    if kind == "layout_set":
-        table = workbook.database.table(op["table"])
-        mode = op.get("mode", "target")
-        if mode == "auto":
-            table.set_auto_layout(True)
-            return ResultSet()
-        if mode == "manual":
-            table.set_auto_layout(False)
-            table.cancel_layout_migration()
-            return ResultSet()
-        if mode in ("row", "column"):
-            # Same helper as the live ALTER ... SET LAYOUT path, so replay
-            # cannot drift from what the server did.
-            migration = table.set_static_layout(mode)
-            return ResultSet(rowcount=migration.pages_written)
-        # mode == "target": (re-)arm an online migration toward `groups`
-        # (advisor-started live, or a replayed start record); the steps
-        # themselves arrive as layout_step ops / maintenance ticks.
-        table.migrate_layout([list(g) for g in op["groups"]], online=True)
-        return ResultSet()
-    if kind == "layout_step":
-        table = workbook.database.table(op["table"])
-        pages = table.store.restructure([list(g) for g in op["groups"]])
-        # A replayed step lands outside the armed LayoutMigration object;
-        # if it was the final one, retire the migration now so recovery
-        # does not report a finished migration as still in flight.
-        table.reconcile_layout_migration()
-        return ResultSet(rowcount=pages)
-    if kind == "index_create":
-        # Same catalog helper as the live CREATE INDEX path, so replay
-        # rebuilds the identical tree (and re-raises on real conflicts).
-        workbook.database.catalog.create_index(
-            op["name"],
-            op["table"],
-            op["column"],
-            unique=bool(op.get("unique", False)),
-            if_not_exists=bool(op.get("if_not_exists", False)),
-        )
-        return ResultSet()
-    if kind == "index_drop":
-        workbook.database.catalog.drop_index(
-            op["name"], if_exists=bool(op.get("if_exists", False))
-        )
-        return ResultSet()
-    if kind in ("txn_begin", "txn_commit", "txn_rollback"):
-        return None  # markers: interpreted by committed_ops, not applied
-    raise ServerError(f"unknown operation type {kind!r}")
+    return OPS[op["type"]].apply(workbook, op)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +427,25 @@ def _check_snapshot_wal_alignment(
         )
 
 
+def replay_ops(workbook: Workbook, ops: List[Op]) -> None:
+    """Replay committed operations onto ``workbook`` — the one replay loop
+    (:func:`recover_state` and the CLI's bare-WAL ``replay`` both run it).
+
+    Replay must be deterministic: the physical layout is reconstructed
+    from the snapshot plus logged layout_set/layout_step records, so the
+    advisor must not run its own (stats-driven, unlogged) migrations
+    while the history replays."""
+    database = workbook.database
+    saved_interval = database.auto_layout_interval
+    database.auto_layout_interval = 0
+    try:
+        for op in ops:
+            apply_op(workbook, op)
+    finally:
+        database.auto_layout_interval = saved_interval
+    workbook.recalc_all()
+
+
 def recover_state(directory: str, eager: bool = True) -> RecoveryResult:
     """Rebuild the durable workbook state from ``directory``:
     snapshot (if any) + committed WAL suffix.
@@ -343,11 +472,9 @@ def recover_state(directory: str, eager: bool = True) -> RecoveryResult:
             records, size, start_offset, snapshot_lsn, directory
         )
     suffix = [record for record in records if record.offset >= start_offset]
-    ops = committed_ops(suffix)
-    # Replay must be deterministic: the physical layout is reconstructed
-    # from the snapshot plus logged layout_set/layout_step records, so the
-    # advisor must not run its own (stats-driven, unlogged) migrations
-    # while the history replays.
+    # A snapshot is never taken inside a transaction, so a bracket still
+    # open at the end of the log lies wholly in the suffix.
+    ops, open_begin = transaction_brackets(suffix)
     database = workbook.database
     events = database.events
     if intact_end < size:
@@ -357,13 +484,6 @@ def recover_state(directory: str, eager: bool = True) -> RecoveryResult:
             truncated_bytes=size - intact_end,
             cause="torn_tail",
         )
-    open_begin = None
-    for record in records:
-        kind = record.op.get("type")
-        if kind == "txn_begin":
-            open_begin = record
-        elif kind in ("txn_commit", "txn_rollback"):
-            open_begin = None
     if open_begin is not None:
         events.record(
             "wal_repair",
@@ -375,14 +495,7 @@ def recover_state(directory: str, eager: bool = True) -> RecoveryResult:
         # The committed history must be dense — read_wal enforces this at
         # parse time, the sanitizer re-asserts it at the replay boundary.
         database.sanitizer.check_replay_lsns([record.lsn for record in records])
-    saved_interval = database.auto_layout_interval
-    database.auto_layout_interval = 0
-    try:
-        for op in ops:
-            apply_op(workbook, op)
-    finally:
-        database.auto_layout_interval = saved_interval
-    workbook.recalc_all()
+    replay_ops(workbook, ops)
     for table_name in database.table_names():
         table = database.table(table_name)
         if table.migration_active:
@@ -698,15 +811,13 @@ class WorkbookService:
         session = self.sessions.get(session_id)
         base = session.last_seen_version if base_version is None else base_version
         # The one parse the service makes of a sql op: DDL promotion and
-        # the read-only test below read what validation parsed.
+        # the logged-or-not test below read what validation parsed.
         statements = validate_op(self.workbook, op)
-        self._check_stale(session, op, base)
-        control = _txn_control(op)
-        if (
-            self.workbook.database.in_transaction
-            and control is None
-            and op["type"] != "sql"
-        ):
+        entry = OPS[op["type"]]
+        if entry.stale_checked:  # everything else is authoritative, not optimistic
+            self._check_stale(session, op, base)
+        in_transaction = self.workbook.database.in_transaction
+        if in_transaction and not entry.in_transaction:
             # The engine's undo log only covers database mutations, so a
             # rolled-back sheet edit would diverge live state from the
             # truncated WAL.  Refuse rather than corrupt.
@@ -714,20 +825,18 @@ class WorkbookService:
                 f"{op['type']} operations cannot run inside an open "
                 "transaction (only SQL participates in rollback)"
             )
-        if statements is not None and not self.workbook.database.in_transaction:
-            op = self._promote_layout_sql(op, statements[0])
-            op = self._promote_index_sql(op, statements[0])
+        if statements is not None and not in_transaction:
+            promote = entry.promotions.get(type(statements[0]))
+            promoted = promote(statements[0]) if promote is not None else None
+            if promoted is not None:
+                op, entry = promoted, OPS[promoted["type"]]
         # Flush background layout records *before* taking the rollback
         # mark: they are maintenance history, not part of this operation,
         # and must never be truncated with it.
         self._drain_layout_queue()
         mark = self.wal.mark()
         lsn: Optional[int] = None
-        if (
-            control is None
-            and op["type"] not in ("txn_begin", "txn_commit", "txn_rollback")
-            and not _is_readonly_sql(statements)
-        ):
+        if entry.logged(statements):
             with self.tracer.span("wal_append") as wal_span:
                 unsynced_before = self.wal.stats.syncs
                 lsn = self.wal.append(op).lsn
@@ -758,21 +867,19 @@ class WorkbookService:
                 if lsn is not None:
                     self.wal.truncate_to(mark)
                 raise
-            if op["type"] in _STRUCTURAL:
-                self._remap_cell_versions(op)
+            if entry.shift is not None:
+                self._remap_cell_versions(op, *entry.shift)
             with self.tracer.span("recalc_visible") as recalc_span:
                 visible = self.workbook.compute.recalc_visible()
                 recalc_span.add("visible_recalcs", visible)
             self.version += 1
             self.ops_applied += 1
             deltas = self._drain_deltas(origin=session_id)
-            if op["type"] in _STRUCTURAL:
+            if entry.shift is not None:
                 # One compact delta describes the whole half-space shift —
                 # clients remap their pane instead of receiving a cell
                 # delta for every relocated position.
-                signed = int(op.get("count", 1))
-                if op["type"].startswith("delete"):
-                    signed = -signed
+                axis, sign = entry.shift
                 deltas.insert(
                     0,
                     Delta(
@@ -780,9 +887,9 @@ class WorkbookService:
                         sheet=op["sheet"],
                         version=self.version,
                         origin=session_id,
-                        axis="row" if op["type"].endswith("rows") else "col",
-                        at=int(op["at"]),
-                        count=signed,
+                        axis=axis,
+                        at=op["at"],
+                        count=sign * op.get("count", 1),
                     ),
                 )
             with self.tracer.span("broadcast") as broadcast_span:
@@ -802,49 +909,7 @@ class WorkbookService:
             result=result,
         )
 
-    @staticmethod
-    def _promote_layout_sql(op: Dict[str, Any], statement: Any) -> Dict[str, Any]:
-        """``ALTER TABLE ... SET LAYOUT`` becomes a first-class
-        ``layout_set`` record, so the WAL captures the layout transition
-        semantically rather than as opaque SQL text.  Inside an open
-        transaction the statement stays SQL (the caller does not promote
-        there): rollback of a layout change rides the engine's undo log,
-        and the bracket's records are discarded wholesale."""
-        if isinstance(statement, sql_ast.AlterTableStmt) and isinstance(
-            statement.action, sql_ast.AlterSetLayout
-        ):
-            return {
-                "type": "layout_set",
-                "table": statement.table,
-                "mode": statement.action.mode,
-            }
-        return op
-
-    @staticmethod
-    def _promote_index_sql(op: Dict[str, Any], statement: Any) -> Dict[str, Any]:
-        """``CREATE/DROP INDEX`` becomes a first-class ``index_create`` /
-        ``index_drop`` record — recovery then replays the index DDL
-        semantically (and a snapshot can cover it) instead of re-parsing
-        opaque SQL text.  Not inside an open transaction either, mirroring
-        :meth:`_promote_layout_sql`."""
-        if isinstance(statement, sql_ast.CreateIndexStmt):
-            return {
-                "type": "index_create",
-                "name": statement.name,
-                "table": statement.table,
-                "column": statement.column,
-                "unique": statement.unique,
-                "if_not_exists": statement.if_not_exists,
-            }
-        if isinstance(statement, sql_ast.DropIndexStmt):
-            return {
-                "type": "index_drop",
-                "name": statement.name,
-                "if_exists": statement.if_exists,
-            }
-        return op
-
-    def _remap_cell_versions(self, op: Dict[str, Any]) -> None:
+    def _remap_cell_versions(self, op: Op, axis: str, sign: int) -> None:
         """Mirror a structural shift in the optimistic-concurrency map.
 
         ``_cell_versions`` is keyed by logical ``(sheet, row, col)``;
@@ -856,11 +921,11 @@ class WorkbookService:
         spuriously rejected by the ghost version of whatever used to
         occupy the coordinates it targets."""
         sheet = op["sheet"]
-        axis_is_row = op["type"].endswith("rows")
-        at = int(op["at"])
-        count = int(op.get("count", 1))
-        delta = -count if op["type"].startswith("delete") else count
-        removed = count if delta < 0 else 0
+        axis_is_row = axis == "row"
+        at = op["at"]
+        count = op.get("count", 1)
+        delta = sign * count
+        removed = count if sign < 0 else 0
         remapped: Dict[Tuple[str, int, int], int] = {}
         for key, version in self._cell_versions.items():
             key_sheet, row, col = key
@@ -906,9 +971,7 @@ class WorkbookService:
     # -- staleness -----------------------------------------------------------------
 
     def _check_stale(self, session: Session, op: Dict[str, Any], base: int) -> None:
-        if op.get("type") != "set_cell":
-            return  # SQL/DDL/structural ops are authoritative, not optimistic
-        address = CellAddress.parse(str(op["ref"]))
+        address = CellAddress.parse(op["ref"])
         key = (op["sheet"], address.row, address.col)
         newest = self._cell_versions.get(key, 0)
         region = self.workbook.regions.region_at(*key)

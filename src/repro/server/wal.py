@@ -23,13 +23,13 @@ record with more data *after* it is real corruption and raises
 :class:`~repro.errors.WALError`.  :class:`WriteAheadLog` repairs a torn
 tail on open (truncates it) before appending new records.
 
-Transactions appear in the log as marker records (``txn_begin`` /
-``txn_commit``) written by the service's transaction hook; a rollback
-*physically discards* the un-committed records by truncating back to the
-:meth:`WriteAheadLog.mark` taken at begin.  :func:`committed_ops`
-implements the replay rule: operations inside a begin..commit bracket
-apply only when the commit marker made it to disk; everything outside a
-bracket is autocommitted.
+Transactions appear in the log as marker records (:data:`TXN_MARKERS`)
+written by the service's transaction hook — framing, never client ops; a
+rollback *physically discards* the un-committed records by truncating back
+to the :meth:`WriteAheadLog.mark` taken at begin.
+:func:`transaction_brackets` is the one reader of the replay rule:
+operations inside a begin..commit bracket apply only when the commit marker
+made it to disk; everything outside a bracket is autocommitted.
 """
 
 from __future__ import annotations
@@ -56,9 +56,10 @@ __all__ = [
     "WriteAheadLog",
     "read_wal",
     "committed_ops",
+    "transaction_brackets",
 ]
 
-#: Marker op types (written by the transaction hook, skipped on replay).
+#: Marker record types (written by the transaction hook, never applied).
 TXN_MARKERS = ("txn_begin", "txn_commit", "txn_rollback")
 
 
@@ -184,27 +185,34 @@ def _parse_line(line: bytes, previous_lsn: int) -> Optional[Tuple[int, Dict[str,
     return lsn, op
 
 
-def committed_ops(records: List[WalRecord]) -> List[Dict[str, Any]]:
-    """The durable operation sequence: autocommitted ops, plus the bodies
-    of begin..commit brackets.  An open bracket at the end of the log (a
-    crash before commit) is discarded — no partial batch is replayed."""
-    out: List[Dict[str, Any]] = []
-    pending: Optional[List[Dict[str, Any]]] = None
+def transaction_brackets(
+    records: List[WalRecord],
+) -> Tuple[List[Dict[str, Any]], Optional[WalRecord]]:
+    """The one reader of the bracket rule: ``(committed, open_begin)`` — the
+    durable operation sequence (autocommitted ops plus begin..commit bodies)
+    and the ``txn_begin`` record a crash before commit left open at the end
+    of the log (else None), whose partial batch is never replayed."""
+    committed: List[Dict[str, Any]] = []
+    pending: List[Dict[str, Any]] = []
+    open_begin: Optional[WalRecord] = None
     for record in records:
         kind = record.op.get("type")
         if kind == "txn_begin":
-            pending = []
-        elif kind == "txn_commit":
-            if pending is not None:
-                out.extend(pending)
-            pending = None
-        elif kind == "txn_rollback":
-            pending = None
-        elif pending is not None:
+            pending, open_begin = [], record
+        elif kind in TXN_MARKERS:  # commit or rollback closes the bracket
+            if kind == "txn_commit" and open_begin is not None:
+                committed.extend(pending)
+            open_begin = None
+        elif open_begin is not None:
             pending.append(record.op)
         else:
-            out.append(record.op)
-    return out
+            committed.append(record.op)
+    return committed, open_begin
+
+
+def committed_ops(records: List[WalRecord]) -> List[Dict[str, Any]]:
+    """The operations recovery replays (see :func:`transaction_brackets`)."""
+    return transaction_brackets(records)[0]
 
 
 class WriteAheadLog:
@@ -248,17 +256,10 @@ class WriteAheadLog:
         records, intact_end, size = preread if preread is not None else read_wal(path)
         # Repair 1: drop the torn tail left by a crash mid-append.
         truncate_at = intact_end if intact_end < size else None
-        # Repair 2: drop a dangling open transaction bracket.  Its records
-        # are never replayed (no commit marker made it to disk), and new
-        # appends must not land "inside" the dead bracket where a future
-        # recovery would discard them too.
-        open_begin: Optional[WalRecord] = None
-        for record in records:
-            kind = record.op.get("type")
-            if kind == "txn_begin":
-                open_begin = record
-            elif kind in ("txn_commit", "txn_rollback"):
-                open_begin = None
+        # Repair 2: drop a dangling open transaction bracket.  New appends
+        # must not land "inside" the dead bracket, where a future recovery
+        # would discard them too.
+        _, open_begin = transaction_brackets(records)
         if open_begin is not None:
             records = [r for r in records if r.offset < open_begin.offset]
             truncate_at = open_begin.offset
@@ -270,7 +271,6 @@ class WriteAheadLog:
             self.repaired_bytes = size - truncate_at
             os.ftruncate(self._file.fileno(), truncate_at)
             intact_end = truncate_at
-        self._records_on_open = len(records)
         self._last_lsn = records[-1].lsn if records else 0
         self._offset = intact_end
         self._unsynced = 0

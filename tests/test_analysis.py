@@ -117,6 +117,48 @@ class TestRC001ReplayDeterminism:
         )
         assert not quiet
 
+    TABLE_DISPATCH = """
+        import time
+        from typing import NamedTuple
+
+        class OpEntry(NamedTuple):
+            validate: object
+            apply: object
+
+        def _apply_stamp(workbook, op):
+            workbook.stamp = {stamp}
+
+        OPS = {{"stamp": OpEntry(None, _apply_stamp)}}
+
+        def apply_op(workbook, op):
+            return OPS[op["type"]].apply(workbook, op)
+        """
+
+    def test_handler_behind_a_dispatch_table_fires(self, tmp_path):
+        # apply_op names no handler: the walk must follow the table's
+        # function references, or every apply arm leaves RC001's sight.
+        diags = check(
+            tmp_path, self.TABLE_DISPATCH.format(stamp="time.time()"), "RC001"
+        )
+        assert [d.symbol for d in diags] == ["_apply_stamp:time.time"]
+
+    def test_pure_handler_behind_a_dispatch_table_is_quiet(self, tmp_path):
+        assert not check(
+            tmp_path, self.TABLE_DISPATCH.format(stamp='op["at"]'), "RC001"
+        )
+
+    def test_real_apply_handlers_are_replay_reachable(self):
+        from repro.analysis.callgraph import reachable
+        from repro.analysis.checkers import REPLAY_ENTRY_POINTS
+        from repro.analysis.core import ProjectIndex
+        from repro.server.service import OPS
+
+        service_py = REPO_ROOT / "src" / "repro" / "server" / "service.py"
+        index = ProjectIndex.load([str(service_py)], root=str(REPO_ROOT))
+        reached = {info.simple_name for info in reachable(index, REPLAY_ENTRY_POINTS)}
+        handlers = {entry.apply.__name__ for entry in OPS.values()}
+        assert handlers <= reached, sorted(handlers - reached)
+
     def test_only_reachable_code_is_checked(self, tmp_path):
         # Same nondeterminism, but not reachable from any replay entry
         # point — the checker must not flag it.
@@ -149,52 +191,6 @@ class TestRC002PagerDiscipline:
 
     def test_pager_module_is_exempt(self, tmp_path):
         assert not check(tmp_path, self.SNIPPET, "RC002", filename="pager.py")
-
-
-class TestRC003OpRegistry:
-    def test_missing_apply_arm_fires(self, tmp_path):
-        diags = check(
-            tmp_path,
-            """
-            OP_TYPES = ("set_cell", "clear_cell")
-
-            def validate_op(op):
-                if op["type"] == "set_cell":
-                    return True
-                if op["type"] == "clear_cell":
-                    return True
-                return False
-
-            def apply_op(workbook, op):
-                if op["type"] == "set_cell":
-                    workbook.set(op)
-            """,
-            "RC003",
-        )
-        assert diags
-        assert any("clear_cell" in d.message for d in diags)
-
-    def test_complete_registry_is_quiet(self, tmp_path):
-        assert not check(
-            tmp_path,
-            """
-            OP_TYPES = ("set_cell", "clear_cell")
-
-            def validate_op(op):
-                if op["type"] == "set_cell":
-                    return True
-                if op["type"] == "clear_cell":
-                    return True
-                return False
-
-            def apply_op(workbook, op):
-                if op["type"] == "set_cell":
-                    workbook.set(op)
-                elif op["type"] == "clear_cell":
-                    workbook.clear(op)
-            """,
-            "RC003",
-        )
 
 
 class TestRC004CollectorDrift:
@@ -416,7 +412,6 @@ class TestFramework:
         assert codes == {
             "RC001",
             "RC002",
-            "RC003",
             "RC004",
             "RC005",
             "RC006",

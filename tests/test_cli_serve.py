@@ -130,6 +130,50 @@ class TestReplayCommand:
         report = replay_report(os.path.join(directory, WAL_FILENAME))
         assert "snapshot + 1 committed ops replayed" in report
 
+    def test_bare_wal_replay_runs_the_guarded_loop(self, tmp_path):
+        """Both entrances share ``replay_ops``: the advisor must not start
+        its own unlogged migration while a bare log replays, whatever the
+        replayed statements make it want."""
+        import shutil
+
+        from repro import Workbook
+        from repro.server.service import recover_state, replay_ops
+        from repro.server.wal import committed_ops, read_wal
+
+        directory = str(tmp_path / "book")
+        service = WorkbookService(directory, fsync=False, compact_every=0)
+        service._maintenance_interval = 0  # live: nothing adapts, nothing is logged
+        session = service.connect("alice")
+        service.execute(session.session_id, "CREATE TABLE t (a INT, b INT, c INT, d INT)")
+        wide = 2**33  # incompressible: keeps the encode pass out of it
+        for start in range(0, 400, 10):
+            values = ",".join(
+                f"({j * wide},{j * wide + 1},{j * wide + 2},{j * wide + 3})"
+                for j in range(start, start + 10)
+            )
+            service.execute(session.session_id, f"INSERT INTO t VALUES {values}")
+        service.execute(session.session_id, "ALTER TABLE t SET LAYOUT AUTO")
+        for _ in range(200):  # logged narrow scans of `a`: a split looks worthwhile
+            service.execute(session.session_id, "DELETE FROM t WHERE a = -1")
+        service.close()
+        bare = str(tmp_path / "copy.jsonl")
+        shutil.copy(os.path.join(directory, WAL_FILENAME), bare)
+
+        def table_lines(path):
+            return [l for l in replay_report(path).splitlines() if l.startswith("table ")]
+
+        assert table_lines(bare) == table_lines(directory)
+
+        workbook = Workbook()
+        replay_ops(workbook, committed_ops(read_wal(bare)[0]))
+        table = workbook.database.table("t")
+        recovered = recover_state(directory).workbook.database.table("t")
+        assert table.schema.groups == recovered.schema.groups == [["a", "b", "c", "d"]]
+        assert table.auto_layout and recovered.auto_layout
+        kinds = {event.kind for event in workbook.database.events.tail(None)}
+        assert not kinds & {"layout_advice", "migration_start"}
+        assert workbook.database.auto_layout_interval  # the guard restores it
+
     def test_main_replay_subcommand(self, tmp_path, capsys):
         directory = self.build(tmp_path)
         assert main(["replay", directory]) == 0

@@ -27,7 +27,8 @@ from repro.server import (
     recover_state,
     validate_op,
 )
-from repro.server.service import WAL_FILENAME
+from repro.server.service import OP_TYPES, OPS, WAL_FILENAME, OpEntry
+from repro.server.wal import TXN_MARKERS
 
 
 def make_service(tmp_path, name="svc", **kwargs) -> WorkbookService:
@@ -715,6 +716,204 @@ class TestOneServiceSideParse:
         assert validate_op(service.workbook, {"type": "sql", "sql": " begin; "}) is None
         assert validate_op(service.workbook, {"type": "add_sheet", "name": "S2"}) is None
         assert calls["service"] == 1
+
+
+#: One well-formed op per table entry, carrying every field the entry
+#: declares (``test_samples_cover_the_table`` keeps the two in step).
+SAMPLE_OPS = {
+    "set_cell": {"sheet": "Sheet1", "ref": "B2", "raw": 7},
+    "sql": {"sql": "INSERT INTO t VALUES (?, ?)", "params": [9, "z"]},
+    "add_sheet": {"name": "Other"},
+    "dbtable": {
+        "sheet": "Sheet1",
+        "anchor": "D1",
+        "table": "t",
+        "include_headers": True,
+        "window_rows": 5,
+    },
+    "dbsql": {
+        "sheet": "Sheet1",
+        "anchor": "H1",
+        "sql": "SELECT k FROM t",
+        "include_headers": False,
+    },
+    "layout_set": {"table": "t", "mode": "target", "groups": [["k"], ["v"]]},
+    "layout_step": {"table": "t", "groups": [["k"], ["v"]]},
+    "index_create": {
+        "name": "t_v",
+        "table": "t",
+        "column": "v",
+        "unique": False,
+        "if_not_exists": True,
+    },
+    "index_drop": {"name": "t_v", "if_exists": True},
+    **{
+        f"{verb}_{axis}": {"sheet": "Sheet1", "at": 50, "count": 2}
+        for verb in ("insert", "delete")
+        for axis in ("rows", "cols")
+    },
+}
+SAMPLE_OPS = {kind: {"type": kind, **fields} for kind, fields in SAMPLE_OPS.items()}
+
+WRONG = {"not": "this type"}  # an instance of no field type in the table
+
+MALFORMED = [
+    (kind, field, how)
+    for kind, entry in OPS.items()
+    for field, how in (
+        [(field, "dropped") for field in entry.required]
+        + [
+            (field, "ill-typed")
+            for field, wanted in {**entry.required, **entry.optional}.items()
+            if wanted is not object
+        ]
+    )
+]
+
+
+def assert_table_invariants(ops):
+    """What the retired registry lint policed, as plain assertions."""
+    assert set(TXN_MARKERS).isdisjoint(ops)
+    for kind, entry in ops.items():
+        assert callable(entry.validate) and callable(entry.apply), kind
+        assert callable(entry.logged), kind
+        assert set(entry.required).isdisjoint(entry.optional), kind
+        for promote in entry.promotions.values():
+            assert callable(promote), kind
+
+
+class TestOpTable:
+    @pytest.fixture
+    def served(self, tmp_path):
+        service = make_service(tmp_path)
+        session = service.connect("alice")
+        service.execute(session.session_id, "CREATE TABLE t (k INT PRIMARY KEY, v TEXT)")
+        service.execute(session.session_id, "INSERT INTO t VALUES (1, 'a'), (2, 'b')")
+        yield service, session.session_id
+        service.close()
+
+    def test_table_invariants(self):
+        assert OP_TYPES == tuple(OPS)
+        assert_table_invariants(OPS)
+
+    def test_samples_cover_the_table(self, served):
+        service, _ = served
+        assert set(SAMPLE_OPS) == set(OPS)
+        for kind, op in SAMPLE_OPS.items():
+            entry = OPS[kind]
+            assert set(op) == {"type", *entry.required, *entry.optional}, kind
+            validate_op(service.workbook, op)  # well-formed: raises otherwise
+
+    def test_whole_vocabulary_logs_and_replays(self, served, tmp_path):
+        service, session_id = served
+        for kind, op in SAMPLE_OPS.items():
+            lsn = service.wal.last_lsn
+            service.apply(session_id, op)
+            assert service.wal.last_lsn == lsn + 1, kind
+        live = service.workbook
+        service.close()
+        recovered = recover_state(str(tmp_path / "svc")).workbook
+        assert recovered.sheet_names() == live.sheet_names()
+        assert recovered.get("Sheet1", "D2") == live.get("Sheet1", "D2")
+        table = recovered.database.table("t")
+        assert table.n_rows == 3
+        assert table.schema.groups == live.database.table("t").schema.groups
+
+    @pytest.mark.parametrize("kind, field, how", MALFORMED)
+    def test_malformed_op_is_a_server_error_before_the_wal(
+        self, served, kind, field, how
+    ):
+        service, session_id = served
+        op = dict(SAMPLE_OPS[kind])
+        if how == "dropped":
+            del op[field]
+        else:
+            op[field] = WRONG
+        lsn, version, appends = (
+            service.wal.last_lsn, service.version, service.wal.stats.appends
+        )
+        with pytest.raises(ServerError, match=f"{kind} operation .*'{field}'"):
+            service.apply(session_id, op)
+        assert (service.wal.last_lsn, service.version) == (lsn, version)
+        assert service.wal.stats.appends == appends  # never reached the log
+
+    @pytest.mark.parametrize("marker", TXN_MARKERS)
+    def test_transaction_markers_are_not_client_ops(self, served, marker):
+        service, session_id = served
+        version, applied = service.version, service.ops_applied
+        with pytest.raises(ServerError, match="unknown operation type"):
+            service.apply(session_id, {"type": marker, "txn": 1})
+        assert (service.version, service.ops_applied) == (version, applied)
+
+    @pytest.mark.parametrize("kind", [k for k, e in OPS.items() if e.shift])
+    def test_structural_shift_matches_the_workbook_method(self, kind):
+        from repro import Workbook
+
+        entry = OPS[kind]
+        axis, sign = entry.shift
+        workbook = Workbook()
+        workbook.set("Sheet1", CellAddress(5, 5), "x")
+        entry.apply(workbook, {"type": kind, "sheet": "Sheet1", "at": 1, "count": 2})
+        moved = CellAddress(5 + 2 * sign, 5) if axis == "row" else CellAddress(5, 5 + 2 * sign)
+        assert workbook.get("Sheet1", moved) == "x"
+
+    def test_every_promotion_builds_a_valid_op(self, served):
+        from repro.engine import sql_ast
+        from repro.engine.sql_parser import parse_sql
+
+        service, _ = served
+        promotions = OPS["sql"].promotions
+        statements = {
+            sql_ast.AlterTableStmt: "ALTER TABLE t SET LAYOUT COLUMN",
+            sql_ast.CreateIndexStmt: "CREATE UNIQUE INDEX IF NOT EXISTS t_v ON t (v)",
+            sql_ast.DropIndexStmt: "DROP INDEX IF EXISTS t_v",
+        }
+        assert set(statements) == set(promotions)
+        for cls, sql in statements.items():
+            (statement,) = parse_sql(sql)
+            promoted = promotions[cls](statement)
+            assert promoted["type"] in OPS and promoted["type"] != "sql"
+            validate_op(service.workbook, promoted)
+        (other_alter,) = parse_sql("ALTER TABLE t ADD COLUMN w INT")
+        assert promotions[sql_ast.AlterTableStmt](other_alter) is None  # stays SQL
+
+    def test_a_new_op_is_one_table_entry(self, served, tmp_path, monkeypatch):
+        """Nothing outside the table knows the vocabulary: an entry added
+        here is validated, logged, applied and replayed."""
+
+        def validate_stamp(workbook, op):
+            workbook.sheet(op["sheet"])
+
+        def apply_stamp(workbook, op):
+            workbook.set(op["sheet"], "Z1", "stamped")
+
+        monkeypatch.setitem(
+            OPS, "stamp", OpEntry(validate_stamp, apply_stamp, required={"sheet": str})
+        )
+        assert_table_invariants(OPS)
+        service, session_id = served
+        with pytest.raises(ServerError, match="stamp operation .*'sheet'"):
+            service.apply(session_id, {"type": "stamp"})
+        with pytest.raises(SheetError):
+            service.apply(session_id, {"type": "stamp", "sheet": "Nope"})
+        result = service.apply(session_id, {"type": "stamp", "sheet": "Sheet1"})
+        assert service.wal.records()[-1].op == {"type": "stamp", "sheet": "Sheet1"}
+        assert result.lsn == service.wal.last_lsn
+        assert service.workbook.get("Sheet1", "Z1") == "stamped"
+        service.close()
+        assert recover_state(str(tmp_path / "svc")).workbook.get("Sheet1", "Z1") == "stamped"
+
+    def test_one_transaction_command_normaliser(self, served):
+        from repro.engine.database import txn_command
+
+        service, session_id = served
+        assert txn_command(" Begin Transaction ; ") == "begin"
+        assert txn_command("END") == "commit" and txn_command("abort;") == "rollback"
+        assert txn_command("SELECT 1") is None
+        service.execute(session_id, " Begin Transaction ; ")
+        assert service.workbook.database.in_transaction
+        service.execute(session_id, "abort;")
+        assert not service.workbook.database.in_transaction
 
 
 class TestCrashRecoveryInvariant:

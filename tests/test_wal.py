@@ -16,6 +16,7 @@ from repro.server.wal import (
     WriteAheadLog,
     committed_ops,
     read_wal,
+    transaction_brackets,
 )
 
 
@@ -184,6 +185,25 @@ class TestTransactions:
         wal.close()
         ops = committed_ops(wal.records())
         assert [o["raw"] for o in ops] == [1, 2, 3]
+
+    def test_one_reader_names_the_open_bracket(self, tmp_path):
+        path = wal_path(tmp_path)
+        wal = WriteAheadLog(path, fsync=False)
+        wal.append(op(1))
+        wal.append({"type": "txn_begin", "txn": 1})
+        wal.append(op(2))
+        wal.append({"type": "txn_commit", "txn": 1})
+        closed = wal.records()
+        dangling = wal.append({"type": "txn_begin", "txn": 2})
+        wal.append(op(3))
+        wal.close()
+        assert transaction_brackets(closed) == (committed_ops(closed), None)
+        ops, open_begin = transaction_brackets(wal.records())
+        assert [o["raw"] for o in ops] == [1, 2]
+        assert (open_begin.lsn, open_begin.offset) == (dangling.lsn, dangling.offset)
+        # ...and that record is where open-time repair cuts the log
+        with WriteAheadLog(path, fsync=False) as repaired:
+            assert repaired.end_offset == dangling.offset
 
     def test_open_repairs_dangling_bracket(self, tmp_path):
         """A crash after txn_begin but before the commit marker leaves a
