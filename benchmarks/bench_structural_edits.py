@@ -1,24 +1,22 @@
 """Structural edits through positional mapping: logical work scales with
-the *affected set*, not the sheet.
+what the edit touches, not the sheet.
 
 The seed implementation of ``Workbook._structural_edit`` physically
 relocated every cell below/right of the edit (O(occupied cells)) and then
 reset the compute engine and reparsed/re-registered **every** formula on
 every sheet (O(total formulas)).  The positional-mapping path splices the
-cell store's key space instead — zero cells move — and uses the dependency
-graph's tile-bucketed subscriptions to rewrite only the formulas whose
-references actually intersect the shifted half-space.
+cell store's key space instead — zero cells move — and, because every
+formula's references are bound to those same keys, rewrites and reparses
+no formula at all.
 
 Claims measured (and asserted) here, via the existing logical-work
 counters (``CellStoreStats.cells_moved``/``cells_dropped``,
 ``ComputeStats.reparses``):
 
 * inserting 1 row into a 100k-cell sheet with 1k formulas moves **0**
-  stored cells;
-* it reparses only the formulas whose references intersect the shifted
-  region — ≥50× fewer than the seed's reparse-everything behaviour;
-* deleting the inserted row is equally cheap, and only deletes that
-  actually remove occupied cells pay a per-cell drop cost.
+  stored cells and reparses **0** formulas;
+* deleting a row is equally cheap, and only deletes that actually remove
+  occupied cells pay a per-cell drop cost.
 
 Run ``BENCH_SMOKE=1`` (the CI smoke step) to shrink the sheet while
 keeping every assertion live, so the benchmark cannot bit-rot.
@@ -41,7 +39,6 @@ N_ROWS = 200 if SMOKE else 1000
 N_COLS = 10 if SMOKE else 100          # N_ROWS * N_COLS stored cells
 FORMULA_EVERY = 2 if SMOKE else 1      # a formula in col A every k-th row
 EDIT_AT = N_ROWS - 10                  # insertion point near the bottom
-MIN_RATIO = 10 if SMOKE else 50        # affected set vs total formulas
 
 
 def build_workbook() -> Workbook:
@@ -58,15 +55,11 @@ def build_workbook() -> Workbook:
 
 
 def test_insert_row_logical_work():
-    """The acceptance numbers: 0 cells moved, reparses bounded by the
-    affected set, ≥MIN_RATIO× below the seed's total-reparse behaviour."""
+    """The acceptance numbers: 0 cells moved, 0 formulas reparsed."""
     workbook = build_workbook()
     store = workbook.sheet("Sheet1").store
     n_formulas = workbook.compute.n_formulas
-    # Formulas whose references intersect rows >= EDIT_AT (each formula
-    # references its own row, so this is exactly the bottom slice).
     formula_rows = range(0, N_ROWS, FORMULA_EVERY)
-    affected = sum(1 for row in formula_rows if row >= EDIT_AT)
     store.stats.reset()
     workbook.compute.stats.reset()
 
@@ -77,28 +70,23 @@ def test_insert_row_logical_work():
     moved = store.stats.cells_moved
     reparses = workbook.compute.stats.reparses
     print(
-        f"\ninsert 1 row @ {EDIT_AT} on {store.stats and len(store)} cells / "
+        f"\ninsert 1 row @ {EDIT_AT} on {len(store)} cells / "
         f"{n_formulas} formulas: {elapsed * 1000:.2f} ms, "
         f"cells moved {moved}, reparses {reparses} "
         f"(seed would reparse {n_formulas})"
     )
     assert moved == 0, "positional mapping must not relocate stored cells"
-    assert reparses <= affected, "reparses must be bounded by the affected set"
-    assert reparses * MIN_RATIO <= n_formulas, (
-        f"expected >= {MIN_RATIO}x fewer reparses than the seed's "
-        f"{n_formulas}, got {reparses}"
-    )
+    assert reparses == 0, "formulas are bound to the mapper's keys: nothing to reparse"
     # The workbook is still correct: a moved formula follows its row.
     last_formula_row = max(formula_rows)
     assert workbook.get("Sheet1", CellAddress(last_formula_row + 1, 0)) == 2.0
 
 
 def test_delete_rows_logical_work():
-    """Deletes drop only the cells that occupied the removed slice and
-    reparse only the intersecting formulas — nothing moves."""
+    """Deletes drop only the cells that occupied the removed slice —
+    nothing moves, nothing is reparsed."""
     workbook = build_workbook()
     store = workbook.sheet("Sheet1").store
-    n_formulas = workbook.compute.n_formulas
     store.stats.reset()
     workbook.compute.stats.reset()
 
@@ -106,7 +94,7 @@ def test_delete_rows_logical_work():
 
     assert store.stats.cells_moved == 0
     assert store.stats.cells_dropped == N_COLS + (1 if EDIT_AT % FORMULA_EVERY == 0 else 0)
-    assert workbook.compute.stats.reparses * MIN_RATIO <= n_formulas
+    assert workbook.compute.stats.reparses == 0
 
 
 def test_insert_delete_wallclock(benchmark):

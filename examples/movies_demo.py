@@ -58,7 +58,7 @@ def main() -> None:
     )
     wb.create_table_from_range("Ratings", "A1:B5", "ratings", primary_key="movieid")
     print("table created; sheet now shows a DBTABLE:",
-          wb["Ratings"].cell("A1").formula)
+          wb.formula_text("Ratings", "A1"))
     result = wb.execute(
         "SELECT m.title, r.stars FROM movies m "
         "JOIN ratings r ON m.movieid = r.movieid ORDER BY r.stars DESC"

@@ -12,6 +12,19 @@ practice :class:`repro.core.workbook.Workbook` — through the small
   results are always consistent regardless of scheduling,
 * cycles render ``#CIRC!`` into every participating cell.
 
+Everything in here is **physical**: a :data:`CellKey` is ``(sheet, row key,
+col key)`` over the sheet's positional mappers; ``_formulas`` — the only
+stored form of a formula — maps such a key to a parsed AST whose references
+are bound to such keys; the scheduler's dirty set holds such keys.  The
+host translates logical addresses in and positions out
+(``ComputeHost.locate``); the engine only asks it for a sheet's mappers
+(``ComputeHost.axes``) to lay a bound range out in its current logical
+order.  Inserting or deleting rows and columns therefore changes no
+formula, edge or dirty mark: :meth:`ComputeEngine.rekey_formulas`
+re-buckets the range subscriptions that reach the edit and reports the
+formulas a delete left pointing at a freed key — work proportional to
+those, not to the sheet.
+
 ``ComputeStats.evaluations`` counts formula executions — the metric E7 uses
 to show that time-to-visible work is proportional to the window, not to the
 sheet.
@@ -19,13 +32,13 @@ sheet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.compute.graph import CellKey, DependencyGraph
 from repro.compute.scheduler import RecalcScheduler
 from repro.core.address import CellAddress, RangeAddress
-from repro.errors import CircularDependencyError, FormulaError, FormulaEvalError, FormulaSyntaxError
+from repro.errors import CircularDependencyError, FormulaEvalError
 from repro.formula.dependency import extract_dependencies
 from repro.formula.evaluator import EvalContext, RangeValues, evaluate_formula
 from repro.formula.nodes import FormulaNode
@@ -49,6 +62,17 @@ class ComputeHost:
     def call_extension(self, name: str, args: List[Any], at: CellKey) -> Any:
         raise FormulaEvalError(f"unknown function {name}", "#NAME?")
 
+    def locate(self, key: CellKey) -> Optional[Tuple[int, int]]:
+        """Current logical (row, col) of a key; ``None`` once a delete
+        freed it.  The identity for a host without structural edits."""
+        return key[1], key[2]
+
+    def axes(self, sheet: str) -> Optional[Tuple[Any, Any]]:
+        """The sheet's (row, column) positional mappers; ``None`` where
+        keys are positions (no such sheet, a host without structural
+        edits)."""
+        return None
+
 
 @dataclass
 class ComputeStats:
@@ -57,9 +81,13 @@ class ComputeStats:
     scheduled_evaluations: int = 0
     errors: int = 0
     cycles: int = 0
-    #: formula (re)parses via register_formula — the logical-work metric
-    #: bench_structural_edits uses to show edits no longer reparse the world.
+    #: formula installs via register_formula: one per formula set or
+    #: restored, and one per range a structural delete clamped.
     reparses: int = 0
+    #: entries a structural edit looked at — range subscriptions reaching
+    #: the edit, formulas on or referencing a deleted key.  The logical-work
+    #: metric showing a splice does not depend on the size of the sheet.
+    splice_touched: int = 0
 
     def reset(self) -> None:
         self.evaluations = 0
@@ -68,10 +96,11 @@ class ComputeStats:
         self.errors = 0
         self.cycles = 0
         self.reparses = 0
+        self.splice_touched = 0
 
 
 class _EngineEvalContext(EvalContext):
-    """Resolves references by demanding values from the engine."""
+    """Resolves bound references by demanding values from the engine."""
 
     def __init__(self, engine: "ComputeEngine", base_sheet: str, at: CellKey):
         self._engine = engine
@@ -84,15 +113,12 @@ class _EngineEvalContext(EvalContext):
 
     def range_values(self, reference: RangeAddress) -> RangeValues:
         sheet = reference.sheet or self._base_sheet
-        grid: List[List[Any]] = []
-        for row in range(reference.start.row, reference.end.row + 1):
-            grid.append(
-                [
-                    self._engine.demand_value((sheet, row, col))
-                    for col in range(reference.start.col, reference.end.col + 1)
-                ]
-            )
-        return RangeValues(grid)
+        demand = self._engine.demand_value
+        row_keys, col_keys = self._engine.keys_between(sheet, reference)
+        col_keys = list(col_keys)
+        return RangeValues(
+            [[demand((sheet, row, col)) for col in col_keys] for row in row_keys]
+        )
 
     def call_extension(self, name: str, args: List[Any]) -> Any:
         return self._engine.host.call_extension(name, args, self._at)
@@ -103,30 +129,50 @@ class ComputeEngine:
 
     def __init__(self, host: ComputeHost, eager: bool = True):
         self.host = host
-        self.graph = DependencyGraph()
+        self.graph = DependencyGraph(host.locate)
         self.scheduler = RecalcScheduler()
         self.stats = ComputeStats()
         self.eager = eager
         self._formulas: Dict[CellKey, FormulaNode] = {}
-        # sheet -> formula keys on it, so structural edits enumerate only
-        # the edited sheet's formulas (not the whole workbook's).
-        self._formulas_by_sheet: Dict[str, Set[CellKey]] = {}
         self._eval_stack: List[CellKey] = []
+
+    def keys_between(
+        self, sheet: str, reference: RangeAddress
+    ) -> Tuple[Iterable[int], Iterable[int]]:
+        """The row keys and the column keys a bound range spans right now,
+        each in logical order (``mapper.keys`` walks ``mapper.intervals``)."""
+        start, end = reference.start, reference.end
+        axes = self.host.axes(sheet)
+        if axes is None:
+            return range(start.row, end.row + 1), range(start.col, end.col + 1)
+        spans = []
+        for mapper, lo_key, hi_key in (
+            (axes[0], start.row, end.row),
+            (axes[1], start.col, end.col),
+        ):
+            if mapper.pristine:
+                spans.append(range(lo_key, hi_key + 1))
+                continue
+            lo, hi = mapper.position_of(lo_key), mapper.position_of(hi_key)
+            if lo is None or hi is None:
+                raise FormulaEvalError("range corner was deleted", "#REF!")
+            spans.append(mapper.keys(lo, hi))
+        return spans[0], spans[1]
 
     # -- formula registration ------------------------------------------------
 
-    def register_formula(self, key: CellKey, source: str) -> None:
+    def register_formula(self, key: CellKey, formula: Union[str, FormulaNode]) -> None:
         """Install (or replace) a formula at ``key`` and schedule it.
 
-        Raises :class:`FormulaSyntaxError` on parse failure (the host keeps
-        the raw text and shows an error) and renders ``#CIRC!`` if the new
-        edge set closes a cycle.
+        ``formula`` is a bound AST.  Text is parsed as is, which binds it
+        only where keys are positions; it raises
+        :class:`FormulaSyntaxError` on parse failure.  Renders ``#CIRC!``
+        if the new edge set closes a cycle.
         """
-        node = parse_formula(source)
+        node = parse_formula(formula) if isinstance(formula, str) else formula
         self.stats.reparses += 1
         precedents = extract_dependencies(node, base_sheet=key[0])
         self._formulas[key] = node
-        self._formulas_by_sheet.setdefault(key[0], set()).add(key)
         self.graph.set_dependencies(key, precedents.cells, precedents.ranges)
         self.scheduler.mark_dirty(key)
         self._mark_dependents_dirty(key)
@@ -134,23 +180,12 @@ class ComputeEngine:
             self.drain()
 
     def unregister_formula(self, key: CellKey) -> None:
-        if self._formulas.pop(key, None) is not None:
-            bucket = self._formulas_by_sheet.get(key[0])
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self._formulas_by_sheet[key[0]]
+        self._formulas.pop(key, None)
         self.graph.clear_dependencies(key)
         self.scheduler.discard(key)
 
     def has_formula(self, key: CellKey) -> bool:
         return key in self._formulas
-
-    def formula_keys(self) -> List[CellKey]:
-        return list(self._formulas)
-
-    def formula_keys_on_sheet(self, sheet: str) -> List[CellKey]:
-        return list(self._formulas_by_sheet.get(sheet, ()))
 
     @property
     def n_formulas(self) -> int:
@@ -158,37 +193,44 @@ class ComputeEngine:
 
     # -- structural-edit support ---------------------------------------------
 
-    def rekey_formulas(self, mapping: Dict[CellKey, CellKey]) -> None:
-        """Relocate registered formulas to new keys without reparsing or
-        touching their dependency edges (a structural edit moved their
-        cells; their *text* is handled separately, and only when the
-        references actually changed).  Two-phase so old/new ranges may
-        overlap.  Dirty marks travel with the formula."""
-        if not mapping:
-            return
-        moved = {
-            old_key: self._formulas.pop(old_key)
-            for old_key in mapping
-            if old_key in self._formulas
-        }
-        for old_key in moved:
-            self._formulas_by_sheet[old_key[0]].discard(old_key)
-        for old_key, node in moved.items():
-            new_key = mapping[old_key]
-            self._formulas[new_key] = node
-            self._formulas_by_sheet.setdefault(new_key[0], set()).add(new_key)
-        self.graph.rekey_dependents({old: mapping[old] for old in moved})
-        dirty_moves = [old for old in moved if self.scheduler.is_dirty(old)]
-        for old_key in dirty_moves:
-            self.scheduler.discard(old_key)
-        for old_key in dirty_moves:
-            self.scheduler.mark_dirty(mapping[old_key])
+    def rekey_formulas(
+        self,
+        sheet: str,
+        axis: str,
+        at: int,
+        freed: List[Tuple[int, int]],
+        dropped: Iterable[CellKey],
+    ) -> Set[CellKey]:
+        """The single splice entry point: rows (``axis='row'``) or columns
+        of ``sheet`` were inserted or deleted at ``at``; ``freed`` are the
+        key intervals a delete released and ``dropped`` the keys of the
+        cells that lived on them.
+
+        No formula, cell edge or dirty mark is keyed by position, so none
+        moves.  Formulas on a dropped cell are forgotten (their readers
+        scheduled); the range subscriptions reaching the edit are
+        re-bucketed and the readers of those that gained or lost rows
+        scheduled.  Returns the formulas still holding a reference to a
+        freed key — a cell reference or a range corner — for the host to
+        re-bind or turn into ``#REF!``.  Nothing is recomputed here."""
+        for key in dropped:
+            if key in self._formulas:
+                self.stats.splice_touched += 1
+                self.drop_formula(key)
+        stale = self.graph.readers_of_keys(sheet, axis, freed) if freed else set()
+        resized, broken, touched = self.graph.resubscribe(sheet, axis, at)
+        self.stats.splice_touched += touched + len(stale)
+        stale.update(sub.dependent for sub in broken)
+        for sub in resized:
+            if sub.dependent not in stale:
+                self.invalidate_formula(sub.dependent)
+        return stale
 
     def invalidate_formula(self, key: CellKey) -> None:
         """Schedule ``key`` (and its transitive dependents) without
-        re-registering — used when a formula's *inputs* moved but its text
-        is untouched (e.g. a DBSQL anchor whose SQL-level precedent
-        shifted)."""
+        re-registering — used when a formula's *inputs* changed under an
+        untouched tree (a range that gained or lost rows, a DBSQL anchor
+        whose SQL-level precedent shifted)."""
         if key in self._formulas:
             self.scheduler.mark_dirty(key)
         self._mark_dependents_dirty(key)
@@ -212,7 +254,7 @@ class ComputeEngine:
         if self.eager and not self._eval_stack:
             self.drain()
 
-    def on_values_changed(self, keys: List[CellKey]) -> None:
+    def on_values_changed(self, keys: Iterable[CellKey]) -> None:
         for key in keys:
             self._mark_dependents_dirty(key)
         if self.eager and not self._eval_stack:
@@ -282,6 +324,8 @@ class ComputeEngine:
     # -- scheduling modes -----------------------------------------------------------
 
     def set_visible_predicate(self, predicate) -> None:
+        """``predicate`` sees this engine's physical keys (the workbook
+        wraps a viewport's logical one before handing it down)."""
         self.scheduler.set_visible_predicate(predicate)
 
     def recalc_visible(self) -> int:
@@ -320,14 +364,3 @@ class ComputeEngine:
     @property
     def pending(self) -> int:
         return self.scheduler.pending
-
-    def reset(self) -> None:
-        """Forget every formula and dependency (used after structural
-        edits, when the workbook re-registers all formulas at their new
-        addresses).  Stats and the visible predicate survive."""
-        predicate = self.scheduler._visible
-        self.graph = DependencyGraph()
-        self.scheduler = RecalcScheduler(predicate)
-        self._formulas.clear()
-        self._formulas_by_sheet.clear()
-        self._eval_stack.clear()

@@ -28,6 +28,8 @@ __all__ = [
     "column_index",
     "CellAddress",
     "RangeAddress",
+    "KeyAddress",
+    "KeyRange",
     "parse_reference",
 ]
 
@@ -356,6 +358,27 @@ class RangeAddress:
 
     def __iter__(self) -> Iterator[CellAddress]:
         return self.cells()
+
+
+class KeyAddress(CellAddress):
+    """A reference bound to a spliced sheet: ``row``/``col`` are the
+    positional mapper's stable keys, not positions.  Keys are neither
+    bounded by the A1 limits nor ordered like the positions they map to,
+    so nothing is validated; the sheet name and ``$`` flags ride along for
+    rendering.  Only the workbook makes these (``Workbook._install``)."""
+
+    def __post_init__(self) -> None:
+        pass
+
+
+class KeyRange(RangeAddress):
+    """A range as a pair of bound corners.  Its rows and columns are
+    whatever the mapper currently places between the corner keys, so the
+    range grows, shrinks and moves with structural edits; the corners are
+    not normalised because key order is not position order."""
+
+    def __post_init__(self) -> None:
+        pass
 
 
 def parse_reference(text: str):

@@ -6,9 +6,13 @@ A :class:`Cell` therefore carries a *value* plus an inferred
 kinds are aggregated into relational column types by
 :mod:`repro.core.table_io`.
 
-A cell may also hold a *formula* (text beginning with ``=``).  The formula
-source is retained verbatim; the evaluated value is cached on the cell and
-is invalidated/recomputed by the compute engine.
+A cell may also hold a *formula* (input beginning with ``=``).  What is
+kept is the parsed tree, never the source text: inside a workbook the
+tree's references are bound to the positional mapper's stable keys, so a
+structural edit cannot make it stale, and A1 text is rendered from it where
+something reads it (``Workbook.formula_text``, snapshots).  The evaluated
+value is cached on the cell and is invalidated/recomputed by the compute
+engine.
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ def coerce_scalar(raw: Any) -> Any:
     return raw
 
 
-@dataclass
+@dataclass(slots=True)
 class Cell:
     """One spreadsheet cell.
 
@@ -106,21 +110,30 @@ class Cell:
     value:
         The current (computed, for formula cells) value.
     formula:
-        The formula source text *without* the leading ``=``, or ``None`` for
-        plain-value cells.
+        The formula's AST (:class:`~repro.formula.nodes.FormulaNode`; bound
+        when a workbook installed it), or ``None`` for plain-value cells.
     kind:
         Dynamic type of ``value``; kept in sync by :meth:`set_value`.
     region_id:
         Identifier of the display region (``DBTABLE``/``DBSQL`` spill) this
         cell belongs to, or ``None`` for free-form cells.  Used by the
         interface manager to route edits (paper §3, Interface Manager).
+    meta:
+        Free-form annotations; the dict is made on first use, since a
+        sheet holds thousands of cells and almost none has any.
     """
 
     value: Any = None
-    formula: Optional[str] = None
+    formula: Optional[Any] = None
     kind: CellKind = CellKind.EMPTY
     region_id: Optional[int] = None
-    meta: dict = field(default_factory=dict)
+    _meta: Optional[dict] = field(default=None, repr=False)
+
+    @property
+    def meta(self) -> dict:
+        if self._meta is None:
+            self._meta = {}
+        return self._meta
 
     def __post_init__(self) -> None:
         if self.kind is CellKind.EMPTY and self.value is not None:
@@ -137,7 +150,9 @@ class Cell:
         """Apply raw user input: ``=...`` installs a formula, anything else
         is coerced and stored as a plain value."""
         if isinstance(raw, str) and raw.startswith("="):
-            self.formula = raw[1:]
+            from repro.formula.parser import parse_formula  # cycle: formula imports core.address
+
+            self.formula = parse_formula(raw[1:])
             # Value stays stale until the compute engine evaluates it.
         else:
             self.formula = None
@@ -154,7 +169,7 @@ class Cell:
         self.formula = None
         self.kind = CellKind.EMPTY
         self.region_id = None
-        self.meta.clear()
+        self._meta = None
 
     # -- inspection --------------------------------------------------------
 
@@ -182,10 +197,10 @@ class Cell:
             formula=self.formula,
             kind=self.kind,
             region_id=self.region_id,
-            meta=dict(self.meta),
+            _meta=dict(self._meta) if self._meta else None,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.is_formula:
-            return f"Cell(={self.formula!r} -> {self.value!r})"
+            return f"Cell(={self.formula.to_text()!r} -> {self.value!r})"
         return f"Cell({self.value!r})"

@@ -46,22 +46,13 @@ class SheetRangeResolver(RangeResolver):
 
     def resolve_range_value(self, reference: str) -> Any:
         address = CellAddress.parse(reference)
-        sheet = address.sheet or self.base_sheet
-        return self.workbook.compute.demand_value((sheet, address.row, address.col))
+        return self.workbook.get(address.sheet or self.base_sheet, address)
 
     def resolve_range_table(
         self, reference: str
     ) -> Tuple[List[str], List[Tuple[Any, ...]]]:
         rng = RangeAddress.parse(reference)
-        sheet = rng.sheet or self.base_sheet
-        grid: List[List[Any]] = []
-        for row in range(rng.start.row, rng.end.row + 1):
-            grid.append(
-                [
-                    self.workbook.compute.demand_value((sheet, row, col))
-                    for col in range(rng.start.col, rng.end.col + 1)
-                ]
-            )
+        grid = self.workbook.get_range(rng.sheet or self.base_sheet, rng)
         return grid_to_relation(grid, rng)
 
 
@@ -235,13 +226,13 @@ class DBSQLRegion:
         )
         # Clear cells from the previous extent that the new one doesn't cover
         # (only cells this region owns).
-        changed_keys = []
+        changed = []
         old_extent = self.context.extent
         if old_extent is not None:
             for address, cell in list(sheet.range_cells(old_extent)):
                 if cell.region_id == self.context.region_id and not new_extent.contains(address):
                     sheet.clear_cell(address)
-                    changed_keys.append((self.context.sheet, address.row, address.col))
+                    changed.append(address.anchor())
         for row_offset, row in enumerate(grid):
             for col_offset in range(n_cols):
                 value = row[col_offset] if col_offset < len(row) else None
@@ -257,10 +248,10 @@ class DBSQLRegion:
                     )
                 cell.set_value(value)
                 cell.region_id = self.context.region_id
-                changed_keys.append((self.context.sheet, address.row, address.col))
+                changed.append(address.anchor())
         self.context.extent = new_extent
-        # Anchor keeps its formula text; dependents of any spilled cell react.
-        self.workbook.compute.on_values_changed(changed_keys)
+        # Anchor keeps its formula; dependents of any spilled cell react.
+        self.workbook.on_cells_changed(self.context.sheet, changed)
         return grid[0][0] if grid and grid[0] else None
 
     # -- sync hooks --------------------------------------------------------------

@@ -130,7 +130,7 @@ class DBTableRegion:
             for address, cell in list(sheet.range_cells(old_extent)):
                 if cell.region_id == self.context.region_id and not new_extent.contains(address):
                     sheet.clear_cell(address)
-                    changed.append((self.context.sheet, address.row, address.col))
+                    changed.append(address.anchor())
         for row_offset, row in enumerate(grid):
             for col_offset in range(n_cols):
                 value = row[col_offset] if col_offset < len(row) else None
@@ -145,7 +145,7 @@ class DBTableRegion:
                     )
                 cell.set_value(value)
                 cell.region_id = self.context.region_id
-                changed.append((self.context.sheet, address.row, address.col))
+                changed.append(address.anchor())
         self.context.extent = new_extent
         # Key↔position mapping for edit translation.
         pk = table.schema.primary_key
@@ -155,7 +155,7 @@ class DBTableRegion:
         else:
             self.row_keys = list(range(self.offset, self.offset + len(rows)))
         self.refresh_count += 1
-        self.workbook.compute.on_values_changed(changed)
+        self.workbook.on_cells_changed(self.context.sheet, changed)
         return grid[0][0] if grid and grid[0] else None
 
     def scroll_to(self, offset: int) -> None:

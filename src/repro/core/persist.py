@@ -143,13 +143,14 @@ def workbook_to_dict(workbook: Workbook) -> Dict[str, Any]:
     for sheet in workbook.sheets.values():
         cells = []
         for row, col, cell in sheet.store.items():
-            if cell.region_id is not None and not cell.is_formula:
-                continue  # region body cells are re-rendered on load
+            if cell.region_id is not None:
+                # Region body cells are re-rendered on load and region
+                # anchors are restored from `regions`.
+                continue
             record: Dict[str, Any] = {"row": row, "col": col}
             if cell.is_formula:
-                record["formula"] = cell.formula
-                if cell.region_id is not None:
-                    continue  # region anchors are restored from `regions`
+                # Logical A1 text, rendered from the bound tree.
+                record["formula"] = workbook.formula_text(sheet.name, cell)
             else:
                 record["value"] = _encode_value(cell.value)
             cells.append(record)

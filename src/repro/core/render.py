@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.address import RangeAddress, column_label
+from repro.core.address import CellAddress, RangeAddress, column_label
 from repro.core.workbook import Workbook
 
 __all__ = ["render_window", "render_range"]
@@ -40,7 +40,7 @@ def render_window(
     for row in range(top, top + n_rows):
         rendered_row = []
         for col in range(left, left + n_cols):
-            workbook.compute.demand_value((sheet_name, row, col))
+            workbook.get(sheet_name, CellAddress(row, col))  # ensure fresh
             cell = sheet.cell_at(row, col)
             rendered_row.append(cell.display() if cell is not None else "")
         grid.append(rendered_row)

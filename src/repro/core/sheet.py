@@ -151,7 +151,7 @@ class Sheet:
     def n_cells(self) -> int:
         return len(self.store)
 
-    # -- formula inventory (used by the workbook for structural edits) -------
+    # -- formula inventory ----------------------------------------------------
 
     def formula_cells(self) -> Iterator[Tuple[CellAddress, Cell]]:
         for row, col, cell in self.store.items():
@@ -159,7 +159,7 @@ class Sheet:
                 yield CellAddress(row, col, sheet=self.name), cell
 
     # -- structural edits (key-space splices in the store — no cell moves;
-    #    the workbook rewrites formulas and re-anchors regions) -------------
+    #    the workbook re-anchors regions and tells the compute engine) ------
 
     def insert_rows(self, at: int, count: int = 1) -> int:
         return self.store.insert_rows(at, count)

@@ -30,8 +30,8 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.compute.engine import ComputeEngine, ComputeHost
 from repro.compute.graph import CellKey
-from repro.core.address import CellAddress, RangeAddress
-from repro.core.cell import Cell, coerce_scalar
+from repro.core.address import CellAddress, KeyAddress, KeyRange, RangeAddress
+from repro.core.cell import Cell
 from repro.core.context import RegionRegistry
 from repro.core.dbsql import DBSQLRegion
 from repro.core.dbtable import DBTableRegion
@@ -47,11 +47,8 @@ from repro.errors import (
     RegionError,
     SheetError,
 )
-from repro.formula.dependency import (
-    ReferenceDeleted,
-    adjust_formula_for_structural_edit,
-)
-from repro.formula.nodes import Call, Text
+from repro.formula.dependency import ReferenceDeleted
+from repro.formula.nodes import Call, FormulaNode, Text, map_refs
 from repro.formula.parser import parse_formula
 from repro.window.viewport import Viewport
 
@@ -112,6 +109,7 @@ class Workbook(ComputeHost):
     # ------------------------------------------------------------- observers
 
     def _notify_cell_written(self, key: CellKey, value: Any) -> None:
+        """``key`` is logical: what listeners (the server's deltas) speak."""
         for listener in self.cell_listeners:
             listener(key, value)
 
@@ -140,35 +138,97 @@ class Workbook(ComputeHost):
     def sheet_names(self) -> List[str]:
         return list(self.sheets)
 
-    # ------------------------------------------------------- ComputeHost hooks
+    # ------------------------------------- the logical <-> physical boundary
+    #
+    # Users, regions, the server and the WAL speak logical positions; the
+    # compute layer and every stored formula speak the mappers' physical
+    # keys.  Positions become keys here on the way in and keys positions on
+    # the way out, and while a sheet is unspliced both are the same number.
 
-    def read_value(self, key: CellKey) -> Any:
-        sheet_name, row, col = key
+    def key_of(self, sheet_name: str, address: CellAddress) -> CellKey:
+        """The compute layer's key for a logical address."""
         sheet = self.sheets.get(sheet_name)
         if sheet is None:
+            return (sheet_name, address.row, address.col)
+        return (sheet_name, *sheet.store.key_of(address.row, address.col))
+
+    def locate(self, key: CellKey) -> Optional[Tuple[int, int]]:
+        sheet = self.sheets.get(key[0])
+        if sheet is None:
+            return key[1], key[2]
+        return sheet.store.position_of(key[1], key[2])
+
+    def axes(self, sheet_name: str):
+        sheet = self.sheets.get(sheet_name)
+        return None if sheet is None else (sheet.store.rows, sheet.store.cols)
+
+    def _address_maps(self, base_sheet: str, to_keys: bool):
+        """The (cell, range) address functions that bind a logical tree's
+        references to keys (``to_keys``) or give a bound tree's references
+        their current positions back.  An unspliced sheet's addresses are
+        returned as they are — binding is the identity there."""
+        point, span = (KeyAddress, KeyRange) if to_keys else (CellAddress, RangeAddress)
+
+        def on_cell(address: CellAddress) -> CellAddress:
+            sheet = self.sheets.get(address.sheet or base_sheet)
+            if sheet is None or sheet.store.pristine:
+                return address
+            move = sheet.store.key_of if to_keys else sheet.store.position_of
+            row, col = move(address.row, address.col)
+            return point(row, col, address.sheet, address.row_absolute, address.col_absolute)
+
+        def on_range(reference: RangeAddress) -> RangeAddress:
+            start = on_cell(reference.start)
+            if start is reference.start:
+                return reference
+            return span(start, on_cell(reference.end))
+
+        return on_cell, on_range
+
+    def formula_text(self, sheet_name: str, ref: Union[RefLike, Cell]) -> Optional[str]:
+        """The A1 text (no leading ``=``) of the formula at ``ref`` — or of
+        the cell itself, for a caller that holds it — rendered from the
+        bound tree through the mappers; ``None`` for a plain cell."""
+        cell = ref if isinstance(ref, Cell) else self.sheet(sheet_name).cell(ref)
+        if cell is None or cell.formula is None:
             return None
-        return sheet.value_at(row, col)
+        return map_refs(cell.formula, *self._address_maps(sheet_name, False)).to_text()
+
+    # ------------------------------------------------------- ComputeHost hooks
+
+    def _cell(self, key: CellKey) -> Cell:
+        """The cell stored under a physical key, created blank if absent."""
+        store = self.sheet(key[0]).store
+        cell = store.at_key(key[1], key[2])
+        if cell is None:
+            cell = Cell()
+            store.put_key(key[1], key[2], cell)
+        return cell
+
+    def _written(self, key: CellKey, value: Any) -> None:
+        position = self.locate(key)
+        if position is not None:
+            self._notify_cell_written((key[0], *position), value)
+
+    def read_value(self, key: CellKey) -> Any:
+        sheet = self.sheets.get(key[0])
+        cell = sheet.store.at_key(key[1], key[2]) if sheet is not None else None
+        return cell.value if cell is not None else None
 
     def write_value(self, key: CellKey, value: Any) -> None:
-        sheet_name, row, col = key
-        cell = self.sheet(sheet_name).ensure_cell(CellAddress(row, col))
-        cell.set_value(value)
-        self._notify_cell_written(key, value)
+        self._cell(key).set_value(value)
+        self._written(key, value)
 
     def write_error(self, key: CellKey, code: str) -> None:
-        sheet_name, row, col = key
-        cell = self.sheet(sheet_name).ensure_cell(CellAddress(row, col))
-        cell.set_error(code)
-        self._notify_cell_written(key, code)
+        self._cell(key).set_error(code)
+        self._written(key, code)
 
     def call_extension(self, name: str, args: List[Any], at: CellKey) -> Any:
         upper = name.upper()
         if upper in ("DBSQL", "DBTABLE"):
-            region = self.regions.region_at(at[0], at[1], at[2])
-            if region is None or (
-                region.context.anchor.row != at[1]
-                or region.context.anchor.col != at[2]
-            ):
+            position = self.locate(at)
+            region = position and self.regions.region_at(at[0], *position)
+            if region is None or region.context.anchor.anchor() != position:
                 raise FormulaEvalError(
                     f"{upper} formula without a region at anchor", "#REF!"
                 )
@@ -197,16 +257,12 @@ class Workbook(ComputeHost):
 
     # ---------------------------------------------------------------- editing
 
-    def _key(self, sheet_name: str, address: CellAddress) -> CellKey:
-        return (sheet_name, address.row, address.col)
-
     def set(self, sheet_name: str, ref: RefLike, raw: Any) -> None:
         """Apply user input to a cell — the single entry point that routes
         between plain values, formulas, DataSpread constructs, and edits of
         database-backed regions."""
-        sheet = self.sheet(sheet_name)
+        self.sheet(sheet_name)
         address = ref if isinstance(ref, CellAddress) else CellAddress.parse(ref)
-        key = self._key(sheet_name, address)
 
         region = self.regions.region_at(sheet_name, address.row, address.col)
         is_anchor = region is not None and (
@@ -243,61 +299,91 @@ class Workbook(ComputeHost):
                 return
 
         if isinstance(raw, str) and raw.startswith("="):
-            self._set_formula(sheet, key, address, raw)
+            self._set_formula(sheet_name, address, parse_formula(raw[1:]))
             return
-        cell = sheet.ensure_cell(address)
+        key = self.key_of(sheet_name, address)
+        cell = self._cell(key)
         if cell.is_formula:
             self.compute.unregister_formula(key)
         cell.set_input(raw)
-        self._notify_cell_written(key, cell.value)
+        self._notify_cell_written((sheet_name, address.row, address.col), cell.value)
         with self.batch():
             self.compute.on_value_changed(key)
 
-    def _set_formula(
-        self, sheet: Sheet, key: CellKey, address: CellAddress, raw: str
-    ) -> None:
-        source = raw[1:]
-        node = parse_formula(source)
+    def _set_formula(self, sheet_name: str, address: CellAddress, node: FormulaNode) -> None:
         if isinstance(node, Call) and node.name in ("DBSQL", "DBTABLE"):
             if not (node.args and isinstance(node.args[0], Text)):
                 raise FormulaSyntaxError(
                     f"{node.name} expects a quoted string argument"
                 )
-            argument = node.args[0].value
-            if node.name == "DBSQL":
-                self._install_dbsql(sheet.name, address, argument, raw)
-            else:
-                self._install_dbtable(sheet.name, address, argument, raw)
+            kind = DBSQLRegion if node.name == "DBSQL" else DBTableRegion
+            region = kind(self, self.regions.new_id(), sheet_name, address, node.args[0].value)
+            self._install_region(region, node)
             return
-        cell = sheet.ensure_cell(address)
-        cell.set_input(raw)
-        # Announce before recalc: even when the formula's value is computed
-        # later (lazy mode, off-screen cell), observers must see that the
-        # cell was written (the optimistic stale check keys off this).
-        self._notify_cell_written(key, cell.value)
+        self._install(sheet_name, address, node)
+
+    def _install(
+        self, sheet_name: str, address: CellAddress, node: FormulaNode,
+        region: Any = None,
+    ) -> None:
+        """The one way a formula enters: ``node`` (logical, as parsed) is
+        bound to the mappers' keys and that one tree goes to the cell and to
+        the engine — no text is kept.  A region anchor also subscribes to
+        its SQL-level references (RANGEVALUE cells, RANGETABLE ranges)."""
+        key = self.key_of(sheet_name, address)
+        cell = self._cell(key)
+        cell.formula = map_refs(node, *self._address_maps(sheet_name, True))
+        if region is not None:
+            cell.region_id = region.context.region_id
+        else:
+            # Announce before recalc: even when the formula's value is
+            # computed later (lazy mode, off-screen cell), observers must
+            # see that the cell was written (the optimistic stale check
+            # keys off this).
+            self._notify_cell_written((sheet_name, address.row, address.col), cell.value)
         with self.batch():
-            self.compute.register_formula(key, source)
+            self.compute.register_formula(key, cell.formula)
+            if region is not None:
+                self._subscribe_region(key, region)
+
+    def _subscribe_region(self, key: CellKey, region: Any) -> None:
+        """(Re)bind a region's SQL-level references.  They live in the SQL
+        string as logical text nothing rewrites, so unlike a formula's they
+        are bound again after every structural edit that reaches them."""
+        cells = getattr(region, "precedent_cells", ())
+        ranges = getattr(region, "precedent_ranges", ())
+        if cells or ranges:
+            on_cell, on_range = self._address_maps(region.context.sheet, True)
+            self.compute.graph.set_dependencies(
+                key, map(on_cell, cells), map(on_range, ranges)
+            )
 
     def get(self, sheet_name: str, ref: RefLike) -> Any:
         """Current value (recomputing the cell first if it is dirty)."""
         address = ref if isinstance(ref, CellAddress) else CellAddress.parse(ref)
-        return self.compute.demand_value(self._key(sheet_name, address))
+        return self.compute.demand_value(self.key_of(sheet_name, address))
 
     def get_range(self, sheet_name: str, ref: Union[str, RangeAddress]) -> List[List[Any]]:
         reference = ref if isinstance(ref, RangeAddress) else RangeAddress.parse(ref)
-        return [
-            [
-                self.compute.demand_value((sheet_name, row, col))
-                for col in range(reference.start.col, reference.end.col + 1)
-            ]
-            for row in range(reference.start.row, reference.end.row + 1)
-        ]
+        rows = range(reference.start.row, reference.end.row + 1)
+        cols = range(reference.start.col, reference.end.col + 1)
+        axes = self.axes(sheet_name)
+        if axes is not None:
+            rows = axes[0].keys(rows[0], rows[-1])
+            cols = list(axes[1].keys(cols[0], cols[-1]))
+        demand = self.compute.demand_value
+        return [[demand((sheet_name, row, col)) for col in cols] for row in rows]
+
+    def on_cells_changed(self, sheet_name: str, positions: List[Tuple[int, int]]) -> None:
+        """A region rewrote the cells at these logical positions."""
+        sheet = self.sheet(sheet_name)
+        self.compute.on_values_changed(
+            [(sheet_name, *sheet.store.key_of(row, col)) for row, col in positions]
+        )
 
     def display(self, sheet_name: str, ref: RefLike) -> str:
         self.get(sheet_name, ref)  # ensure fresh
-        return self.sheet(sheet_name).display(
-            ref if isinstance(ref, CellAddress) else CellAddress.parse(ref)
-        )
+        return self.sheet(sheet_name).display(ref)
 
     # ----------------------------------------------------- DataSpread constructs
 
@@ -310,43 +396,11 @@ class Workbook(ComputeHost):
     ) -> DBSQLRegion:
         """Install ``=DBSQL("<sql>")`` at ``anchor`` (Fig 2a)."""
         address = anchor if isinstance(anchor, CellAddress) else CellAddress.parse(anchor)
-        return self._install_dbsql(
-            sheet_name, address, sql, None, include_headers=include_headers
-        )
-
-    def _install_dbsql(
-        self,
-        sheet_name: str,
-        address: CellAddress,
-        sql: str,
-        raw_formula: Optional[str],
-        include_headers: bool = False,
-    ) -> DBSQLRegion:
-        sheet = self.sheet(sheet_name)
         region = DBSQLRegion(
-            self,
-            self.regions.new_id(),
-            sheet_name,
-            address,
-            sql,
+            self, self.regions.new_id(), sheet_name, address, sql,
             include_headers=include_headers,
         )
-        self.regions.add(region)
-        cell = sheet.ensure_cell(address)
-        escaped = sql.replace('"', '""')
-        cell.set_input(raw_formula if raw_formula is not None else f'=DBSQL("{escaped}")')
-        cell.region_id = region.context.region_id
-        key = self._key(sheet_name, address)
-        with self.batch():
-            self.compute.register_formula(key, cell.formula)
-            # Widen the anchor's precedents with the SQL-level references
-            # (RANGEVALUE cells, RANGETABLE ranges).
-            self.compute.graph.set_dependencies(
-                key, region.precedent_cells, region.precedent_ranges
-            )
-            if not self.compute.eager:
-                pass  # lazy mode: first refresh happens on demand/drain
-        return region
+        return self._install_region(region, Call("DBSQL", (Text(sql),)))
 
     def dbtable(
         self,
@@ -358,51 +412,25 @@ class Workbook(ComputeHost):
     ) -> DBTableRegion:
         """Install ``=DBTABLE("<table>")`` at ``anchor`` (Fig 2b import)."""
         address = anchor if isinstance(anchor, CellAddress) else CellAddress.parse(anchor)
-        return self._install_dbtable(
-            sheet_name,
-            address,
-            table_name,
-            None,
-            include_headers=include_headers,
-            window_rows=window_rows,
-        )
-
-    def _install_dbtable(
-        self,
-        sheet_name: str,
-        address: CellAddress,
-        table_name: str,
-        raw_formula: Optional[str],
-        include_headers: bool = True,
-        window_rows: Optional[int] = None,
-    ) -> DBTableRegion:
-        sheet = self.sheet(sheet_name)
         region = DBTableRegion(
-            self,
-            self.regions.new_id(),
-            sheet_name,
-            address,
-            table_name,
-            include_headers=include_headers,
-            window_rows=window_rows,
+            self, self.regions.new_id(), sheet_name, address, table_name,
+            include_headers=include_headers, window_rows=window_rows,
         )
+        return self._install_region(region, Call("DBTABLE", (Text(table_name),)))
+
+    def _install_region(self, region: Any, node: FormulaNode) -> Any:
+        """Register ``region`` and install ``node`` — its construct, as
+        typed or as the API spells it — at its anchor."""
+        self.sheet(region.context.sheet)
         self.regions.add(region)
-        cell = sheet.ensure_cell(address)
-        cell.set_input(
-            raw_formula if raw_formula is not None else f'=DBTABLE("{table_name}")'
-        )
-        cell.region_id = region.context.region_id
-        key = self._key(sheet_name, address)
-        with self.batch():
-            self.compute.register_formula(key, cell.formula)
+        self._install(region.context.sheet, region.context.anchor, node, region)
         return region
 
     def remove_region(self, region_id: int) -> None:
         region = self.regions.get(region_id)
         if region is None:
             return
-        anchor = region.context.anchor
-        key = self._key(region.context.sheet, anchor)
+        key = self.key_of(region.context.sheet, region.context.anchor)
         self.compute.unregister_formula(key)
         region.clear()
         self.regions.remove(region_id)
@@ -434,14 +462,7 @@ class Workbook(ComputeHost):
             first_col_label=reference.start.col,
         )
         sheet.clear_range(reference)
-        self._install_dbtable(
-            sheet_name,
-            reference.start,
-            table_name,
-            None,
-            include_headers=True,
-            window_rows=window_rows,
-        )
+        self.dbtable(sheet_name, reference.start, table_name, window_rows=window_rows)
         return table
 
     # ------------------------------------------------------------ database I/O
@@ -456,7 +477,17 @@ class Workbook(ComputeHost):
 
     def set_viewport(self, viewport: Viewport) -> None:
         self.viewport = viewport
-        self.compute.set_visible_predicate(viewport.visible_predicate())
+        self.set_visible_predicate(viewport.visible_predicate())
+
+    def set_visible_predicate(self, predicate) -> None:
+        """Visible-first recalc over ``predicate(logical key)`` — a
+        viewport's, or the server's union over session panes."""
+
+        def visible(key: CellKey) -> bool:
+            position = self.locate(key)
+            return position is not None and predicate((key[0], *position))
+
+        self.compute.set_visible_predicate(visible)
 
     def recalc_visible(self) -> int:
         return self.compute.recalc_visible()
@@ -484,14 +515,17 @@ class Workbook(ComputeHost):
     def _structural_edit(self, sheet_name: str, axis: str, at: int, count: int) -> None:
         """Insert (count>0) or delete (count<0) rows/columns.
 
-        The positional-mapping fast path: the sheet's cell store splices
-        its key space (zero cells move), and only formulas whose references
-        actually intersect the shifted half-space — found through the
-        dependency graph's tile-bucketed subscriptions — are rewritten and
-        reparsed.  Formulas that merely *live* below the edit are re-keyed
-        (an O(1) dictionary move each), not reparsed, and nothing else is
-        recomputed.  Logical work is proportional to the affected set, not
-        the workbook."""
+        The sheet's cell store splices its key space (zero cells move), and
+        because every formula is bound to those keys the splice is also all
+        that happens to formulas: trees, formula keys, cell edges and dirty
+        marks stay as they are, and a range — a pair of corner keys — grows,
+        shrinks and moves with the rows between its corners.  What is left
+        is proportional to what the edit touches, not to the sheet: regions
+        re-anchor, the engine re-buckets the range subscriptions that reach
+        the edit and schedules the readers of those that gained or lost
+        rows, and after a delete the formulas that referenced a freed key
+        become ``#REF!`` — except a range that lost a corner but not every
+        row, which re-binds that corner to the surviving neighbour."""
         sheet = self.sheet(sheet_name)
         # Regions: refuse edits that cut through a region; shift those below/right.
         for region in self.regions.regions_on_sheet(sheet_name):
@@ -512,80 +546,76 @@ class Workbook(ComputeHost):
                     f"structural insert splits region "
                     f"{region.context.region_id} ({extent.to_a1()})"
                 )
-        # 1. formulas whose references intersect the shifted half-space —
-        #    resolved against the *pre-splice* graph, under their old keys.
-        affected = {
-            key
-            for key in self.compute.graph.dependents_intersecting(sheet_name, axis, at)
-            if self.compute.has_formula(key)
-        }
-        # 2. splice the key space: zero stored cells move; deletes purge
-        #    only the cells that occupied the removed slice.
-        removed = -count if count < 0 else 0
-        if axis == "row":
-            sheet.insert_rows(at, count) if count > 0 else sheet.delete_rows(at, removed)
-        else:
-            sheet.insert_cols(at, count) if count > 0 else sheet.delete_cols(at, removed)
-        # 3. re-anchor regions
-        delta = count
+        freed, dropped = sheet.store.splice(axis, at, count)
+        mapper = sheet.store.rows if axis == "row" else sheet.store.cols
         for region in self.regions.regions_on_sheet(sheet_name):
             extent = region.context.extent
             anchor = region.context.anchor
-            coordinate = anchor.row if axis == "row" else anchor.col
-            if coordinate >= at:
-                d_row = delta if axis == "row" else 0
-                d_col = delta if axis == "col" else 0
+            if getattr(anchor, axis) >= at:
+                d_row = count if axis == "row" else 0
+                d_col = count if axis == "col" else 0
                 region.context.anchor = anchor.translate(d_row, d_col)
                 if extent is not None:
                     region.context.extent = extent.translate(d_row, d_col)
-        # 4. re-key formulas located in the shifted half-space of this sheet
-        #    (their cells answered to new logical coordinates the moment the
-        #    store spliced) — a dictionary move, not a reparse.
-        mapping: Dict[CellKey, CellKey] = {}
-        doomed: List[CellKey] = []
-        for key in self.compute.formula_keys_on_sheet(sheet_name):
-            coordinate = key[1] if axis == "row" else key[2]
-            if coordinate < at:
-                continue
-            if count < 0 and coordinate < at + removed:
-                doomed.append(key)  # the formula's cell was deleted
-            elif axis == "row":
-                mapping[key] = (key[0], key[1] + delta, key[2])
-            else:
-                mapping[key] = (key[0], key[1], key[2] + delta)
-        for key in doomed:
-            affected.discard(key)
-            self.compute.drop_formula(key)
-        self.compute.rekey_formulas(mapping)
-        affected = {mapping.get(key, key) for key in affected}
-        # 5. rewrite only the affected formulas (the ≤|affected| reparses a
-        #    structural edit now costs), deferring recomputation to one
-        #    drain at the end.
-        was_eager = self.compute.eager
-        self.compute.eager = False
+
+        def alive(address: CellAddress, base_sheet: str) -> CellAddress:
+            if (address.sheet or base_sheet) == sheet_name and (
+                mapper.position_of(getattr(address, axis)) is None
+            ):
+                raise ReferenceDeleted(f"referenced {axis} was deleted")
+            return address
+
+        def clamped(reference: RangeAddress, base_sheet: str) -> RangeAddress:
+            if (reference.sheet or base_sheet) != sheet_name:
+                return reference
+            lo = mapper.position_of(getattr(reference.start, axis))
+            hi = mapper.position_of(getattr(reference.end, axis))
+            if lo is not None and hi is not None:
+                return reference
+            # The rows after the deleted slice now start at ``at``.
+            lo, hi = (at if lo is None else lo), (at - 1 if hi is None else hi)
+            if lo > hi:
+                raise ReferenceDeleted("every row of the range was deleted")
+            return KeyRange(
+                KeyAddress(**{**vars(reference.start), axis: mapper.physical_of(lo)}),
+                KeyAddress(**{**vars(reference.end), axis: mapper.physical_of(hi)}),
+            )
+
+        # Nothing may recompute until every reference to a freed key is
+        # re-bound or dead, so the recalculation is one drain at the end.
+        was_eager, self.compute.eager = self.compute.eager, False
         try:
-            for key in sorted(affected):
-                owner = self.sheet(key[0])
-                cell = owner.cell_at(key[1], key[2])
-                if cell is None or not cell.is_formula:
-                    continue
+            stale = self.compute.rekey_formulas(
+                sheet_name, axis, at, freed,
+                [(sheet_name, row, col) for row, col, cell in dropped if cell.is_formula],
+            )
+            for key in sorted(stale):
+                cell = self._cell(key)
                 if cell.region_id is not None:
-                    # DBSQL/DBTABLE anchor: references live inside the SQL
-                    # string and are not rewritten; re-render because a
-                    # precedent cell moved under it.
-                    self.compute.invalidate_formula(key)
-                    continue
+                    continue  # a region anchor: re-subscribed below
                 try:
-                    cell.formula = adjust_formula_for_structural_edit(
-                        cell.formula, axis, at, count, sheet_name, key[0]
+                    cell.formula = map_refs(
+                        cell.formula,
+                        lambda address: alive(address, key[0]),
+                        lambda reference: clamped(reference, key[0]),
                     )
                 except ReferenceDeleted:
                     cell.set_error("#REF!")
                     cell.formula = None
                     self.compute.drop_formula(key)
-                    self._notify_cell_written(key, cell.value)
-                    continue
-                self.compute.register_formula(key, cell.formula)
+                    self._written(key, cell.value)
+                else:
+                    self.compute.register_formula(key, cell.formula)
+            for region in self.regions.all():
+                cells = getattr(region, "precedent_cells", ())
+                ranges = getattr(region, "precedent_ranges", ())
+                if any(
+                    ref.sheet == sheet_name and getattr(ref, axis) >= at
+                    for ref in [*cells, *(reference.end for reference in ranges)]
+                ):
+                    key = self.key_of(region.context.sheet, region.context.anchor)
+                    self._subscribe_region(key, region)
+                    self.compute.invalidate_formula(key)
         finally:
             self.compute.eager = was_eager
         with self.batch():

@@ -11,27 +11,31 @@ referencing "enables us to copy expressions across cells while still
 maintaining the relative references"): relative references move by the
 paste delta, absolute (``$``) ones do not; references pushed off the sheet
 become ``#REF!`` errors.
+
+Structural edits (insert/delete rows or columns) rewrite nothing here: a
+workbook formula's references are bound to the positional mapper's stable
+keys (see :mod:`repro.formula.nodes`), so they follow their cells through a
+splice on their own.  :class:`ReferenceDeleted` is what the workbook raises
+while re-binding the few formulas that referenced a *deleted* key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import FrozenSet, List, Optional, Set, Tuple, Union
+from typing import FrozenSet, Optional, Set, Union
 
 from repro.core.address import CellAddress, RangeAddress
 from repro.errors import AddressError, FormulaError
-from repro.formula.nodes import (
-    Binary,
-    Call,
-    CellRef,
-    FormulaNode,
-    RangeRef,
-    Unary,
-    walk,
-)
+from repro.formula.nodes import CellRef, FormulaNode, RangeRef, map_refs, walk
 from repro.formula.parser import parse_formula
 
-__all__ = ["Precedents", "extract_dependencies", "shift_formula", "shift_node"]
+__all__ = [
+    "Precedents",
+    "extract_dependencies",
+    "shift_formula",
+    "shift_node",
+    "ReferenceDeleted",
+]
 
 
 @dataclass(frozen=True)
@@ -73,9 +77,10 @@ def extract_dependencies(
         elif isinstance(item, RangeRef):
             reference = item.range
             if reference.sheet is None and base_sheet is not None:
-                reference = RangeAddress(
-                    reference.start.with_sheet(base_sheet),
-                    reference.end.with_sheet(base_sheet),
+                reference = replace(  # keeps a bound range's class
+                    reference,
+                    start=reference.start.with_sheet(base_sheet),
+                    end=reference.end.with_sheet(base_sheet),
                 )
             ranges.add(reference)
     return Precedents(frozenset(cells), frozenset(ranges))
@@ -83,39 +88,18 @@ def extract_dependencies(
 
 def shift_node(node: FormulaNode, d_row: int, d_col: int) -> FormulaNode:
     """Return a copy of the AST with relative references shifted."""
-    if isinstance(node, CellRef):
+
+    def shift(address: CellAddress) -> CellAddress:
         try:
-            return CellRef(node.address.offset(d_row, d_col))
+            return address.offset(d_row, d_col)
         except AddressError:
             raise FormulaError(
-                f"reference {node.address.to_a1()} shifted off the sheet"
+                f"reference {address.to_a1()} shifted off the sheet"
             ) from None
-    if isinstance(node, RangeRef):
-        try:
-            return RangeRef(
-                RangeAddress(
-                    node.range.start.offset(d_row, d_col),
-                    node.range.end.offset(d_row, d_col),
-                )
-            )
-        except AddressError:
-            raise FormulaError(
-                f"range {node.range.to_a1()} shifted off the sheet"
-            ) from None
-    if isinstance(node, Binary):
-        return Binary(
-            node.op,
-            shift_node(node.left, d_row, d_col),
-            shift_node(node.right, d_row, d_col),
-        )
-    if isinstance(node, Unary):
-        return Unary(node.op, shift_node(node.operand, d_row, d_col))
-    if isinstance(node, Call):
-        return Call(
-            node.name,
-            tuple(shift_node(argument, d_row, d_col) for argument in node.args),
-        )
-    return node  # literals
+
+    return map_refs(
+        node, shift, lambda ref: RangeAddress(shift(ref.start), shift(ref.end))
+    )
 
 
 def shift_formula(source: str, d_row: int, d_col: int) -> str:
@@ -128,111 +112,3 @@ def shift_formula(source: str, d_row: int, d_col: int) -> str:
 class ReferenceDeleted(FormulaError):
     """A structural edit removed a row/column a formula referenced; the
     owning cell must display ``#REF!``."""
-
-
-def _adjust_coord(coord: int, at: int, count: int) -> int:
-    """New coordinate after inserting (count>0) or deleting (count<0)
-    ``abs(count)`` slots at ``at``.  Raises ReferenceDeleted when the
-    coordinate itself is removed."""
-    if count > 0:
-        return coord + count if coord >= at else coord
-    removed = -count
-    if coord >= at + removed:
-        return coord - removed
-    if coord >= at:
-        raise ReferenceDeleted(f"referenced slot {coord} deleted")
-    return coord
-
-
-def adjust_node_for_structural_edit(
-    node: FormulaNode,
-    axis: str,
-    at: int,
-    count: int,
-    sheet: str,
-    base_sheet: str,
-) -> FormulaNode:
-    """Rewrite references after inserting/deleting rows (``axis='row'``) or
-    columns (``axis='col'``) on ``sheet``.
-
-    Unlike copy/paste shifting, *absolute* references move too — the data
-    they pointed at moved.  Ranges clamp: a range losing interior rows
-    shrinks; a range losing *all* its rows raises ReferenceDeleted.
-    Unqualified references belong to ``base_sheet`` (the formula's sheet).
-    """
-    if axis not in ("row", "col"):
-        raise FormulaError(f"unknown axis {axis!r}")
-
-    def owner(address: CellAddress) -> str:
-        return address.sheet or base_sheet
-
-    def move_cell(address: CellAddress) -> CellAddress:
-        if owner(address) != sheet:
-            return address
-        if axis == "row":
-            return replace(address, row=_adjust_coord(address.row, at, count))
-        return replace(address, col=_adjust_coord(address.col, at, count))
-
-    def move_range(reference: RangeAddress) -> RangeAddress:
-        if owner(reference.start) != sheet:
-            return reference
-        start, end = reference.start, reference.end
-        if axis == "row":
-            lo, hi = start.row, end.row
-        else:
-            lo, hi = start.col, end.col
-        if count < 0:
-            removed = -count
-            new_lo, new_hi = lo, hi
-            if lo >= at:
-                new_lo = max(lo - removed, at) if lo < at + removed else lo - removed
-            if hi >= at:
-                if hi < at + removed:
-                    new_hi = at - 1
-                else:
-                    new_hi = hi - removed
-            if new_hi < new_lo or new_hi < 0:
-                raise ReferenceDeleted(f"range {reference.to_a1()} fully deleted")
-            lo, hi = new_lo, new_hi
-        else:
-            if lo >= at:
-                lo += count
-            if hi >= at:
-                hi += count
-        if axis == "row":
-            return RangeAddress(replace(start, row=lo), replace(end, row=hi))
-        return RangeAddress(replace(start, col=lo), replace(end, col=hi))
-
-    if isinstance(node, CellRef):
-        return CellRef(move_cell(node.address))
-    if isinstance(node, RangeRef):
-        return RangeRef(move_range(node.range))
-    if isinstance(node, Binary):
-        return Binary(
-            node.op,
-            adjust_node_for_structural_edit(node.left, axis, at, count, sheet, base_sheet),
-            adjust_node_for_structural_edit(node.right, axis, at, count, sheet, base_sheet),
-        )
-    if isinstance(node, Unary):
-        return Unary(
-            node.op,
-            adjust_node_for_structural_edit(node.operand, axis, at, count, sheet, base_sheet),
-        )
-    if isinstance(node, Call):
-        return Call(
-            node.name,
-            tuple(
-                adjust_node_for_structural_edit(arg, axis, at, count, sheet, base_sheet)
-                for arg in node.args
-            ),
-        )
-    return node
-
-
-def adjust_formula_for_structural_edit(
-    source: str, axis: str, at: int, count: int, sheet: str, base_sheet: str
-) -> str:
-    """Text-level convenience wrapper over
-    :func:`adjust_node_for_structural_edit`."""
-    node = parse_formula(source)
-    return adjust_node_for_structural_edit(node, axis, at, count, sheet, base_sheet).to_text()

@@ -37,8 +37,9 @@ vastly beyond any sheet); fresh physical keys are allocated past
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import DataSpreadError
 
@@ -237,6 +238,16 @@ class PositionalMapper:
 
         rec(self._root, 0)
         return out
+
+    def keys(self, lo: int, hi: int) -> Iterable[int]:
+        """Physical keys of logical positions ``lo..hi`` (inclusive), in
+        logical order — the rows (columns) a range bound to two corner
+        keys currently spans."""
+        if self.pristine:
+            return range(max(lo, 0), min(hi, LOGICAL_MAX - 1) + 1)
+        return itertools.chain.from_iterable(
+            range(phys_lo, phys_hi + 1) for phys_lo, phys_hi, _ in self.intervals(lo, hi)
+        )
 
     # -- reverse lookup -------------------------------------------------------
 

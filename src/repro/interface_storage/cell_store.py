@@ -88,12 +88,36 @@ class CellStore:
 
     # -- coordinate mapping -------------------------------------------------
 
-    def _phys(self, row: int, col: int) -> Tuple[int, int]:
+    @property
+    def pristine(self) -> bool:
+        """True until the first structural edit: keys are positions."""
+        return self.rows.pristine and self.cols.pristine
+
+    def key_of(self, row: int, col: int) -> Tuple[int, int]:
+        """Physical (row key, col key) of a logical position — what the
+        compute layer and bound formulas address cells by."""
         # Fast path: until the first structural edit both mappers are the
         # identity, and point access pays nothing for the indirection.
         prow = row if self.rows.pristine else self.rows.physical_of(row)
         pcol = col if self.cols.pristine else self.cols.physical_of(col)
         return prow, pcol
+
+    def position_of(self, prow: int, pcol: int) -> Optional[Tuple[int, int]]:
+        """Logical (row, col) a physical key pair currently answers to;
+        ``None`` once either key was freed by a delete."""
+        row = prow if self.rows.pristine else self.rows.position_of(prow)
+        col = pcol if self.cols.pristine else self.cols.position_of(pcol)
+        return None if row is None or col is None else (row, col)
+
+    # -- access by physical key (no translation) -----------------------------
+
+    def at_key(self, prow: int, pcol: int, default: Any = None) -> Any:
+        self.stats.point_reads += 1
+        return self._index.get(prow, pcol, default)
+
+    def put_key(self, prow: int, pcol: int, value: Any) -> None:
+        self.stats.point_writes += 1
+        self._index.put(prow, pcol, value)
 
     # -- point access ------------------------------------------------------
 
@@ -103,21 +127,21 @@ class CellStore:
         if row >= LOGICAL_MAX or col >= LOGICAL_MAX:
             raise ValueError("cell coordinates exceed the addressable sheet")
         self.stats.point_writes += 1
-        prow, pcol = self._phys(row, col)
+        prow, pcol = self.key_of(row, col)
         self._index.put(prow, pcol, value)
 
     def get(self, row: int, col: int, default: Any = None) -> Any:
         self.stats.point_reads += 1
         if row < 0 or col < 0 or row >= LOGICAL_MAX or col >= LOGICAL_MAX:
             return default
-        prow, pcol = self._phys(row, col)
+        prow, pcol = self.key_of(row, col)
         return self._index.get(prow, pcol, default)
 
     def delete(self, row: int, col: int) -> bool:
         self.stats.point_writes += 1
         if row < 0 or col < 0 or row >= LOGICAL_MAX or col >= LOGICAL_MAX:
             return False
-        prow, pcol = self._phys(row, col)
+        prow, pcol = self.key_of(row, col)
         return self._index.remove(prow, pcol)
 
     def __len__(self) -> int:
@@ -203,49 +227,53 @@ class CellStore:
 
     # -- structural edits ------------------------------------------------------
 
-    def _purge(self, intervals: List[Tuple[int, int]], axis: str) -> int:
+    def _purge(self, intervals: List[Tuple[int, int]], axis: str) -> List[Tuple[int, int, Any]]:
         """Remove every cell whose physical row/col falls in ``intervals``;
-        returns how many were dropped.  Cost is proportional to the blocks
-        overlapping the removed slice, not to the sheet."""
-        doomed: List[Tuple[int, int]] = []
+        returns the dropped ``(row key, col key, payload)`` triples.  Cost
+        is proportional to the blocks overlapping the removed slice, not to
+        the sheet."""
+        doomed: List[Tuple[int, int, Any]] = []
         for lo, hi in intervals:
             if axis == "row":
-                hits = self._index.query_range(lo, 0, hi, _PHYS_MAX)
+                doomed.extend(self._index.query_range(lo, 0, hi, _PHYS_MAX))
             else:
-                hits = self._index.query_range(0, lo, _PHYS_MAX, hi)
-            doomed.extend((prow, pcol) for prow, pcol, _ in hits)
-        for prow, pcol in doomed:
+                doomed.extend(self._index.query_range(0, lo, _PHYS_MAX, hi))
+        for prow, pcol, _ in doomed:
             self._index.remove(prow, pcol)
         self.stats.cells_dropped += len(doomed)
-        return len(doomed)
+        return doomed
+
+    def splice(
+        self, axis: str, at: int, count: int
+    ) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int, Any]]]:
+        """Insert (``count > 0``) or delete (``count < 0``) ``abs(count)``
+        rows (``axis='row'``) or columns at ``at`` by splicing the mapper's
+        key space: every cell past the edit answers to a shifted logical
+        position and **no stored cell moves**.  Returns the freed physical
+        key intervals (a delete's slice; an insert frees only what it
+        pushes off the end of the universe) and the cells that lived on
+        them, which are dropped."""
+        mapper = self.rows if axis == "row" else self.cols
+        freed = mapper.insert(at, count) if count > 0 else mapper.delete(at, -count)
+        return freed, self._purge(freed, axis)
 
     def insert_rows(self, at: int, count: int = 1) -> int:
-        """Splice ``count`` fresh rows in at ``at``.  Every cell at logical
-        ``row >= at`` now answers ``count`` rows lower — **no stored cell
-        moves**.  Returns the number of cells physically relocated (always
-        0 on this path)."""
-        if count <= 0:
-            return 0
-        self._purge(self.rows.insert(at, count), "row")
+        """Returns the number of cells physically relocated (always 0)."""
+        if count > 0:
+            self.splice("row", at, count)
         return 0
 
     def delete_rows(self, at: int, count: int = 1) -> int:
-        """Drop cells in rows ``[at, at+count)``; the rest shift up by
-        key-space splice.  Returns the number of cells dropped."""
-        if count <= 0:
-            return 0
-        return self._purge(self.rows.delete(at, count), "row")
+        """Returns the number of cells dropped."""
+        return len(self.splice("row", at, -count)[1]) if count > 0 else 0
 
     def insert_cols(self, at: int, count: int = 1) -> int:
-        if count <= 0:
-            return 0
-        self._purge(self.cols.insert(at, count), "col")
+        if count > 0:
+            self.splice("col", at, count)
         return 0
 
     def delete_cols(self, at: int, count: int = 1) -> int:
-        if count <= 0:
-            return 0
-        return self._purge(self.cols.delete(at, count), "col")
+        return len(self.splice("col", at, -count)[1]) if count > 0 else 0
 
     def clear_range(self, top: int, left: int, bottom: int, right: int) -> int:
         """Empty the rectangle; returns the number of cells removed."""
@@ -254,6 +282,6 @@ class CellStore:
         ]
         removed = 0
         for row, col in doomed:
-            prow, pcol = self._phys(row, col)
+            prow, pcol = self.key_of(row, col)
             removed += bool(self._index.remove(prow, pcol))
         return removed

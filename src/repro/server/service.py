@@ -617,9 +617,7 @@ class WorkbookService:
         self._region_versions: Dict[int, int] = {}
         self.sessions = SessionManager()
         self.broadcast = Broadcaster(self.sessions)
-        self.workbook.compute.set_visible_predicate(
-            self.sessions.visible_predicate()
-        )
+        self.workbook.set_visible_predicate(self.sessions.visible_predicate())
         self._collector = _DeltaCollector()
         self.workbook.cell_listeners.append(self._collector.on_cell)
         self.workbook.region_refresh_listeners.append(self._collector.on_region)

@@ -84,7 +84,7 @@ class TestCell:
         cell = Cell()
         cell.set_input("=A1+1")
         assert cell.is_formula
-        assert cell.formula == "A1+1"
+        assert cell.formula.to_text() == "A1+1"  # the parsed tree, not the text
 
     def test_formula_replaced_by_value(self):
         cell = Cell()

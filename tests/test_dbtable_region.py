@@ -34,7 +34,8 @@ class TestRender:
     def test_anchor_formula(self, wb_t):
         wb_t.dbtable("Sheet1", "A1", "items")
         cell = wb_t.sheet("Sheet1").cell("A1")
-        assert cell.formula == 'DBTABLE("items")'
+        assert cell.is_formula
+        assert wb_t.formula_text("Sheet1", "A1") == 'DBTABLE("items")'
 
     def test_set_formula_string(self, wb_t):
         wb_t.set("Sheet1", "A1", '=DBTABLE("items")')

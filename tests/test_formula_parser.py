@@ -164,3 +164,32 @@ class TestToText:
     def test_roundtrip(self, source):
         node = parse_formula(source)
         assert parse_formula(node.to_text()) == node
+
+    @pytest.mark.parametrize(
+        "source,text",
+        [
+            # Grouping the tree needs is put back ...
+            ("(A5+B5)*2", "(A5+B5)*2"),
+            ("-(A5+B5)", "-(A5+B5)"),
+            ("A5-(B5-1)", "A5-(B5-1)"),
+            ("A1/(B1*C1)", "A1/(B1*C1)"),
+            ("(2^3)^2", "(2^3)^2"),
+            ("-(2^2)", "-(2^2)"),
+            ("(A1=B1)=C1", "A1=B1=C1"),
+            ("A1=(B1=C1)", "A1=(B1=C1)"),
+            ('(A1&"x")=B1', 'A1&"x"=B1'),
+            ("SUM((A1+1)*2,(B1))", "SUM((A1+1)*2,B1)"),
+            # ... and only that: precedence and associativity do the rest.
+            ("((A1))+(B1*2)", "A1+B1*2"),
+            ("(A1-B1)-1", "A1-B1-1"),
+            ("2^(3^2)", "2^3^2"),
+            ("2^-A5", "2^-A5"),
+            ("-2^2", "-2^2"),
+            ("A1*-B1", "A1*-B1"),
+            ("--A1", "--A1"),
+        ],
+    )
+    def test_to_text_emits_minimal_parentheses(self, source, text):
+        node = parse_formula(source)
+        assert node.to_text() == text
+        assert parse_formula(text) == node

@@ -65,7 +65,7 @@ class TestFeature2ImportExport:
         assert table.column_names == ["sid", "name", "points"]
         assert table.schema.column("points").dtype.value == "INTEGER"
         # Sheet range replaced by a live DBTABLE view.
-        assert wb.sheet("Sheet1").cell("A1").formula == 'DBTABLE("roster")'
+        assert wb.formula_text("Sheet1", "A1") == 'DBTABLE("roster")'
         # Import the same table elsewhere.
         wb.add_sheet("View")
         wb.dbtable("View", "A1", "roster")

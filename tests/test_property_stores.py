@@ -273,6 +273,53 @@ def test_shift_roundtrip(row, col, d_row, d_col, row_abs, col_abs):
 
 
 # ---------------------------------------------------------------------------
+# Formula render: to_text puts back exactly the grouping the tree needs
+# ---------------------------------------------------------------------------
+
+from repro.core.address import CellAddress, RangeAddress  # noqa: E402
+from repro.formula import nodes as fn  # noqa: E402
+from repro.formula.parser import parse_formula  # noqa: E402
+
+_cells = st.builds(
+    lambda row, col, row_abs, col_abs: CellAddress(
+        row, col, row_absolute=row_abs, col_absolute=col_abs
+    ),
+    st.integers(0, 30), st.integers(0, 30), st.booleans(), st.booleans(),
+)
+_leaves = st.one_of(
+    st.integers(0, 99).map(fn.Number),
+    st.sampled_from([0.5, 2.25]).map(fn.Number),
+    st.sampled_from(["", "x", 'a"b']).map(fn.Text),
+    st.booleans().map(fn.Boolean),
+    _cells.map(fn.CellRef),
+    # (a 1x1 range renders as its cell, which parses as a cell reference)
+    st.builds(RangeAddress, _cells, _cells).filter(lambda r: r.size > 1).map(fn.RangeRef),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.builds(
+            fn.Binary,
+            st.sampled_from(["=", "<>", "<", "<=", ">", ">=", "&", "+", "-", "*", "/", "^"]),
+            children, children,
+        ),
+        st.builds(fn.Unary, st.sampled_from(["-", "+"]), children),
+        st.builds(
+            fn.Call, st.sampled_from(["SUM", "IF"]),
+            st.lists(children, min_size=1, max_size=3).map(tuple),
+        ),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_trees)
+def test_to_text_roundtrip(tree):
+    assert parse_formula(tree.to_text()) == tree
+
+
+# ---------------------------------------------------------------------------
 # Address parse/print roundtrip
 # ---------------------------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Property test: the positional-mapping structural-edit path agrees with
-a naive dict-of-cells model under random edit sequences, and WAL replay of
-the same operation log reproduces the identical sheet."""
+a naive dict-of-cells model (``structural_oracle.shift_model``: shift keys,
+rewrite formula text) under random edit sequences, and WAL replay of the
+same operation log reproduces the identical sheet."""
 
 from __future__ import annotations
 
@@ -11,12 +12,10 @@ from hypothesis import strategies as st
 
 from repro import Workbook
 from repro.core.address import CellAddress
-from repro.formula.dependency import (
-    ReferenceDeleted,
-    adjust_formula_for_structural_edit,
-)
 from repro.server.service import apply_op
 from repro.server.wal import WriteAheadLog, committed_ops, read_wal
+
+from structural_oracle import shift_model
 
 COORD = st.integers(0, 12)
 
@@ -40,37 +39,11 @@ def formula_text(ref_row: int, ref_col: int) -> str:
 
 
 def snapshot(workbook: Workbook):
-    """(row, col) -> (value, formula) for every occupied cell."""
+    """(row, col) -> (value, formula text) for every occupied cell."""
     return {
-        (row, col): (cell.value, cell.formula)
+        (row, col): (cell.value, workbook.formula_text("Sheet1", cell))
         for row, col, cell in workbook.sheet("Sheet1").store.items()
     }
-
-
-def shift_model(model, axis, at, count):
-    """Apply a structural edit to the naive dict model: shift keys, drop
-    deleted ones, rewrite formula text (the per-formula oracle)."""
-    index = 0 if axis == "row" else 1
-    removed = -count if count < 0 else 0
-    out = {}
-    for coord, raw in model.items():
-        position = coord[index]
-        if removed and at <= position < at + removed:
-            continue  # deleted slice
-        if position >= at + removed:
-            moved = position + count
-        else:
-            moved = position
-        new_coord = (moved, coord[1]) if axis == "row" else (coord[0], moved)
-        if isinstance(raw, str) and raw.startswith("="):
-            try:
-                raw = "=" + adjust_formula_for_structural_edit(
-                    raw[1:], axis, at, count, "Sheet1", "Sheet1"
-                )
-            except ReferenceDeleted:
-                raw = "#REF!"
-        out[new_coord] = raw
-    return out
 
 
 @settings(max_examples=30, deadline=None)

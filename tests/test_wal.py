@@ -243,7 +243,7 @@ class TestStructuralCrashRecovery:
     @staticmethod
     def sheet_state(workbook: Workbook):
         return {
-            (row, col): (cell.value, cell.formula)
+            (row, col): (cell.value, workbook.formula_text("Sheet1", cell))
             for row, col, cell in workbook.sheet("Sheet1").store.items()
         }
 
