@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 #: Spreadsheet error literals a cell can display.
-ERROR_LITERALS = ("#VALUE!", "#DIV/0!", "#REF!", "#NAME?", "#CIRC!", "#N/A")
+ERROR_LITERALS = ("#VALUE!", "#DIV/0!", "#REF!", "#NAME?", "#CIRC!", "#N/A", "#SPILL!")
 
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _DATE_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})$")

@@ -18,21 +18,23 @@ Implementation: a cell formula ``=DBSQL("SELECT ...")`` creates a
   the anchor (the single-pass claim E10 measures),
 * registers the referenced cells/ranges as compute-graph precedents of the
   anchor (editing ``B1`` re-runs the query) and the referenced tables in
-  its display context (a back-end change re-runs it too — Feature 3).
+  its display context (Feature 3: a back-end change is folded into a
+  maintained aggregate, skipped when the ``WHERE`` selects neither side
+  of it, and re-runs the query otherwise — see :mod:`repro.core.maintain`).
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Set, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.address import CellAddress, RangeAddress, parse_reference
-from repro.core.cell import Cell
+from repro.core.address import CellAddress, RangeAddress, column_label
 from repro.core.context import DisplayContext
+from repro.core.maintain import ROW_EVENTS, GroupView, Unmaintainable, build_view, classify
+from repro.core.spill import SpillRegion
 from repro.engine import sql_ast as ast
 from repro.engine.planner import RangeResolver
 from repro.engine.sql_parser import parse_statement
-from repro.errors import FormulaEvalError, RegionError, SqlError
-from repro.core.address import column_label
+from repro.errors import DataSpreadError, SqlError
 
 __all__ = ["SheetRangeResolver", "DBSQLRegion", "extract_sql_dependencies"]
 
@@ -165,8 +167,15 @@ def extract_sql_dependencies(
     return cells, ranges, tables
 
 
-class DBSQLRegion:
-    """A live query result displayed on a sheet."""
+class DBSQLRegion(SpillRegion):
+    """A live query result displayed on a sheet.
+
+    A single-table aggregate the :mod:`~repro.core.maintain` classifier
+    accepts keeps a :class:`~repro.core.maintain.GroupView` that each
+    change event of its table updates; :meth:`render` then rewrites only
+    the groups that changed.  Everything else — and any event the view
+    cannot absorb — marks the region stale, and :meth:`refresh`, the one
+    fallback, re-runs the held statement and rebuilds the view."""
 
     def __init__(
         self,
@@ -195,75 +204,92 @@ class DBSQLRegion:
             source_tables=set(tables),
             description=sql,
         )
+        self.shape = classify(self.statement)
+        #: compiled WHERE of the last refresh (None: every event re-queries).
+        self._passes: Optional[Callable[[Tuple[Any, ...]], bool]] = None
+        #: the maintained result (None: not maintainable, or stale).
+        self._view: Optional[GroupView] = None
         self.refresh_count = 0
         self.last_row_count = 0
 
     # -- rendering ------------------------------------------------------------
 
     def refresh(self) -> Any:
-        """Run the query once and spill; returns the anchor cell's value."""
-        workbook = self.workbook
-        resolver = SheetRangeResolver(workbook, self.context.sheet)
-        result = workbook.database.execute(self.sql, resolver=resolver)
+        """Re-query and spill; returns the anchor cell's value."""
         self.refresh_count += 1
-        self.last_row_count = len(result.rows)
-        grid: List[List[Any]] = []
-        if self.include_headers:
-            grid.append(list(result.columns))
-        grid.extend(list(row) for row in result.rows)
-        if not grid:
-            grid = [[None]]
-        anchor_value = self._spill(grid)
-        return anchor_value
+        self._passes = self._view = None
+        try:
+            return self._show(*self._query())
+        except DataSpreadError as error:
+            self._passes = self._view = None
+            return self.show_error(error)
 
-    def _spill(self, grid: List[List[Any]]) -> Any:
-        sheet = self.workbook.sheet(self.context.sheet)
-        anchor = self.context.anchor
-        n_rows = len(grid)
-        n_cols = max(len(row) for row in grid)
-        new_extent = RangeAddress.from_dimensions(
-            anchor.row, anchor.col, n_rows, n_cols, sheet=self.context.sheet
-        )
-        # Clear cells from the previous extent that the new one doesn't cover
-        # (only cells this region owns).
-        changed = []
-        old_extent = self.context.extent
-        if old_extent is not None:
-            for address, cell in list(sheet.range_cells(old_extent)):
-                if cell.region_id == self.context.region_id and not new_extent.contains(address):
-                    sheet.clear_cell(address)
-                    changed.append(address.anchor())
-        for row_offset, row in enumerate(grid):
-            for col_offset in range(n_cols):
-                value = row[col_offset] if col_offset < len(row) else None
-                address = CellAddress(anchor.row + row_offset, anchor.col + col_offset)
-                cell = sheet.ensure_cell(address)
-                if (
-                    cell.region_id not in (None, self.context.region_id)
-                    and not (address.row == anchor.row and address.col == anchor.col)
-                ):
-                    raise RegionError(
-                        f"DBSQL spill at {address.to_a1()} would overwrite "
-                        f"region {cell.region_id}"
+    def _show(self, columns: Sequence[str], rows: List[Sequence[Any]]) -> Any:
+        grid: List[Sequence[Any]] = [columns] if self.include_headers else []
+        grid.extend(rows)
+        value = self._spill(grid or [[None]], max(len(columns), 1))
+        self.last_row_count = len(rows)
+        return value
+
+    def _query(self) -> Tuple[List[str], List[Sequence[Any]]]:
+        database = self.workbook.database
+        shape = self.shape
+        if shape is not None:
+            table = database.table(shape.table)
+            self._passes = shape.compile_filter(table)
+            if shape.aggregate is not None:
+                try:
+                    self._view = build_view(shape, table, self._passes)
+                except Unmaintainable:
+                    self._view = None
+                else:
+                    # The rebuild scanned the table outside the executor.
+                    database.tracer.current.annotate_child(
+                        "GroupView", rows_scanned=table.n_rows
                     )
-                cell.set_value(value)
-                cell.region_id = self.context.region_id
-                changed.append(address.anchor())
-        self.context.extent = new_extent
-        # Anchor keeps its formula; dependents of any spilled cell react.
-        self.workbook.on_cells_changed(self.context.sheet, changed)
-        return grid[0][0] if grid and grid[0] else None
+                    return self._view.columns, self._view.rows()
+        resolver = SheetRangeResolver(self.workbook, self.context.sheet)
+        result = database.execute_statement(self.statement, resolver=resolver)
+        return list(result.columns), result.rows
+
+    def render(self) -> None:
+        """Show the groups the events since the last render changed."""
+        view = self._view
+        if view is None:
+            return
+        try:
+            rows = view.changes()
+            if rows is None:
+                self._show(view.columns, view.rows())
+            else:
+                offset = 1 if self.include_headers else 0
+                self._write_rows({offset + index: row for index, row in rows.items()})
+        except DataSpreadError as error:
+            self._passes = self._view = None
+            self.show_error(error)
 
     # -- sync hooks --------------------------------------------------------------
 
     def on_db_change(self, event) -> None:
-        """A source table changed: re-queue the anchor for recomputation."""
+        """Fold a change of a source table into the shown result, or mark
+        the region stale when that is not possible."""
+        passes = self._passes
+        if passes is not None and event.kind in ROW_EVENTS:
+            old_row, row = event.old_row, event.row
+            try:
+                old_in = old_row is not None and passes(old_row)
+                new_in = row is not None and passes(row)
+                if not (old_in or new_in):
+                    return  # neither side is selected: nothing shown changed
+                view = self._view
+                if view is not None:
+                    if old_in:
+                        view.fold(old_row, -1)
+                    if new_in:
+                        view.fold(row, 1)
+                    self.workbook.mark_region_patched(self)
+                    return
+            except (DataSpreadError, Unmaintainable, ArithmeticError, TypeError, ValueError):
+                pass
+        self._passes = self._view = None
         self.workbook.mark_region_stale(self)
-
-    def clear(self) -> None:
-        """Remove the spill from the sheet (region teardown)."""
-        sheet = self.workbook.sheet(self.context.sheet)
-        if self.context.extent is not None:
-            for address, cell in list(sheet.range_cells(self.context.extent)):
-                if cell.region_id == self.context.region_id:
-                    sheet.clear_cell(address)

@@ -18,24 +18,29 @@ A :class:`DBTableRegion`:
 * translates front-end cell edits into ``UPDATE``s (by primary key when
   available, by position otherwise), appended rows into ``INSERT``s and row
   deletions into ``DELETE``s,
-* refreshes from back-end :class:`~repro.engine.table.ChangeEvent`s.
+* follows back-end :class:`~repro.engine.table.ChangeEvent`s: it keeps the
+  rids it displays, so an update of one of them rewrites that row, any
+  other update or an insert/delete below the window changes nothing shown,
+  and only an insert/delete inside or above the window (or a schema
+  change) re-fetches the O(log n + w) window.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.address import CellAddress, RangeAddress
-from repro.core.cell import Cell, coerce_scalar
+from repro.core.cell import coerce_scalar
 from repro.core.context import DisplayContext
+from repro.core.spill import SpillRegion
 from repro.engine.table import ChangeEvent, Table
-from repro.errors import RegionError, SyncError
+from repro.errors import DataSpreadError, RegionError
 from repro.window.cache import WindowCache
 
 __all__ = ["DBTableRegion"]
 
 
-class DBTableRegion:
+class DBTableRegion(SpillRegion):
     """A live, two-way-synchronised view of one table."""
 
     def __init__(
@@ -54,7 +59,7 @@ class DBTableRegion:
         self.include_headers = include_headers
         self.window_rows = window_rows
         self.offset = 0  # first table position displayed
-        table = workbook.database.table(table_name)
+        workbook.database.table(table_name)
         self.context = DisplayContext(
             region_id=region_id,
             kind="dbtable",
@@ -66,12 +71,16 @@ class DBTableRegion:
         )
         #: display data-row offset -> primary key (or position when no PK)
         self.row_keys: List[Any] = []
+        # Blocks of rids, not rows: an update never makes a block stale.
         self.cache: Optional[WindowCache] = (
-            WindowCache(lambda start, count: table.window(start, count))
+            WindowCache(lambda start, count: self.table.positions.window(start, count))
             if use_cache
             else None
         )
-        self._suppress_events = False
+        #: rid -> display data row, while the window shown is current.
+        self._slot: Optional[Dict[int, int]] = None
+        #: display data row -> updated row, until the next render.
+        self._pending: Dict[int, Tuple[Any, ...]] = {}
         self.refresh_count = 0
 
     # -- geometry ---------------------------------------------------------------
@@ -97,66 +106,50 @@ class DBTableRegion:
 
     # -- rendering -----------------------------------------------------------------
 
-    def _fetch_window(self) -> List[Tuple[Any, ...]]:
+    def _fetch_window(self) -> Tuple[List[int], List[Tuple[Any, ...]]]:
         table = self.table
         if self.window_rows is None:
-            return [row for _, _, row in table.scan()]
+            shown = [(rid, row) for _, rid, row in table.scan()]
+            return [rid for rid, _ in shown], [row for _, row in shown]
         if self.cache is not None:
-            return self.cache.window(self.offset, self.window_rows)
-        return table.window(self.offset, self.window_rows)
+            rids = self.cache.window(self.offset, self.window_rows)
+        else:
+            rids = table.positions.window(self.offset, self.window_rows)
+        return rids, [table.get(rid) for rid in rids]
 
     def refresh(self) -> Any:
-        """Re-render the window; returns the anchor cell value."""
-        workbook = self.workbook
-        sheet = workbook.sheet(self.context.sheet)
-        table = self.table
-        anchor = self.context.anchor
-        rows = self._fetch_window()
-        names = table.column_names
-        grid: List[List[Any]] = []
-        if self.include_headers:
-            grid.append(list(names))
-        grid.extend(list(row) for row in rows)
-        if not grid:
-            grid = [[None] * max(len(names), 1)]
-        n_rows = len(grid)
-        n_cols = max(len(names), 1)
-        new_extent = RangeAddress.from_dimensions(
-            anchor.row, anchor.col, n_rows, n_cols, sheet=self.context.sheet
-        )
-        changed = []
-        old_extent = self.context.extent
-        if old_extent is not None:
-            for address, cell in list(sheet.range_cells(old_extent)):
-                if cell.region_id == self.context.region_id and not new_extent.contains(address):
-                    sheet.clear_cell(address)
-                    changed.append(address.anchor())
-        for row_offset, row in enumerate(grid):
-            for col_offset in range(n_cols):
-                value = row[col_offset] if col_offset < len(row) else None
-                address = CellAddress(anchor.row + row_offset, anchor.col + col_offset)
-                cell = sheet.ensure_cell(address)
-                if cell.region_id not in (None, self.context.region_id) and not (
-                    address.row == anchor.row and address.col == anchor.col
-                ):
-                    raise RegionError(
-                        f"DBTABLE render at {address.to_a1()} would overwrite "
-                        f"region {cell.region_id}"
-                    )
-                cell.set_value(value)
-                cell.region_id = self.context.region_id
-                changed.append(address.anchor())
-        self.context.extent = new_extent
-        # Key↔position mapping for edit translation.
-        pk = table.schema.primary_key
-        if pk is not None:
-            key_index = table.schema.column_index(pk)
-            self.row_keys = [row[key_index] for row in rows]
-        else:
-            self.row_keys = list(range(self.offset, self.offset + len(rows)))
+        """Re-fetch and re-render the window; returns the anchor cell value."""
         self.refresh_count += 1
-        self.workbook.on_cells_changed(self.context.sheet, changed)
-        return grid[0][0] if grid and grid[0] else None
+        self._slot = None
+        self._pending = {}
+        try:
+            table = self.table
+            rids, rows = self._fetch_window()
+            names = table.column_names
+            grid: List[Sequence[Any]] = [names] if self.include_headers else []
+            grid.extend(rows)
+            value = self._spill(grid or [[None] * max(len(names), 1)], max(len(names), 1))
+        except DataSpreadError as error:
+            return self.show_error(error)
+        self._slot = {rid: index for index, rid in enumerate(rids)}
+        self.row_keys = [self._row_key(index, row) for index, row in enumerate(rows)]
+        return value
+
+    def _row_key(self, index: int, row: Tuple[Any, ...]) -> Any:
+        """Key↔position mapping for edit translation."""
+        schema = self.table.schema
+        if schema.primary_key is None:
+            return self.offset + index
+        return row[schema.column_index(schema.primary_key)]
+
+    def render(self) -> None:
+        """Rewrite the displayed rows updated since the last render."""
+        pending, self._pending = self._pending, {}
+        if self._slot is None:
+            return  # a refresh already showed them
+        for index, row in pending.items():
+            self.row_keys[index] = self._row_key(index, row)
+        self._write_rows({self.header_rows + index: row for index, row in pending.items()})
 
     def scroll_to(self, offset: int) -> None:
         """Pan the window (only meaningful with bounded ``window_rows``)."""
@@ -164,6 +157,10 @@ class DBTableRegion:
         self.refresh()
 
     # -- front-end edits → database ----------------------------------------------------
+    #
+    # An edit is a table mutation and nothing else: its change event comes
+    # back through the sync manager like anyone else's and patches (or, for
+    # a row inserted into the window, re-fetches) what this region shows.
 
     def apply_edit(self, sheet_row: int, sheet_col: int, raw: Any) -> None:
         """Translate an edit of a region cell into a database mutation."""
@@ -175,18 +172,12 @@ class DBTableRegion:
             raise RegionError("DBTABLE header cells are read-only")
         value = coerce_scalar(raw)
         column = self.column_of(sheet_col)
-        self._suppress_events = True
-        try:
-            if data_row >= len(self.row_keys):
-                self._insert_row_from_sheet(sheet_row, sheet_col, column, value)
-            else:
-                position = self.offset + data_row
-                rid = table.rid_at(position)
-                table.update_rid(rid, {column: value}, position=position)
-        finally:
-            self._suppress_events = False
-        self._invalidate_cache()
-        self.refresh()
+        if data_row >= len(self.row_keys):
+            self._insert_row_from_sheet(sheet_row, sheet_col, column, value)
+        else:
+            position = self.offset + data_row
+            rid = table.rid_at(position)
+            table.update_rid(rid, {column: value}, position=position)
 
     def _insert_row_from_sheet(
         self, sheet_row: int, sheet_col: int, column: str, value: Any
@@ -214,43 +205,37 @@ class DBTableRegion:
         data_row = self.data_row_of(sheet_row)
         if not (0 <= data_row < len(self.row_keys)):
             raise RegionError(f"sheet row {sheet_row} is not a DBTABLE data row")
-        self._suppress_events = True
-        try:
-            self.table.delete_at(self.offset + data_row)
-        finally:
-            self._suppress_events = False
-        self._invalidate_cache()
-        self.refresh()
+        self.table.delete_at(self.offset + data_row)
 
     def insert_row(self, sheet_row: int, values: List[Any]) -> None:
         """Insert a tuple at the displayed position (positional insert)."""
         data_row = self.data_row_of(sheet_row)
         if not (0 <= data_row <= len(self.row_keys)):
             raise RegionError(f"sheet row {sheet_row} is not inside the DBTABLE")
-        self._suppress_events = True
-        try:
-            self.table.insert(values, position=self.offset + data_row)
-        finally:
-            self._suppress_events = False
-        self._invalidate_cache()
-        self.refresh()
+        self.table.insert(values, position=self.offset + data_row)
 
     # -- database → front-end -----------------------------------------------------------
 
-    def _invalidate_cache(self) -> None:
-        if self.cache is not None:
-            self.cache.invalidate()
-
     def on_db_change(self, event: ChangeEvent) -> None:
-        if self._suppress_events:
-            # Our own write; refresh() already runs after the edit.
-            return
-        self._invalidate_cache()
+        """An update of a displayed row patches it; an update of any other
+        row, or an insert/delete below the window, shows nothing new;
+        anything else re-fetches the window."""
+        kind = event.kind
+        if kind in ("insert", "delete") and self.cache is not None:
+            self.cache.invalidate()
+        slot = self._slot
+        if slot is not None:
+            if kind == "update":
+                index = slot.get(event.rid)
+                if index is not None:
+                    self._pending[index] = event.row
+                    self.workbook.mark_region_patched(self)
+                return
+            if (
+                kind in ("insert", "delete")
+                and self.window_rows is not None
+                and event.position >= self.offset + self.window_rows
+            ):
+                return
+        self._slot = None
         self.workbook.mark_region_stale(self)
-
-    def clear(self) -> None:
-        sheet = self.workbook.sheet(self.context.sheet)
-        if self.context.extent is not None:
-            for address, cell in list(sheet.range_cells(self.context.extent)):
-                if cell.region_id == self.context.region_id:
-                    sheet.clear_cell(address)

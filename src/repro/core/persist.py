@@ -185,6 +185,10 @@ def workbook_to_dict(workbook: Workbook) -> Dict[str, Any]:
 def workbook_from_dict(payload: Dict[str, Any], eager: bool = True) -> Workbook:
     """Rebuild a live workbook from :func:`workbook_to_dict` output.
 
+    The payload is consumed: each table's row list is emptied, entry by
+    entry, as the rows are loaded, so a restore never holds a table twice
+    (callers must not reuse ``payload`` afterwards).
+
     ``eager=False`` hands recalc scheduling to the caller (the server's
     visible-first pipeline): loaded formulas are still computed once here
     so the workbook is consistent, but later edits only *schedule* work."""
@@ -207,7 +211,9 @@ def workbook_from_dict(payload: Dict[str, Any], eager: bool = True) -> Workbook:
         schema = TableSchema(columns, spec.get("groups"))
         layout = LayoutPolicy(spec.get("layout", "hybrid"))
         table = database.create_table(spec["name"], schema, layout=layout)
-        for row in spec.get("rows", []):
+        rows = spec.get("rows", [])
+        for index, row in enumerate(rows):
+            rows[index] = None  # consumed: the table never exists twice
             table.insert([_decode_value(value) for value in row], emit=False)
         for index_spec in spec.get("indexes", []) or []:
             # Rebuild each secondary index from the just-loaded rows;
@@ -269,26 +275,32 @@ def workbook_from_dict(payload: Dict[str, Any], eager: bool = True) -> Workbook:
             CellAddress(record["row"], record["col"]),
             "=" + record["formula"],
         )
-    for record in payload.get("regions", []):
-        anchor = CellAddress.parse(record["anchor"])
-        if record["kind"] == "dbsql":
-            workbook.dbsql(
-                record["sheet"],
-                anchor,
-                record["sql"],
-                include_headers=record.get("include_headers", False),
-            )
-        else:
-            region = workbook.dbtable(
-                record["sheet"],
-                anchor,
-                record["table"],
-                include_headers=record.get("include_headers", True),
-                window_rows=record.get("window_rows"),
-            )
-            offset = record.get("offset", 0)
-            if offset:
-                region.scroll_to(offset)
+    # Every region is registered before any of them spills, so one whose
+    # result would overlap another shows #SPILL! as it did live instead of
+    # taking the other's cells first.
+    compute = workbook.compute
+    was_eager, compute.eager = compute.eager, False
+    try:
+        for record in payload.get("regions", []):
+            anchor = CellAddress.parse(record["anchor"])
+            if record["kind"] == "dbsql":
+                workbook.dbsql(
+                    record["sheet"],
+                    anchor,
+                    record["sql"],
+                    include_headers=record.get("include_headers", False),
+                )
+            else:
+                region = workbook.dbtable(
+                    record["sheet"],
+                    anchor,
+                    record["table"],
+                    include_headers=record.get("include_headers", True),
+                    window_rows=record.get("window_rows"),
+                )
+                region.offset = record.get("offset", 0)
+    finally:
+        compute.eager = was_eager
     workbook.recalc_all()
     return workbook
 

@@ -78,7 +78,8 @@ class Workbook(ComputeHost):
         #: ``listener(key, value)`` after any cell write (edits, formula
         #: recomputes, error renders) — the server's delta feed.
         self.cell_listeners: List[Any] = []
-        #: ``listener(region)`` after a display region re-renders.
+        #: ``listener(region)`` after a display region rewrote any of its
+        #: cells (a render that changed nothing announces nothing).
         self.region_refresh_listeners: List[Any] = []
         # Report the spreadsheet layer (sheets, compute, sync) through the
         # database's metrics registry so every layer scrapes as one surface.
@@ -104,6 +105,7 @@ class Workbook(ComputeHost):
             "compute_reparses": compute.reparses,
             "sync_events_received": sync.events_received,
             "sync_regions_refreshed": sync.regions_refreshed,
+            "sync_regions_patched": sync.regions_patched,
         }
 
     # ------------------------------------------------------------- observers
@@ -232,9 +234,7 @@ class Workbook(ComputeHost):
                 raise FormulaEvalError(
                     f"{upper} formula without a region at anchor", "#REF!"
                 )
-            value = region.refresh()
-            self._notify_region_refreshed(region)
-            return value
+            return region.refresh()
         raise FormulaEvalError(f"unknown function {name}", "#NAME?")
 
     # --------------------------------------------------------------- batching
@@ -251,7 +251,14 @@ class Workbook(ComputeHost):
                 self.sync.flush()
 
     def mark_region_stale(self, region) -> None:
+        """``region`` must re-query (flushed with the current batch)."""
         self.sync.mark_stale(region.context.region_id)
+        if self._batch_depth == 0 and self.auto_sync:
+            self.sync.flush()
+
+    def mark_region_patched(self, region) -> None:
+        """``region`` folded a change and must render it."""
+        self.sync.mark_patched(region.context.region_id)
         if self._batch_depth == 0 and self.auto_sync:
             self.sync.flush()
 
@@ -273,9 +280,6 @@ class Workbook(ComputeHost):
             if region.context.kind == "dbtable":
                 with self.batch():
                     region.apply_edit(address.row, address.col, raw)
-                    # The region suppresses its own sync refresh (it updates
-                    # its cells in place), so announce the change here.
-                    self._notify_region_refreshed(region)
                 return
             raise RegionError(
                 f"{address.to_a1()} is part of a DBSQL result and is read-only"
@@ -295,7 +299,6 @@ class Workbook(ComputeHost):
             ):
                 with self.batch():
                     above.apply_edit(address.row, address.col, raw)
-                    self._notify_region_refreshed(above)
                 return
 
         if isinstance(raw, str) and raw.startswith("="):

@@ -236,6 +236,10 @@ class Database:
         for listener in list(self._listeners):
             listener(event)
 
+    def _announce(self, name: str, kind: str) -> None:
+        """A table appeared or went away: regions showing it re-query."""
+        self._dispatch(ChangeEvent(name, kind))
+
     def _attach(self, table: Table) -> Table:
         table.listeners.append(self._dispatch)
         table.events = self.events
@@ -258,7 +262,13 @@ class Database:
             name, schema, layout or self.default_layout, if_not_exists
         )
         self._attach(table)
-        self.transactions.record_undo(lambda: self.catalog.drop(name, if_exists=True))
+        self._announce(table.name, "create_table")
+
+        def undo_create() -> None:
+            self.catalog.drop(name, if_exists=True)
+            self._announce(name, "drop_table")
+
+        self.transactions.record_undo(undo_create)
         return table
 
     def table(self, name: str) -> Table:
@@ -433,7 +443,7 @@ class Database:
                 f"execute() takes one statement, got {len(statements)}; "
                 "use execute_script()"
             )
-        return self._execute_statement(statements[0], params, resolver)
+        return self.execute_statement(statements[0], params, resolver)
 
     def execute_script(
         self,
@@ -442,7 +452,7 @@ class Database:
         resolver: Optional[RangeResolver] = None,
     ) -> List[ResultSet]:
         return [
-            self._execute_statement(statement, params, resolver)
+            self.execute_statement(statement, params, resolver)
             for statement in parse_sql(sql)
         ]
 
@@ -475,19 +485,22 @@ class Database:
                     raise SqlError(
                         f"EXPLAIN TRACE takes one statement, got {len(statements)}"
                     )
-                result = self._execute_statement(statements[0], params, resolver)
+                result = self.execute_statement(statements[0], params, resolver)
         finally:
             self.last_trace = self.tracer.finish()
         return result, self.last_trace
 
     # -- statement dispatch -------------------------------------------------------
 
-    def _execute_statement(
+    def execute_statement(
         self,
         statement: ast.Statement,
-        params: Sequence[Any],
-        resolver: Optional[RangeResolver],
+        params: Sequence[Any] = (),
+        resolver: Optional[RangeResolver] = None,
     ) -> ResultSet:
+        """Execute one already-parsed statement: what :meth:`execute` runs
+        after parsing, for a caller that holds the tree (a DBSQL region
+        re-running its query parses nothing)."""
         self.statements_executed += 1
         self._maybe_auto_tick()
         # Gate the perf_counter pair on the enabled flag so "metrics off"
@@ -769,9 +782,13 @@ class Database:
     def _execute_drop(self, statement: ast.DropTableStmt) -> ResultSet:
         table = self.catalog.drop(statement.table, statement.if_exists)
         if table is not None:
-            self.transactions.record_undo(
-                (lambda t: (lambda: self.catalog.register(t)))(table)
-            )
+            self._announce(table.name, "drop_table")
+
+            def undo_drop() -> None:
+                self.catalog.register(table)
+                self._announce(table.name, "create_table")
+
+            self.transactions.record_undo(undo_drop)
         return ResultSet()
 
     def _execute_create_index(self, statement: ast.CreateIndexStmt) -> ResultSet:

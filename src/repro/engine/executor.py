@@ -14,6 +14,7 @@ grouping), distinct, sort, limit/offset.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -37,6 +38,7 @@ __all__ = [
     "AggregateNode",
     "DistinctNode",
     "SortNode",
+    "sort_decorated",
     "LimitNode",
 ]
 
@@ -748,32 +750,37 @@ class SortNode(PlanNode):
         return f"Sort({len(self.keys)} keys)"
 
     def run(self, ctx: ExecContext) -> Iterator[Tuple[Any, ...]]:
-        import functools
-
-        materialised = list(self.child.run(ctx))
         decorated = [
             (tuple(fn(row, ctx.params) for fn, _ in self.keys), row)
-            for row in materialised
+            for row in self.child.run(ctx)
         ]
-        directions = [descending for _, descending in self.keys]
-
-        def compare(a, b) -> int:
-            for index, descending in enumerate(directions):
-                left, right = a[0][index], b[0][index]
-                if left is None and right is None:
-                    continue
-                if left is None:
-                    outcome = -1
-                elif right is None:
-                    outcome = 1
-                else:
-                    outcome = compare_values(left, right) or 0
-                if outcome:
-                    return -outcome if descending else outcome
-            return 0
-
-        decorated.sort(key=functools.cmp_to_key(compare))
+        sort_decorated(decorated, [descending for _, descending in self.keys])
         return self._count(row for _, row in decorated)
+
+
+def sort_decorated(
+    decorated: List[Tuple[Tuple[Any, ...], Any]], directions: Sequence[bool]
+) -> None:
+    """Sort ``(sort keys, payload)`` pairs in place, stably, the way
+    ``ORDER BY`` does: key by key, ``descending`` per key, NULLs first
+    ascending and last descending."""
+
+    def compare(a, b) -> int:
+        for index, descending in enumerate(directions):
+            left, right = a[0][index], b[0][index]
+            if left is None and right is None:
+                continue
+            if left is None:
+                outcome = -1
+            elif right is None:
+                outcome = 1
+            else:
+                outcome = compare_values(left, right) or 0
+            if outcome:
+                return -outcome if descending else outcome
+        return 0
+
+    decorated.sort(key=functools.cmp_to_key(compare))
 
 
 class LimitNode(PlanNode):

@@ -54,7 +54,7 @@ from repro.engine.hybridstore import pages_for_group
 from repro.engine.table import Table
 from repro.errors import PlanError
 
-__all__ = ["RangeResolver", "PlannedQuery", "Planner"]
+__all__ = ["RangeResolver", "PlannedQuery", "Planner", "order_by_output", "output_name"]
 
 #: Access-path cost constants, in page-read units.  Decoding and
 #: filtering one row off a fetched page is ~two orders of magnitude
@@ -598,7 +598,7 @@ class Planner:
                 continue
             fn = self._compile(item.expression, node.scope, agg_values)
             output_fns.append(fn)
-            output_columns.append((None, _output_name(item, index)))
+            output_columns.append((None, output_name(item, index)))
         projected = ProjectNode(node, output_fns, output_columns)
         pre_projection = node
         node = projected
@@ -612,26 +612,10 @@ class Planner:
             hidden_fns = []
             hidden_columns: List[Tuple[Optional[str], str]] = []
             visible = len(output_columns)
+            names = [name for _, name in output_columns]
             for order in stmt.order_by:
                 expression = order.expression
-                key_index: Optional[int] = None
-                if isinstance(expression, ast.Literal) and isinstance(expression.value, int):
-                    ordinal = expression.value
-                    if not (1 <= ordinal <= visible):
-                        raise PlanError(f"ORDER BY ordinal {ordinal} out of range")
-                    key_index = ordinal - 1
-                elif isinstance(expression, ast.ColumnRef):
-                    # Match against output aliases/names; a qualified ref
-                    # (t.name) matches when exactly one output column has
-                    # that name (the common SELECT DISTINCT t.x ORDER BY
-                    # t.x case).
-                    matches = [
-                        i
-                        for i, (_, name) in enumerate(output_columns)
-                        if name == expression.name.lower()
-                    ]
-                    if len(matches) == 1:
-                        key_index = matches[0]
+                key_index = order_by_output(expression, names)
                 if key_index is not None:
                     keys.append(
                         ((lambda i: (lambda row, params: row[i]))(key_index), order.descending)
@@ -695,7 +679,26 @@ def _sole_binding(scope: Scope, name: str) -> Optional[str]:
     return owners[0]
 
 
-def _output_name(item: ast.SelectItem, index: int) -> str:
+def order_by_output(expression: ast.Expression, names: Sequence[str]) -> Optional[int]:
+    """The index of the output column an ORDER BY item names, or None
+    when it sorts by the expression itself.
+
+    An integer literal is an ordinal; a column reference names the output
+    column when exactly one has that name (a qualified ``t.x`` included:
+    the common ``SELECT DISTINCT t.x ORDER BY t.x`` case)."""
+    if isinstance(expression, ast.Literal) and isinstance(expression.value, int):
+        ordinal = expression.value
+        if not 1 <= ordinal <= len(names):
+            raise PlanError(f"ORDER BY ordinal {ordinal} out of range")
+        return ordinal - 1
+    if isinstance(expression, ast.ColumnRef):
+        matches = [i for i, name in enumerate(names) if name == expression.name.lower()]
+        if len(matches) == 1:
+            return matches[0]
+    return None
+
+
+def output_name(item: ast.SelectItem, index: int) -> str:
     if item.alias:
         return item.alias.lower()
     expression = item.expression

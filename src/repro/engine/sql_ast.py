@@ -382,22 +382,26 @@ Statement = Union[
 def walk_expression(expression: Expression):
     """Yield the expression node and all descendants (pre-order)."""
     yield expression
-    children: Tuple[Expression, ...] = ()
+    for child in expression_children(expression):
+        yield from walk_expression(child)
+
+
+def expression_children(expression: Expression) -> Tuple[Expression, ...]:
+    """The direct sub-expressions of one node (a subquery's select is a
+    statement, not a child)."""
     if isinstance(expression, BinaryOp):
-        children = (expression.left, expression.right)
-    elif isinstance(expression, UnaryOp):
-        children = (expression.operand,)
-    elif isinstance(expression, FuncCall):
-        children = expression.args
-    elif isinstance(expression, IsNull):
-        children = (expression.operand,)
-    elif isinstance(expression, InList):
-        children = (expression.operand,) + expression.items
-    elif isinstance(expression, Between):
-        children = (expression.operand, expression.low, expression.high)
-    elif isinstance(expression, Like):
-        children = (expression.operand, expression.pattern)
-    elif isinstance(expression, Case):
+        return (expression.left, expression.right)
+    if isinstance(expression, (UnaryOp, IsNull, InSubquery)):
+        return (expression.operand,)
+    if isinstance(expression, FuncCall):
+        return expression.args
+    if isinstance(expression, InList):
+        return (expression.operand,) + expression.items
+    if isinstance(expression, Between):
+        return (expression.operand, expression.low, expression.high)
+    if isinstance(expression, Like):
+        return (expression.operand, expression.pattern)
+    if isinstance(expression, Case):
         parts: List[Expression] = []
         if expression.operand is not None:
             parts.append(expression.operand)
@@ -405,8 +409,5 @@ def walk_expression(expression: Expression):
             parts.extend((condition, result))
         if expression.default is not None:
             parts.append(expression.default)
-        children = tuple(parts)
-    elif isinstance(expression, InSubquery):
-        children = (expression.operand,)
-    for child in children:
-        yield from walk_expression(child)
+        return tuple(parts)
+    return ()

@@ -63,8 +63,10 @@ class ChangeEvent:
     """A committed change, delivered to sync listeners.
 
     ``kind`` is one of ``insert``, ``update``, ``delete``, ``add_column``,
-    ``drop_column``, ``rename_column``.  ``position`` is the presentation
-    position the change happened at (None for schema changes)."""
+    ``drop_column``, ``rename_column`` and — from the database, not the
+    table — ``create_table`` / ``drop_table``.  ``position`` is the
+    presentation position the change happened at (None for schema
+    changes)."""
 
     table: str
     kind: str

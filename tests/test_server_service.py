@@ -5,6 +5,7 @@ from __future__ import annotations
 import datetime as dt
 import io
 import json
+import math
 import os
 import shutil
 
@@ -998,3 +999,139 @@ class TestCrashRecoveryInvariant:
         reopened = WorkbookService(directory, fsync=False)
         assert reopened.workbook.get("Sheet1", "B1") == "after-crash"
         reopened.close()
+
+
+class TestRegionFailuresDoNotFailTheMutation:
+    """A region that cannot refresh shows an error at its anchor; the DML
+    or DDL that made it fail is applied, acknowledged and logged, and the
+    live state equals the recovered one."""
+
+    @pytest.fixture
+    def regions(self, tmp_path):
+        service = make_service(tmp_path, sync_every=1)
+        sid = service.connect("alice").session_id
+        service.execute(sid, "CREATE TABLE t (k INT PRIMARY KEY, g TEXT, v REAL)")
+        service.execute(
+            sid, "INSERT INTO t VALUES (1,'a',1.5),(2,'b',2.5),(3,'a',3.5),(4,'b',4.5)"
+        )
+        for anchor, sql in (
+            ("A1", "SELECT g, v FROM t ORDER BY k"),
+            ("A6", "SELECT COUNT(*) FROM t"),
+        ):
+            service.apply(sid, {"type": "dbsql", "sheet": "Sheet1", "anchor": anchor, "sql": sql})
+        yield service, sid
+        service.close()
+
+    @staticmethod
+    def shown(workbook):
+        return workbook.get_range("Sheet1", "A1:B7")
+
+    def assert_recovers(self, service, tmp_path):
+        recovered = recover_state(str(tmp_path / "svc")).workbook
+        assert self.shown(recovered) == self.shown(service.workbook)
+        service.compact(force=True)
+        recovered = recover_state(str(tmp_path / "svc")).workbook
+        assert self.shown(recovered) == self.shown(service.workbook)
+
+    def test_spill_collision_is_an_error_value(self, regions, tmp_path):
+        service, sid = regions
+        workbook = service.workbook
+        service.execute(sid, "INSERT INTO t VALUES (10, 'c', 10.0)")
+        result = service.execute(sid, "INSERT INTO t VALUES (11, 'c', 11.0)")
+        assert result.lsn == service.wal.last_lsn  # acknowledged and logged
+        assert workbook.database.table("t").n_rows == 6
+        assert workbook.get("Sheet1", "A1") == "#SPILL!"
+        assert [workbook.get("Sheet1", ref) for ref in ("B1", "A2", "A5")] == [None] * 3
+        assert workbook.get("Sheet1", "A6") == 6  # the other region still flushed
+        self.assert_recovers(service, tmp_path)
+        # The next change that makes the result fit heals the region.
+        service.execute(sid, "DELETE FROM t WHERE k = 11")
+        assert workbook.get_range("Sheet1", "A1:B6") == [
+            ["a", 1.5], ["b", 2.5], ["a", 3.5], ["b", 4.5], ["c", 10.0], [5, None],
+        ]
+        self.assert_recovers(service, tmp_path)
+
+    def test_renamed_column_is_an_error_value(self, regions, tmp_path):
+        service, sid = regions
+        workbook = service.workbook
+        service.execute(sid, "ALTER TABLE t RENAME COLUMN v TO w")
+        assert workbook.database.table("t").column_names == ["k", "g", "w"]
+        assert workbook.get("Sheet1", "A1") == "#VALUE!"
+        assert workbook.get("Sheet1", "B1") is None
+        assert workbook.get("Sheet1", "A6") == 4
+        self.assert_recovers(service, tmp_path)
+        service.execute(sid, "ALTER TABLE t RENAME COLUMN w TO v")
+        assert workbook.get("Sheet1", "B4") == 4.5
+        self.assert_recovers(service, tmp_path)
+
+    def test_a_sum_past_the_largest_double_shows_what_a_query_shows(self, tmp_path):
+        service = make_service(tmp_path, sync_every=1)
+        sid = service.connect("alice").session_id
+        service.execute(sid, "CREATE TABLE t (k INT PRIMARY KEY, price REAL)")
+        sql = "SELECT SUM(price), AVG(price) FROM t"
+        service.apply(sid, {"type": "dbsql", "sheet": "Sheet1", "anchor": "A1", "sql": sql})
+        for k in (1, 2):
+            result = service.execute(sid, f"INSERT INTO t VALUES ({k}, 1e308)")
+            assert result.lsn == service.wal.last_lsn
+        workbook = service.workbook
+        expected = [list(workbook.database.execute(sql).rows[0])]
+        assert expected == [[math.inf, math.inf]]
+        assert workbook.get_range("Sheet1", "A1:B1") == expected
+        recovered = recover_state(str(tmp_path / "svc")).workbook
+        assert recovered.get_range("Sheet1", "A1:B1") == expected
+        service.execute(sid, "DELETE FROM t WHERE k = 2")
+        assert workbook.get_range("Sheet1", "A1:B1") == [[1e308, 1e308]]
+        service.close()
+
+
+class TestRegionDeltasFollowShownCells:
+    """A region publishes a delta, and stamps its version for the stale
+    check, only when a cell it shows changed."""
+
+    @pytest.fixture
+    def stock(self, tmp_path):
+        service = make_service(tmp_path)
+        editor = service.connect("editor", n_rows=20, n_cols=10)
+        viewer = service.connect("viewer", n_rows=20, n_cols=10)
+        service.execute(editor.session_id, "CREATE TABLE s (sku INT PRIMARY KEY, qty INT)")
+        service.execute(
+            editor.session_id,
+            "INSERT INTO s VALUES " + ", ".join(f"({i}, {i % 7})" for i in range(50)),
+        )
+        service.apply(
+            editor.session_id,
+            {"type": "dbtable", "sheet": "Sheet1", "anchor": "A1", "table": "s",
+             "window_rows": 10},
+        )
+        service.apply(
+            editor.session_id,
+            {"type": "dbsql", "sheet": "Sheet1", "anchor": "E1", "sql": "SELECT COUNT(*) FROM s"},
+        )
+        viewer.poll()
+        yield service, editor, viewer
+        service.close()
+
+    def test_dml_on_an_undisplayed_row_publishes_nothing(self, stock):
+        service, editor, viewer = stock
+        base = viewer.last_seen_version
+        versions = dict(service._region_versions)
+        result = service.execute(editor.session_id, "UPDATE s SET qty = 99 WHERE sku = 40")
+        assert [delta.kind for delta in result.deltas] == []
+        assert service._region_versions == versions
+        assert viewer.poll() == []
+        # The viewer's edit from its older base is not stale: nothing it
+        # could see changed.
+        service.set_cell(viewer.session_id, "Sheet1", "B3", 5, base_version=base)
+        assert service.workbook.database.execute("SELECT qty FROM s WHERE sku = 1").scalar() == 5
+
+    def test_dml_on_a_displayed_row_still_publishes(self, stock):
+        service, editor, viewer = stock
+        base = viewer.last_seen_version
+        result = service.execute(editor.session_id, "UPDATE s SET qty = 99 WHERE sku = 2")
+        [delta] = result.deltas
+        assert (delta.kind, delta.description) == ("region", "DBTABLE(s)")
+        assert service._region_versions[delta.region_id] == service.version
+        assert [delta.kind for delta in viewer.poll()] == ["region"]
+        with pytest.raises(StaleWriteError):
+            service.set_cell(viewer.session_id, "Sheet1", "B3", 5, base_version=base)
+        assert service.workbook.get("Sheet1", "B4") == 99
