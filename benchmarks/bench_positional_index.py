@@ -1,8 +1,9 @@
 """E5 — §3 positional index: O(log n) positional access vs the rownum
 emulation a vanilla RDBMS needs.
 
-Four operations per table size n, DataSpread (order-statistic tree) vs the
-naive baseline (explicit rownum column, OFFSET-style scans, renumbering):
+Four operations per table size n, DataSpread (the positional index: rids
+as runs of consecutive keys in a span treap) vs the naive baseline
+(explicit rownum column, OFFSET-style scans, renumbering):
 
 * ``window(pos, 40)`` — the viewport fetch,
 * ``row_at(pos)`` — a point positional lookup,
@@ -11,10 +12,12 @@ naive baseline (explicit rownum column, OFFSET-style scans, renumbering):
 * ``position_of(rid)`` — the reverse lookup an indexed point statement
   makes (which sheet row shows the record the key index found).  The
   baseline reads it off the stored rownum, and it is the renumbering above
-  that keeps that column true; the tree ranks the rid by climbing parent
-  links.  Asserted on logical work, not wall-clock: ``rank_steps`` per
-  lookup stays ≤ 4·log2(n) after middle inserts, against ~n/2 rows the
-  baseline renumbers per insert.  Headline numbers land in
+  that keeps that column true; the index bisects for the span holding the
+  rid and ranks the span by climbing parent links.  Asserted on logical
+  work, not wall-clock: ``rank_steps`` per lookup stays ≤ 4·log2(n) after
+  middle inserts, against ~n/2 rows the baseline renumbers per insert, and
+  on a bulk-loaded 20 000-row table — one span — ``positions_of`` over
+  every rid climbs no link at all.  Headline numbers land in
   ``BENCH_positional_index.json``; ``BENCH_SMOKE=1`` (the CI step, with
   ``-k reverse_lookup``) drops the largest size.
 
@@ -169,8 +172,23 @@ def test_reverse_lookup_climbs_where_rownum_renumbers(benchmark):
                 "naive_rows_renumbered_per_insert": naive.rows_renumbered // naive_inserts,
             }
         )
+    bulk = make_dataspread_table(20_000)
+    every = bulk.positions_of(list(bulk.positions))
+    assert list(every.values()) == list(range(bulk.n_rows))
+    assert bulk.positions.n_spans == 1
+    assert bulk.positions.counts.rank_steps == 0, "a one-span table climbs no link"
     rids = iter([table.rid_at((i * 104_729) % table.n_rows) for i in range(10_000)] * 100)
     benchmark(lambda: table.positions_of([next(rids)]))
     benchmark.extra_info["n_rows"] = table.n_rows
     benchmark.extra_info["system"] = "dataspread"
-    write_bench_json("positional_index", {"reverse_lookup": report})
+    write_bench_json(
+        "positional_index",
+        {
+            "reverse_lookup": report,
+            "bulk_loaded": {
+                "n_rows": bulk.n_rows,
+                "n_spans": bulk.positions.n_spans,
+                "positions_of_all_rank_steps": bulk.positions.counts.rank_steps,
+            },
+        },
+    )

@@ -217,12 +217,6 @@ class Sanitizer(NullSanitizer):
                 f"table {table.name!r} grouping {table.schema.groups} does "
                 f"not partition its columns {table.schema.column_names}"
             )
-        if len(table.positions) != table.store.n_rows:
-            self._fail(
-                f"table {table.name!r} positional index holds "
-                f"{len(table.positions)} entries for {table.store.n_rows} "
-                "stored rows after migration"
-            )
         try:
             table.validate()
         except DataSpreadError as error:

@@ -580,8 +580,8 @@ class Workbook(ComputeHost):
             if lo > hi:
                 raise ReferenceDeleted("every row of the range was deleted")
             return KeyRange(
-                KeyAddress(**{**vars(reference.start), axis: mapper.physical_of(lo)}),
-                KeyAddress(**{**vars(reference.end), axis: mapper.physical_of(hi)}),
+                KeyAddress(**{**vars(reference.start), axis: mapper.key_at(lo)}),
+                KeyAddress(**{**vars(reference.end), axis: mapper.key_at(hi)}),
             )
 
         # Nothing may recompute until every reference to a freed key is

@@ -39,7 +39,6 @@ from repro.engine.table import ChangeEvent, Table
 from repro.engine.transaction import TransactionManager
 from repro.engine.types import DBType, infer_type, unify_types
 from repro.errors import ExecutionError, PlanError, SqlError
-from repro.index.positional import PositionalIndex
 from repro.obs import EventLog, MetricsRegistry, Span, Tracer
 
 __all__ = ["Database", "ResultSet", "is_explain_trace", "txn_command"]

@@ -355,7 +355,7 @@ class IndexScan(PlanNode):
             # Unconstrained at run time (or the predicate admits NULLs,
             # which the index does not hold): every live row is a
             # candidate; the residual predicates do the filtering.
-            return self.table.positions.to_list()
+            return list(self.table.positions)
         rids: List[int] = []
 
         def collect(value: Any) -> None:

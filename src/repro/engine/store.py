@@ -20,7 +20,8 @@ grouping policies:
 
 Records are addressed by a store-assigned **rid** that never changes; the
 positional order of a table lives in the positional index
-(:mod:`repro.index.positional`), not in the store.
+(``Table.positions``, a :class:`~repro.index.posmap.KeySequence`), not in
+the store.
 
 **Concurrency model** (HTAP isolation): one writer at a time mutates the
 store under ``_mutation_lock``; readers never take it for iteration.

@@ -37,7 +37,7 @@ from repro.engine.store import DEFAULT_BATCH_SIZE, GroupedTupleStore, LayoutPoli
 from repro.engine.types import coerce_value
 from repro.errors import ConstraintError, ExecutionError, SchemaError, StorageError
 from repro.index.btree import BPlusTree
-from repro.index.positional import PositionalIndex
+from repro.index.posmap import KeySequence
 
 __all__ = ["Table", "ChangeEvent", "TableIndex"]
 
@@ -92,7 +92,8 @@ class Table:
         self.name = name
         self.schema = schema
         self.store = GroupedTupleStore(schema, pool, layout, page_capacity, owner=name)
-        self.positions = PositionalIndex()
+        # The positional index: rids in presentation order.
+        self.positions = KeySequence()
         # Adaptive layout: off by default; ALTER TABLE ... SET LAYOUT AUTO
         # (or set_auto_layout) turns the advisor loop on.
         self.auto_layout = False
@@ -167,10 +168,10 @@ class Table:
     # -- reads ---------------------------------------------------------------
 
     def rid_at(self, position: int) -> int:
-        return self.positions.rid_at(position)
+        return self.positions.key_at(position)
 
     def row_at(self, position: int) -> Tuple[Any, ...]:
-        return self.store.get(self.positions.rid_at(position))
+        return self.store.get(self.positions.key_at(position))
 
     def get(self, rid: int) -> Tuple[Any, ...]:
         return self.store.get(rid)
@@ -213,7 +214,7 @@ class Table:
         captured atomically under the store's mutation lock, so the
         iterator is isolated from concurrent DML and background
         restructure swaps.  While presentation order tracks heap order (no
-        positional inserts or moves — the common case) the store's batches
+        positional inserts — the common case) the store's batches
         stream straight through, so an early-exiting consumer (LIMIT)
         touches only a page prefix; from the first batch that breaks the
         order on, the remainder is buffered and re-emitted sorted by
@@ -234,7 +235,7 @@ class Table:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if not names:
             with self.store.mutation_lock:
-                order = self.positions.to_list()
+                order = list(self.positions)
 
             def rid_batches() -> Iterator[Tuple[Sequence[int], List[int], List[List[Any]]]]:
                 for lo in range(0, len(order), batch_size):
@@ -249,7 +250,8 @@ class Table:
             # rid on a perfectly healthy table.
             snap = self.store.snapshot()
             try:
-                expected = self.positions.to_list()
+                spans = self.positions.intervals(0, len(self.positions) - 1)
+                expected = list(self.positions)
                 source = self.store.scan_group_batches(
                     names,
                     batch_size,
@@ -263,7 +265,7 @@ class Table:
         def batches() -> Iterator[Tuple[Sequence[int], List[int], List[List[Any]]]]:
             cursor = 0  # first presentation position not yet emitted
             seen = 0
-            pos_of: Optional[Dict[int, int]] = None
+            order: Optional[KeySequence] = None
             held: List[Tuple[int, int, Tuple[Any, ...]]] = []
             try:
                 for rids, cols in source:
@@ -273,17 +275,16 @@ class Table:
                         yield range(cursor, cursor + n), rids, cols
                         cursor += n
                         continue
-                    # Skipped pages or a positional insert/move: map rids
-                    # to positions explicitly from here on.
-                    if pos_of is None:
-                        pos_of = {rid: i for i, rid in enumerate(expected)}
-                    try:
-                        positions = [pos_of[rid] for rid in rids]
-                    except KeyError as missing:
+                    # Skipped pages or a positional insert: place rids by
+                    # position from here on, in the order the scan opened on.
+                    if order is None:
+                        order = KeySequence.from_intervals(spans)
+                    positions = [order.position_of(rid) for rid in rids]
+                    if None in positions:
                         raise StorageError(
-                            f"rid {missing.args[0]} missing from positional "
-                            f"index of {self.name!r}"
-                        ) from None
+                            f"rid {rids[positions.index(None)]} missing from "
+                            f"positional index of {self.name!r}"
+                        )
                     if (
                         predicate_ranges  # only skipping may leave holes
                         and not held
@@ -323,10 +324,11 @@ class Table:
 
     def positions_of(self, rids: Iterable[int]) -> Dict[int, int]:
         """rid → presentation position of the live rows among ``rids``,
-        in position order.  O(log n) per rid (the positional index ranks
-        each by climbing its tree) — the only rid → position lookup in
-        the engine.  Sized for the few rids of a point statement: k climbs
-        and a sort beat one pass over the index up to k ≈ n/10."""
+        in position order.  Each rid costs a bisect plus a climb of
+        O(log s) links, s being the positional index's span count (no
+        link at all on a table that was only ever appended to), so there
+        is no k at which one walk of the index would win — the only
+        rid → position lookup in the engine."""
         position_of = self.positions.position_of
         with self.store.mutation_lock:
             located = {rid: position_of(rid) for rid in rids}
@@ -450,13 +452,11 @@ class Table:
                 rid = self.store.insert(new, rid=rid)
                 if position is None or position >= len(self.positions):
                     position = len(self.positions)
-                    self.positions.append(rid)
-                else:
-                    self.positions.insert_at(position, rid)
+                self.positions.insert(position, rid)
             elif new is None:
                 if position is None:
                     position = self.positions_of([rid])[rid]
-                self.positions.delete_at(position)
+                self.positions.delete(position)
                 self.store.delete(rid)
             elif len(touched) == 1:
                 # Single-column update: touch only that column's group (the
@@ -526,7 +526,7 @@ class Table:
 
     def delete_at(self, position: int, emit: bool = True) -> Tuple[Any, ...]:
         """Delete the row at a presentation position."""
-        rid = self.positions.rid_at(position)
+        rid = self.positions.key_at(position)
         row = self.store.get(rid)
         self._change(rid, position, row, None, emit)
         return row
@@ -798,12 +798,13 @@ class Table:
     def validate(self) -> None:
         self.store.validate()
         self.positions.validate()
-        if len(self.positions) != self.store.n_rows:
+        live = self.store.rids()
+        if sorted(self.positions) != sorted(live):
             raise StorageError(
-                f"positional index has {len(self.positions)} entries, "
-                f"store has {self.store.n_rows} rows"
+                f"positional index of {self.name!r} does not hold exactly the "
+                f"stored rows ({len(self.positions)} entries, {len(live)} rows)"
             )
-        rows = {rid: self.store.read_row(rid) for rid in self.store.rids()}
+        rows = {rid: self.store.read_row(rid) for rid in live}
         for index in self.key_indexes():
             index.tree.validate()
             col = self.schema.column_index(index.column)

@@ -1,29 +1,25 @@
 """Index structures.
 
-* :mod:`repro.index.order_statistic` — the sequence structure behind the
-  paper's **positional index** (§3): O(log n) access/insert/delete by
-  position.
-* :mod:`repro.index.positional` — the positional index proper: maps table
-  positions to record ids and keeps them stable under middle
-  inserts/deletes.
-* :mod:`repro.index.posmap` — positional mapping for the *interface*
-  axes: logical row/column positions over stable physical cell keys, so
-  structural edits splice the key space instead of moving cells.
+* :mod:`repro.index.posmap` — the paper's **positional index** (§3):
+  :class:`KeySequence`, a sequence of integer keys held as runs in a span
+  treap, with O(log s) access/insert/delete by position and key → position
+  lookup.  A table's presentation order is the key sequence of its rids;
+  :class:`PositionalMapper` is the same structure over a fixed universe
+  for the *interface* axes — logical row/column positions over stable
+  physical cell keys, so structural edits splice the key space instead of
+  moving cells.
 * :mod:`repro.index.btree` — B+-tree key index used for primary keys and the
   key↔position mapping of the interface manager.
 * :mod:`repro.index.index2d` — grid and quadtree indexes over spreadsheet
   cell blocks (interface storage manager, §3).
 """
 
-from repro.index.order_statistic import OrderStatisticTree
-from repro.index.positional import PositionalIndex
-from repro.index.posmap import LOGICAL_MAX, PositionalMapper
+from repro.index.posmap import LOGICAL_MAX, KeySequence, PositionalMapper
 from repro.index.btree import BPlusTree
 from repro.index.index2d import GridIndex, QuadTree
 
 __all__ = [
-    "OrderStatisticTree",
-    "PositionalIndex",
+    "KeySequence",
     "PositionalMapper",
     "LOGICAL_MAX",
     "BPlusTree",

@@ -14,9 +14,10 @@ experiment E8 charts against a flat per-cell dictionary.
 
 Structural edits are where the paper's positional index earns its keep at
 the interface layer: cells are stored under **stable physical keys**, and a
-:class:`~repro.index.posmap.PositionalMapper` per axis translates the
-logical row/column the user sees into the physical key the 2-D index
-stores.  ``insert_rows``/``delete_rows`` splice the mapper's key space in
+:class:`~repro.index.posmap.PositionalMapper` per axis (the positional
+index's key sequence over a fixed universe) translates the logical
+row/column the user sees into the physical key the 2-D index stores.
+``insert_rows``/``delete_rows`` splice the mapper's key space in
 O(log s) — **zero stored cells move**; deletes only purge the cells that
 actually occupied the removed slice.  The 2-D indexes keep operating on
 physical keys and never notice a structural edit happened.
@@ -98,8 +99,8 @@ class CellStore:
         compute layer and bound formulas address cells by."""
         # Fast path: until the first structural edit both mappers are the
         # identity, and point access pays nothing for the indirection.
-        prow = row if self.rows.pristine else self.rows.physical_of(row)
-        pcol = col if self.cols.pristine else self.cols.physical_of(col)
+        prow = row if self.rows.pristine else self.rows.key_at(row)
+        pcol = col if self.cols.pristine else self.cols.key_at(col)
         return prow, pcol
 
     def position_of(self, prow: int, pcol: int) -> Optional[Tuple[int, int]]:
@@ -253,8 +254,7 @@ class CellStore:
         key intervals (a delete's slice; an insert frees only what it
         pushes off the end of the universe) and the cells that lived on
         them, which are dropped."""
-        mapper = self.rows if axis == "row" else self.cols
-        freed = mapper.insert(at, count) if count > 0 else mapper.delete(at, -count)
+        freed = (self.rows if axis == "row" else self.cols).splice(at, count)
         return freed, self._purge(freed, axis)
 
     def insert_rows(self, at: int, count: int = 1) -> int:

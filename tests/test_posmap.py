@@ -1,8 +1,12 @@
 """Positional mapping: the key-space splice behind O(log n) structural
 edits (PositionalMapper) and its integration into the CellStore."""
 
+import math
+import random
+
 import pytest
 
+from repro import Workbook
 from repro.core.cell import Cell
 from repro.index.posmap import LOGICAL_MAX, PositionalMapper
 from repro.interface_storage import CellStore
@@ -12,45 +16,47 @@ class TestPositionalMapper:
     def test_identity_until_spliced(self):
         mapper = PositionalMapper()
         assert mapper.pristine
-        assert mapper.physical_of(0) == 0
-        assert mapper.physical_of(12345) == 12345
+        assert mapper.key_at(0) == 0
+        assert mapper.key_at(12345) == 12345
         assert mapper.position_of(77) == 77
 
     def test_insert_shifts_logical_not_physical(self):
         mapper = PositionalMapper()
-        mapper.insert(3, 2)
+        mapper.splice(3, 2)
         assert not mapper.pristine
-        assert mapper.physical_of(2) == 2       # above: untouched
-        assert mapper.physical_of(5) == 3       # below: same physical key
-        assert mapper.physical_of(100) == 98
+        assert mapper.key_at(2) == 2       # above: untouched
+        assert mapper.key_at(5) == 3       # below: same physical key
+        assert mapper.key_at(100) == 98
         # The fresh rows got keys outside the identity space.
-        assert mapper.physical_of(3) >= LOGICAL_MAX
-        assert mapper.physical_of(4) >= LOGICAL_MAX
+        assert mapper.key_at(3) >= LOGICAL_MAX
+        assert mapper.key_at(4) >= LOGICAL_MAX
+        assert len(mapper) == LOGICAL_MAX
         mapper.validate()
 
     def test_delete_frees_keys_and_reports_intervals(self):
         mapper = PositionalMapper()
-        dropped = mapper.delete(2, 3)
+        dropped = mapper.splice(2, -3)
         assert dropped == [(2, 4)]
-        assert mapper.physical_of(2) == 5       # shifted up
+        assert mapper.key_at(2) == 5       # shifted up
         assert mapper.position_of(3) is None    # freed key
         assert mapper.position_of(5) == 2
+        assert len(mapper) == LOGICAL_MAX
         mapper.validate()
 
     def test_reverse_lookup_roundtrip_through_edits(self):
         mapper = PositionalMapper()
         for step in range(50):
             if step % 3 == 2:
-                mapper.delete(step % 7, 1 + step % 2)
+                mapper.splice(step % 7, -(1 + step % 2))
             else:
-                mapper.insert(step % 11, 1 + step % 3)
+                mapper.splice(step % 11, 1 + step % 3)
         mapper.validate()
         for pos in range(0, 300, 7):
-            assert mapper.position_of(mapper.physical_of(pos)) == pos
+            assert mapper.position_of(mapper.key_at(pos)) == pos
 
     def test_intervals_cover_range_in_order(self):
         mapper = PositionalMapper()
-        mapper.insert(5, 2)
+        mapper.splice(5, 2)
         spans = mapper.intervals(0, 9)
         # Contiguous logical coverage of [0, 9] in order.
         assert spans[0][2] == 0
@@ -62,15 +68,51 @@ class TestPositionalMapper:
     def test_out_of_universe_rejected(self):
         mapper = PositionalMapper()
         with pytest.raises(IndexError):
-            mapper.physical_of(-1)
+            mapper.key_at(-1)
         with pytest.raises(IndexError):
-            mapper.physical_of(LOGICAL_MAX)
+            mapper.key_at(LOGICAL_MAX)
+
+    def test_insert_pushes_the_last_positions_out_of_the_universe(self):
+        mapper = PositionalMapper()
+        assert mapper.splice(0, 3) == [(LOGICAL_MAX - 3, LOGICAL_MAX - 1)]
+        assert len(mapper) == LOGICAL_MAX
+        assert mapper.key_at(LOGICAL_MAX - 1) == LOGICAL_MAX - 4
+        assert mapper.position_of(LOGICAL_MAX - 1) is None
+        mapper.validate()
+
+    def test_delete_pads_the_end_with_fresh_keys(self):
+        mapper = PositionalMapper()
+        assert mapper.splice(0, -2) == [(0, 1)]
+        assert len(mapper) == LOGICAL_MAX
+        assert mapper.key_at(LOGICAL_MAX - 3) == LOGICAL_MAX - 1
+        padding = mapper.key_at(LOGICAL_MAX - 1)
+        assert padding >= LOGICAL_MAX
+        assert mapper.position_of(padding) == LOGICAL_MAX - 1
+        mapper.validate()
 
     def test_splice_counts(self):
         mapper = PositionalMapper()
-        mapper.insert(0, 1)
-        mapper.delete(0, 1)
+        mapper.splice(0, 1)
+        mapper.splice(0, -1)
         assert mapper.counts.splices == 2
+
+
+def test_random_single_row_deletes_keep_the_treap_shallow():
+    """A carved span's tail gets a fresh priority: 5 000 single-row deletes
+    at random rows leave a treap whose lookups climb O(log s) links.  (With
+    the tail inheriting its span's priority the treap became a chain and
+    the splice recursion overflowed after ~1 100 deletes.)"""
+    workbook = Workbook()
+    rng = random.Random(22)
+    for _ in range(5_000):
+        workbook.delete_rows("Sheet1", rng.randrange(100_000), 1)
+    mapper = workbook.sheet("Sheet1").store.rows
+    mapper.validate()
+    bound = 4 * math.log2(mapper.n_spans + 1)
+    for pos in range(0, 100_000, 97):
+        before = mapper.counts.rank_steps
+        assert mapper.position_of(mapper.key_at(pos)) == pos
+        assert mapper.counts.rank_steps - before <= bound
 
 
 class TestCellStoreStructural:

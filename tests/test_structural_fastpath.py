@@ -31,7 +31,7 @@ class SplicedSheet:
         return None if row is None or col is None else (row, col)
 
     def key_at(self, row, col):
-        return key("S", self.rows.physical_of(row), self.cols.physical_of(col))
+        return key("S", self.rows.key_at(row), self.cols.key_at(col))
 
 
 class TestRangeRebucketing:
@@ -42,7 +42,7 @@ class TestRangeRebucketing:
         graph = DependencyGraph(sheet.locate)
         graph.set_dependencies(key("S", 0, 5), [], [column_range(0, 9)])
         graph.set_dependencies(key("S", 1, 5), [], [column_range(300, 310)])
-        sheet.rows.insert(100, 300)
+        sheet.rows.splice(100, 300)
         resized, broken, touched = graph.resubscribe("S", "row", 100)
         assert (resized, broken, touched) == ([], [], 1)  # moved, same size
 
@@ -51,7 +51,7 @@ class TestRangeRebucketing:
         graph = DependencyGraph(sheet.locate)
         graph.set_dependencies(key("S", 1, 5), [], [column_range(300, 310)])
         member = sheet.key_at(305, 0)
-        sheet.rows.insert(100, 300)  # rows 300..310 now answer to 600..610: another tile
+        sheet.rows.splice(100, 300)  # rows 300..310 now answer to 600..610: another tile
         graph.resubscribe("S", "row", 100)
         assert sheet.locate(member) == (605, 0)
         assert graph.dependents_of(member) == {key("S", 1, 5)}
@@ -61,7 +61,7 @@ class TestRangeRebucketing:
         sheet = SplicedSheet()
         graph = DependencyGraph(sheet.locate)
         graph.set_dependencies(key("S", 0, 0), [], [column_range(100_000, 100_001, col=3)])
-        sheet.rows.insert(5, 1)
+        sheet.rows.splice(5, 1)
         assert graph.resubscribe("S", "row", 5)[2] == 1
         assert graph.dependents_of(sheet.key_at(100_002, 3)) == {key("S", 0, 0)}
 
@@ -69,11 +69,11 @@ class TestRangeRebucketing:
         sheet = SplicedSheet()
         graph = DependencyGraph(sheet.locate)
         graph.set_dependencies(key("S", 0, 5), [], [column_range(10, 19)])
-        sheet.rows.insert(10, 1)  # at the first row: the range moves
+        sheet.rows.splice(10, 1)  # at the first row: the range moves
         resized, _, _ = graph.resubscribe("S", "row", 10)
         assert resized == []
         assert graph.dependents_of(sheet.key_at(10, 0)) == set()
-        sheet.rows.insert(15, 2)  # inside: the new rows are members
+        sheet.rows.splice(15, 2)  # inside: the new rows are members
         resized, _, _ = graph.resubscribe("S", "row", 15)
         assert [sub.dependent for sub in resized] == [key("S", 0, 5)]
         assert graph.dependents_of(sheet.key_at(15, 0)) == {key("S", 0, 5)}
@@ -83,7 +83,7 @@ class TestRangeRebucketing:
         sheet = SplicedSheet()
         graph = DependencyGraph(sheet.locate)
         graph.set_dependencies(key("S", 0, 5), [], [column_range(10, 19)])
-        sheet.rows.delete(19, 1)
+        sheet.rows.splice(19, -1)
         resized, broken, _ = graph.resubscribe("S", "row", 19)
         assert resized == [] and [sub.dependent for sub in broken] == [key("S", 0, 5)]
 

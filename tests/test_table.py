@@ -12,9 +12,7 @@ from repro.engine.store import LayoutPolicy
 from repro.engine.table import ChangeEvent, Table
 from repro.engine.types import DBType
 from repro.errors import ConstraintError, ExecutionError, SchemaError, StorageError
-from repro.index import order_statistic
-from repro.index.order_statistic import OrderStatisticTree
-from repro.index.positional import PositionalIndex
+from repro.index.posmap import KeySequence
 
 
 def make_table(pk=True):
@@ -241,7 +239,18 @@ class TestOneWritePath:
         with pytest.raises(StorageError):
             table.validate()
 
-    @pytest.mark.parametrize("mutator", ["append", "delete_at"])
+    def test_validate_compares_positional_entries_not_counts(self):
+        table = make_table()
+        rids = [table.insert((i, f"n{i}")) for i in range(4)]
+        table.delete_at(3)
+        table.validate()
+        # Same number of entries, wrong content: a dead rid for a live one.
+        table.positions.delete(0)
+        table.positions.insert(0, rids[3])
+        with pytest.raises(StorageError):
+            table.validate()
+
+    @pytest.mark.parametrize("mutator", ["insert", "delete"])
     def test_scan_from_another_thread_never_sees_half_a_change(
         self, monkeypatch, mutator
     ):
@@ -259,7 +268,7 @@ class TestOneWritePath:
             except Exception as error:  # noqa: BLE001 - reported below
                 seen["error"] = error
 
-        real = getattr(PositionalIndex, mutator)
+        real = getattr(KeySequence, mutator)
 
         def racing(self, *args):
             result = real(self, *args)
@@ -270,8 +279,8 @@ class TestOneWritePath:
             seen["thread"] = reader
             return result
 
-        monkeypatch.setattr(PositionalIndex, mutator, racing)
-        if mutator == "append":
+        monkeypatch.setattr(KeySequence, mutator, racing)
+        if mutator == "insert":
             table.insert((5, "5"))
             expected = [0, 1, 2, 3, 4, 5]
         else:
@@ -334,8 +343,9 @@ class TestRidToPosition:
         assert table.positions_of([]) == {}
 
     def test_point_statements_never_walk_the_index(self, monkeypatch):
-        """The guard: with both whole-sequence traversals patched to raise,
-        an indexed point UPDATE, DELETE and SELECT still complete."""
+        """The guard: with the walk every whole-order read is built on
+        patched to raise, an indexed point UPDATE, DELETE and SELECT still
+        complete."""
         db = Database()
         db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
         table = db.table("t")
@@ -345,8 +355,7 @@ class TestRidToPosition:
         def walked(*args, **kwargs):
             raise AssertionError("a point statement walked the positional index")
 
-        monkeypatch.setattr(OrderStatisticTree, "__iter__", walked)
-        monkeypatch.setattr(order_statistic, "_collect", walked)
+        monkeypatch.setattr(KeySequence, "intervals", walked)
         assert db.execute("UPDATE t SET v = -1 WHERE id = 2500").rowcount == 1
         assert db.execute("DELETE FROM t WHERE id IN (17, 4000, 17)").rowcount == 2
         assert db.execute("SELECT v FROM t WHERE id = 2500").rows == [(-1,)]
