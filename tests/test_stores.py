@@ -6,6 +6,7 @@ here at page granularity — the core of experiment E6.
 
 import pytest
 
+from repro.engine.expr import IntervalSet
 from repro.engine.pager import BufferPool
 from repro.engine.schema import Column, TableSchema
 from repro.engine.store import GroupedTupleStore, LayoutPolicy
@@ -289,6 +290,92 @@ class TestHybridCompaction:
         assert len(summary) == 2
         assert summary[0]["columns"] == ["a", "b"]
         assert summary[0]["pages"] >= 1
+
+
+#: Logical I/O of :func:`run_pinned_script` per layout: per-group
+#: ``group_io_snapshot`` rows (values in IOStats field order), store
+#: counters, ``encoding_snapshot`` rows, ``group_skip_stats`` rows, and
+#: ``snapshot_stats`` while a scan is held open and after it finishes.
+PINNED_IO = {
+    ROW: dict(
+        group_io=[(58, 34, 34, 27, 1734, 302), (238, 102, 102, 2, 2160, 0)],
+        counters=(98, 16, 10784),
+        encoding=[(True, 4.0, False), (False, 1.0, False)],
+        skip=[(4, 28, 0.125), (64, 136, 0.32)],
+        held=(3, 1, 4, 0),
+        released=(4, 0, 0, 0),
+    ),
+    COLUMN: dict(
+        group_io=[(104, 67, 41, 34, 1334, 574), (238, 102, 102, 2, 2160, 0)],
+        counters=(88, 16, 5670),
+        encoding=[(True, 4.0, False), (False, 1.0, False)],
+        skip=[(8, 20, 0.286), (64, 136, 0.32)],
+        held=(3, 1, 3, 0),
+        released=(4, 0, 0, 0),
+    ),
+    HYBRID: dict(
+        group_io=[(58, 34, 34, 27, 1734, 302), (238, 102, 102, 2, 2160, 0)],
+        counters=(110, 16, 7174),
+        encoding=[(True, 4.0, False), (False, 1.0, False)],
+        skip=[(4, 28, 0.125), (64, 136, 0.32)],
+        held=(3, 1, 4, 0),
+        released=(4, 0, 0, 0),
+    ),
+}
+
+
+def run_pinned_script(layout):
+    """One fixed script over every store mutator: bulk insert, encode,
+    a skipping scan, thawing update/delete, ADD COLUMN into a fresh and
+    an existing group, DROP COLUMN of a sole and a shared member,
+    restructure, and writes while a scan's snapshot is open."""
+    pool = BufferPool(capacity=6, page_capacity=8)
+    group_size = 2 if layout is HYBRID else None
+    store = GroupedTupleStore(schema4(group_size), pool=pool, layout=layout)
+    rids = [store.insert((i, f"t{i % 4}", i * 0.5, f"u{i % 3}")) for i in range(200)]
+    assert store.encode_group(0) > 0
+    tail = {"a": IntervalSet([(150, True, None, False)])}
+    assert len(list(store.scan_groups(["a", "c"]))) == 200
+    list(store.scan_group_batches(["a", "c"], predicate_ranges=tail))
+    store.update(rids[2], (2, "t9", 1.0, "u9"))
+    store.delete(rids[160])
+    store.add_column(Column("e", DBType.INTEGER, default=1))
+    store.add_column(Column("f", DBType.INTEGER, default=2), group_index=0, new_group=False)
+    store.drop_column("e")
+    store.drop_column("b")
+    store.restructure([["a"], ["c", "d", "f"]])
+    open_scan = store.scan_group_batches(["a", "d"], batch_size=16)
+    next(open_scan)
+    store.update(rids[1], (1, 0.5, "x", 7))
+    store.delete(rids[0])
+    store.insert((999, 9.5, "y", 8))
+    held = store.snapshot_stats()
+    list(open_scan)
+    store.encode_group(0)
+    list(store.scan_group_batches(["a", "d"], predicate_ranges=tail))
+    store.validate()
+    return store, held
+
+
+@pytest.mark.parametrize("layout", list(LayoutPolicy), ids=lambda layout: layout.value)
+def test_logical_io_of_a_fixed_script_is_pinned(layout):
+    store, held = run_pinned_script(layout)
+    expected = PINNED_IO[layout]
+    group_io = store.group_io_snapshot()
+    assert all(
+        list(entry) == ["reads", "writes", "allocations", "frees", "bytes_read", "bytes_written"]
+        for entry in group_io
+    )
+    assert [tuple(entry.values()) for entry in group_io] == expected["group_io"]
+    counters = (store.pages_skipped, store.batches_emitted, store.bytes_decoded)
+    assert counters == expected["counters"]
+    encoding = store.encoding_snapshot()
+    assert all(list(entry) == ["encoded", "ratio", "failed"] for entry in encoding)
+    assert [tuple(entry.values()) for entry in encoding] == expected["encoding"]
+    skip = [tuple(store.group_skip_stats(i).values()) for i in range(store.n_groups)]
+    assert skip == expected["skip"]
+    assert tuple(held.values()) == expected["held"]
+    assert tuple(store.snapshot_stats().values()) == expected["released"]
 
 
 class TestSharedPool:
