@@ -80,8 +80,8 @@ def main() -> None:
         db.execute(f"ALTER TABLE t ADD COLUMN {name} INT DEFAULT 0")
     print("groups after 5 cheap ADD COLUMNs:",
           [g for g in table.schema.groups])
-    pages = table.store.compact_groups([["a", "b", "c"], ["d", "e", "f"]])
-    print("re-partitioned into 2 groups,", pages, "pages")
+    table.store.restructure([["a", "b", "c"], ["d", "e", "f"]])
+    print("re-partitioned into 2 groups,", table.store.n_pages, "pages")
     print("rows intact:", db.execute("SELECT count(*) FROM t").scalar())
 
 

@@ -17,21 +17,24 @@ RC004    Pull metrics collectors read only attributes that exist on the
 RC005    No swallowed exceptions: an ``except Exception:`` / bare
          ``except:`` handler must re-raise or record a structured EventLog
          entry.
-RC006    Store methods of a thaw-capable class that mutate ``.records`` of
-         a pooled page must thaw first (``_thaw_page`` / ``_find_slot``)
-         or carry the explicit ``"enc"`` guard.
 RC007    Lock discipline: in a class that owns a mutation lock, methods
-         mutating the guarded shared structures (``_chains``,
-         ``_rid_page``, ``_frames``, ``_pins``) must take the lock
+         mutating the guarded shared structures (``_groups`` and a group
+         record's ``.chain`` / ``.rid_page``, ``_frames``, ``_pins``) must
+         take the lock
          (``with self._mutation_lock`` / ``with self._lock`` /
          ``with ....mutation_lock``) or declare the caller-holds-lock
          contract in their docstring (``__init__`` is exempt — the
          object is not yet shared).
 =======  ====================================================================
 
-Codes are never reused.  The gap in the numbering is the retired
-op-registry completeness check: the op vocabulary is one table (``OPS`` in
-``repro.server.service``), so that invariant now holds by construction.
+Codes are never reused.  The gaps in the numbering are retired checks
+whose invariants now hold by construction: RC003, op-registry
+completeness (the op vocabulary is one table, ``OPS`` in
+``repro.server.service``), and RC006, frozen-group mutation (an encoded
+page's rows live only in its codec payload, and the store's page helpers
+that assign ``.records`` get their page from ``_new_page`` or the
+copy-on-write gate and thaw it first — an allow-list test in
+``tests/test_analysis.py`` pins that set).
 """
 
 from __future__ import annotations
@@ -458,145 +461,19 @@ def check_exception_swallowing(index: ProjectIndex) -> List[Diagnostic]:
 
 
 # ---------------------------------------------------------------------------
-# RC006 — frozen-group mutation
-# ---------------------------------------------------------------------------
-
-_MUTATORS = ("append", "extend", "insert", "remove", "pop", "clear", "sort")
-_THAW_HELPERS = ("_thaw_page", "_find_slot")
-
-
-def _records_of(node: ast.expr, pooled: Set[str]) -> bool:
-    """``<var>.records`` where var came from a pool ``get``."""
-    return (
-        isinstance(node, ast.Attribute)
-        and node.attr == "records"
-        and isinstance(node.value, ast.Name)
-        and node.value.id in pooled
-    )
-
-
-def _pooled_vars(method: ast.AST) -> Set[str]:
-    """Names assigned from a ``....pool.get(...)`` call, plus aliases."""
-    pooled: Set[str] = set()
-    assigns: List[Tuple[str, ast.expr]] = []
-    for node in ast.walk(method):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name):
-                assigns.append((target.id, node.value))
-    for name, value in assigns:
-        if (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Attribute)
-            and value.func.attr == "get"
-        ):
-            receiver = value.func.value
-            mentions_pool = any(
-                (isinstance(part, ast.Name) and part.id == "pool")
-                or (isinstance(part, ast.Attribute) and part.attr == "pool")
-                for part in ast.walk(receiver)
-            )
-            if mentions_pool:
-                pooled.add(name)
-    # one alias pass (page = last); flow-insensitive on purpose
-    for name, value in assigns:
-        if isinstance(value, ast.Name) and value.id in pooled:
-            pooled.add(name)
-    return pooled
-
-
-@register("RC006", "frozen-group mutation")
-def check_frozen_mutation(index: ProjectIndex) -> List[Diagnostic]:
-    out: List[Diagnostic] = []
-    for module in index.modules:
-        for _, node in walk_scoped(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            method_names = {
-                item.name
-                for item in node.body
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            if "_thaw_page" not in method_names:
-                continue
-            for method in node.body:
-                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                pooled = _pooled_vars(method)
-                if not pooled:
-                    continue
-                first_mutation: Optional[ast.AST] = None
-                for sub in ast.walk(method):
-                    mutated = False
-                    if isinstance(sub, ast.Call) and isinstance(
-                        sub.func, ast.Attribute
-                    ):
-                        mutated = sub.func.attr in _MUTATORS and _records_of(
-                            sub.func.value, pooled
-                        )
-                    elif isinstance(sub, (ast.Assign, ast.AugAssign)):
-                        targets = (
-                            sub.targets
-                            if isinstance(sub, ast.Assign)
-                            else [sub.target]
-                        )
-                        for target in targets:
-                            if _records_of(target, pooled) or (
-                                isinstance(target, ast.Subscript)
-                                and _records_of(target.value, pooled)
-                            ):
-                                mutated = True
-                    elif isinstance(sub, ast.Delete):
-                        for target in sub.targets:
-                            if isinstance(target, ast.Subscript) and _records_of(
-                                target.value, pooled
-                            ):
-                                mutated = True
-                    if mutated and first_mutation is None:
-                        first_mutation = sub
-                if first_mutation is None:
-                    continue
-                thaws = any(
-                    isinstance(sub, ast.Call)
-                    and (
-                        (
-                            isinstance(sub.func, ast.Attribute)
-                            and sub.func.attr in _THAW_HELPERS
-                        )
-                        or (
-                            isinstance(sub.func, ast.Name)
-                            and sub.func.id in _THAW_HELPERS
-                        )
-                    )
-                    for sub in ast.walk(method)
-                )
-                guards = any(
-                    isinstance(sub, ast.Constant) and sub.value == "enc"
-                    for sub in ast.walk(method)
-                )
-                if not thaws and not guards:
-                    out.append(
-                        Diagnostic(
-                            "RC006",
-                            module.path,
-                            first_mutation.lineno,
-                            f"{node.name}.{method.name}:records-mutation",
-                            f"{node.name}.{method.name} mutates .records of "
-                            "a pooled page without _thaw_page/_find_slot or "
-                            'an "enc" guard — an encoded page would be '
-                            "corrupted in place",
-                        )
-                    )
-    return out
-
-
-# ---------------------------------------------------------------------------
 # RC007 — lock discipline
 # ---------------------------------------------------------------------------
 
+#: List methods that mutate their receiver in place.
+_MUTATORS = ("append", "extend", "insert", "remove", "pop", "clear", "sort")
+
 #: Shared structures the HTAP refactor guards with a mutation lock:
-#: store chain maps and rid directories, buffer-pool frames and pins.
-_GUARDED_ATTRS = ("_chains", "_rid_page", "_frames", "_pins")
+#: the store's group records, buffer-pool frames and pins.
+_GUARDED_ATTRS = ("_groups", "_frames", "_pins")
+
+#: A group record's page chain and rid directory, guarded wherever they
+#: are reached: through ``self._groups[i]`` or a local bound to a record.
+_RECORD_ATTRS = ("chain", "rid_page")
 
 #: Lock attribute names a class may own.
 _LOCK_NAMES = ("_mutation_lock", "_lock")
@@ -605,15 +482,19 @@ _LOCK_NAMES = ("_mutation_lock", "_lock")
 _LOCK_CONTRACTS = ("mutation lock", "lock held", "caller holds")
 
 
-def _guarded_self_attr(node: ast.expr) -> Optional[str]:
-    """``self.<guarded>`` (directly or as subscript base), else None."""
-    if isinstance(node, ast.Subscript):
-        return _guarded_self_attr(node.value)
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-        and node.attr in _GUARDED_ATTRS
+def _guarded_attr(node: ast.expr) -> Optional[str]:
+    """The guarded structure ``node`` reaches (directly or as subscript
+    base), else None: ``self.<guarded>``, or a record's ``.chain`` /
+    ``.rid_page`` reached from ``self._groups[...]`` or a local."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    if not isinstance(node, ast.Attribute):
+        return None
+    base = node.value
+    if isinstance(base, ast.Name) and base.id == "self":
+        return node.attr if node.attr in _GUARDED_ATTRS else None
+    if node.attr in _RECORD_ATTRS and (
+        isinstance(base, ast.Name) or _guarded_attr(base) == "_groups"
     ):
         return node.attr
     return None
@@ -622,33 +503,25 @@ def _guarded_self_attr(node: ast.expr) -> Optional[str]:
 def _mutates_guarded(node: ast.AST) -> Optional[str]:
     """The guarded attribute this statement/expression mutates, or None.
 
-    Covers rebinds and item assignment (``self._chains[i] = ...``),
-    augmented assignment, ``del self._frames[...]``, and mutator method
-    calls (``self._chains.append(...)``, ``self._pins.pop(...)``)."""
+    Covers rebinds and item assignment (``self._groups[i] = ...``,
+    ``group.chain = ...``), augmented assignment, ``del
+    self._frames[...]``, and mutator method calls on the structure or an
+    item of it (``self._groups[i].chain.append(...)``,
+    ``self._pins.pop(...)``)."""
     if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
         for target in targets:
-            attr = _guarded_self_attr(target)
+            attr = _guarded_attr(target)
             if attr is not None:
                 return attr
     elif isinstance(node, ast.Delete):
         for target in node.targets:
-            attr = _guarded_self_attr(target)
+            attr = _guarded_attr(target)
             if attr is not None:
                 return attr
     elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
         if node.func.attr in (*_MUTATORS, "popitem", "setdefault", "update"):
-            attr = _guarded_self_attr(node.func.value)
-            if attr is not None:
-                return attr
-            # one-level indirection: self._chains[i].append(...) and
-            # self._rid_page[g][rid] = ... mutate the guarded container's
-            # *contents*, which the lock protects just the same
-            receiver = node.func.value
-            if isinstance(receiver, ast.Subscript):
-                attr = _guarded_self_attr(receiver.value)
-                if attr is not None:
-                    return attr
+            return _guarded_attr(node.func.value)
     return None
 
 
@@ -715,13 +588,18 @@ def check_lock_discipline(index: ProjectIndex) -> List[Diagnostic]:
                     continue
                 if _takes_lock(method) or _declares_lock_contract(method):
                     continue
+                target = (
+                    f"self.{mutated}"
+                    if mutated in _GUARDED_ATTRS
+                    else f"a group record's .{mutated}"
+                )
                 out.append(
                     Diagnostic(
                         "RC007",
                         module.path,
                         lineno,
                         f"{node.name}.{method.name}:{mutated}",
-                        f"{node.name}.{method.name} mutates self.{mutated} "
+                        f"{node.name}.{method.name} mutates {target} "
                         "without taking the mutation lock or declaring the "
                         "caller-holds-lock contract in its docstring — a "
                         "concurrent snapshot scan or maintenance beat could "

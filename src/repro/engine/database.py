@@ -327,7 +327,7 @@ class Database:
         to its WAL so a recovered server converges to the same layout."""
         reports = []
         for table in self.catalog.tables():
-            if table.auto_layout or table.migration_active:
+            if table.wants_maintenance:
                 report = table.layout_tick(
                     steps, observer=observer, max_blocks=max_blocks
                 )
@@ -358,37 +358,38 @@ class Database:
             # worker is started lazily, on the first cadence trigger with
             # actual maintenance candidates — explicit maintenance_tick()
             # calls stay synchronous in every mode.
-            if any(
-                table.auto_layout or table.migration_active
-                for table in self.catalog.tables()
-            ):
+            if self.maintenance_candidates():
                 self.ensure_maintenance_worker().wake()
             return
         self.maintenance_tick()
+
+    def maintenance_candidates(self) -> List[Table]:
+        """The tables a maintenance beat ticks (see
+        :attr:`Table.wants_maintenance`)."""
+        return [table for table in self.catalog.tables() if table.wants_maintenance]
+
+    def background_tick_budget(self, candidates: List[Table]) -> int:
+        """``max_blocks`` for one background beat over ``candidates``:
+        :func:`~repro.engine.hybridstore.suggested_tick_budget` of the
+        largest table, so a beat holds the store mutation lock for a
+        fraction of a full chain rewrite."""
+        return max(
+            suggested_tick_budget(table.n_rows, self.catalog.pool.page_capacity)
+            for table in candidates
+        )
 
     def _background_beat(self) -> bool:
         """One bounded maintenance beat, run on the worker thread.
 
         Budgets each table's restructure work with
-        :func:`~repro.engine.hybridstore.suggested_tick_budget` so a beat
-        holds the store mutation lock for a fraction of a full chain
-        rewrite, and reports whether any table did non-idle work (the
-        worker keeps beating until quiescence)."""
+        :meth:`background_tick_budget`, and reports whether any table did
+        non-idle work (the worker keeps beating until quiescence)."""
         if self.in_transaction:
             return False
-        candidates = [
-            table
-            for table in self.catalog.tables()
-            if table.auto_layout or table.migration_active
-        ]
+        candidates = self.maintenance_candidates()
         if not candidates:
             return False
-        budget = max(
-            suggested_tick_budget(
-                table.n_rows, self.catalog.pool.page_capacity
-            )
-            for table in candidates
-        )
+        budget = self.background_tick_budget(candidates)
         return bool(self.maintenance_tick(max_blocks=budget))
 
     def ensure_maintenance_worker(self) -> MaintenanceWorker:

@@ -18,10 +18,10 @@ tuple insert         1 page                   ``n_groups`` pages
 tuple update (1 col) 1 page                   1 page (the column's group)
 ===================  =======================  ==========================
 
-:meth:`GroupedTupleStore.compact_groups` re-partitions into target groups
+:meth:`GroupedTupleStore.restructure` re-partitions into target groups
 — e.g. merging the many single-column groups created by repeated ADD
 COLUMN back into wider ones — the maintenance operation a production
-system would run off-line.
+system would run off-line (``n_pages`` then gives the new layout's size).
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from __future__ import annotations
 import copy
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.sanitizer import NULL_SANITIZER
@@ -53,40 +53,44 @@ class IOStats:
     bytes_written: int = 0
 
     def snapshot(self) -> "IOStats":
-        return IOStats(
-            self.reads,
-            self.writes,
-            self.allocations,
-            self.frees,
-            self.bytes_read,
-            self.bytes_written,
-        )
+        return IOStats(**self.to_dict())
 
     def delta(self, earlier: "IOStats") -> "IOStats":
         """Counts accumulated since ``earlier`` (an older snapshot)."""
         return IOStats(
-            self.reads - earlier.reads,
-            self.writes - earlier.writes,
-            self.allocations - earlier.allocations,
-            self.frees - earlier.frees,
-            self.bytes_read - earlier.bytes_read,
-            self.bytes_written - earlier.bytes_written,
+            **{
+                name: getattr(self, name) - getattr(earlier, name)
+                for name in _IO_FIELDS
+            }
         )
 
+    def add(self, other: "IOStats") -> None:
+        """Accumulate ``other``'s counts into this one."""
+        for name in _IO_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
     def reset(self) -> None:
-        self.reads = self.writes = self.allocations = self.frees = 0
-        self.bytes_read = self.bytes_written = 0
+        for name in _IO_FIELDS:
+            setattr(self, name, 0)
 
     @property
     def total(self) -> int:
         return self.reads + self.writes
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"IOStats(reads={self.reads}, writes={self.writes}, "
-            f"allocations={self.allocations}, frees={self.frees}, "
-            f"bytes_read={self.bytes_read}, bytes_written={self.bytes_written})"
-        )
+    def to_dict(self) -> Dict[str, int]:
+        """The counters by field name, in declaration order (the persisted
+        per-group ``group_io`` shape)."""
+        return {name: getattr(self, name) for name in _IO_FIELDS}
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any]) -> "IOStats":
+        """Inverse of :meth:`to_dict`; a missing counter reads as 0, so
+        payloads written before a counter existed still load."""
+        return cls(**{name: int(payload.get(name, 0)) for name in _IO_FIELDS})
+
+
+#: The counter names, in declaration order.
+_IO_FIELDS = tuple(spec.name for spec in fields(IOStats))
 
 
 class _FrozenIOStats(IOStats):
@@ -211,17 +215,9 @@ class DiskManager:
         tagged = IOStats()
         with self._lock:
             for stats in self._tag_stats.values():
-                tagged.reads += stats.reads
-                tagged.writes += stats.writes
-                tagged.allocations += stats.allocations
-                tagged.frees += stats.frees
+                tagged.add(stats)
         return {
-            "pager_reads": self.stats.reads,
-            "pager_writes": self.stats.writes,
-            "pager_allocations": self.stats.allocations,
-            "pager_frees": self.stats.frees,
-            "pager_bytes_read": self.stats.bytes_read,
-            "pager_bytes_written": self.stats.bytes_written,
+            **{f"pager_{name}": value for name, value in self.stats.to_dict().items()},
             "pager_pages": self.n_pages,
             "pager_tags": len(self._tag_stats),
             "pager_tagged_reads": tagged.reads,

@@ -40,7 +40,7 @@ import itertools
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.encoding import (
     PLAIN_VALUE_BYTES,
@@ -333,12 +333,123 @@ class _BatchCursor:
         return rids, cols
 
 
+class _Group:
+    """The store's one record per attribute group (members live in the
+    schema).  ``gid`` survives group-index shifts, so the pager's per-group
+    I/O tag does too.  A chain is an encoded prefix plus plain pages
+    (fresh records always land on a plain tail; ``plain_pages`` counts
+    them), and ``ratio`` is the plain/encoded byte ratio of the last encode
+    pass (1.0 = plain), which also scales records per encoded page.  Scans
+    charge the skip/scan counters to the record their snapshot captured,
+    so a group's counters die with it."""
+
+    __slots__ = (
+        "gid",
+        "chain",
+        "rid_page",
+        "encoded",
+        "ratio",
+        "enc_failed",
+        "plain_pages",
+        "pages_skipped",
+        "pages_scanned",
+    )
+
+    def __init__(
+        self,
+        gid: int,
+        chain: Optional[List[int]] = None,
+        rid_page: Optional[Dict[int, int]] = None,
+    ):
+        self.gid = gid
+        self.chain: List[int] = chain if chain is not None else []
+        self.rid_page: Dict[int, int] = rid_page if rid_page is not None else {}
+        self.pages_skipped = 0
+        self.pages_scanned = 0
+        self.reset_encoding()
+
+    def reset_encoding(self) -> None:
+        """Forget the encoding state after a plain (re)write of the chain."""
+        self.encoded = False
+        self.ratio = 1.0
+        self.enc_failed = False
+        self.plain_pages = len(self.chain)
+
+
+def _locate(groups: Sequence[Sequence[str]], column_name: str) -> Tuple[int, int]:
+    """``(group index, fragment offset)`` of a column in a grouping — the
+    live schema's or a snapshot's captured one."""
+    key = column_name.lower()
+    for group_index, members in enumerate(groups):
+        for offset, name in enumerate(members):
+            if name.lower() == key:
+                return group_index, offset
+    raise SchemaError(f"column {column_name!r} not in any group")
+
+
+def _decode_page(
+    page: Any, offsets: Optional[Sequence[int]], alive: Optional[List[int]] = None
+) -> Tuple[List[int], List[List[Any]], int, bool]:
+    """The page codec — the one reader of a page's ``"enc"`` header.
+
+    Returns ``(rids, columns, n_bytes, encoded)``: the page's rids, one
+    value list per fragment offset in ``offsets`` (``None``: every offset
+    the page stores), the simulated payload bytes a scan charges for
+    decoding them, and whether the page is encoded.  A plain page holds
+    ``(rid, fragment)`` records and charges ``PLAIN_VALUE_BYTES`` per value
+    served; an encoded page holds no records, only per-column compressed
+    payloads, and charges each requested column's encoded size.  ``alive``
+    (in-page record offsets) keeps only those rows — a plain page is
+    filtered before its values are copied, an encoded one after its
+    columns are decoded."""
+    enc = page.header.get("enc")
+    if enc is None:
+        records = page.records
+        if alive is not None:
+            records = [records[i] for i in alive]
+        if offsets is None:
+            offsets = range(len(records[0][1]) if records else 0)
+        columns = [[fragment[offset] for _, fragment in records] for offset in offsets]
+        n_bytes = len(records) * len(offsets) * PLAIN_VALUE_BYTES
+        return [rid for rid, _ in records], columns, n_bytes, False
+    rids = enc["rids"]
+    if offsets is None:
+        offsets = range(len(enc["cols"]))
+    columns = [decode_column(*enc["cols"][offset]) for offset in offsets]
+    n_bytes = sum(enc["col_bytes"][offset] for offset in offsets)
+    if alive is not None:
+        rids = [rids[i] for i in alive]
+        columns = [[column[i] for i in alive] for column in columns]
+    return rids, columns, n_bytes, True
+
+
+def _page_rids(page: Any) -> List[int]:
+    return _decode_page(page, ())[0]
+
+
+def _page_fragment(page: Any, rid: int) -> Tuple[Any, ...]:
+    """Extract one rid's fragment from a (possibly encoded) page."""
+    # The point-read hot path scans a plain page's records in place; an
+    # encoded page holds none, so its fragment comes from the codec.
+    for record_rid, fragment in page.records:
+        if record_rid == rid:
+            return fragment
+    rids, columns, _, _ = _decode_page(page, None)
+    try:
+        index = rids.index(rid)
+    except ValueError:
+        raise StorageError(
+            f"rid {rid} missing from page {page.page_id} (corrupt directory)"
+        ) from None
+    return tuple(column[index] for column in columns)
+
+
 class StoreSnapshot:
     """An immutable, epoch-stamped view of a :class:`GroupedTupleStore`.
 
     Captured atomically under the store's mutation lock: the attribute
-    grouping, every group's page-id chain, the accounting tags, and the
-    snapshot epoch.  Pages referenced here are protected two ways: the
+    grouping, every group's record and page-id chain, and the snapshot
+    epoch.  Pages referenced here are protected two ways: the
     store's epoch-based reclamation keeps them *allocated* (a writer that
     unlinks one retires it instead of freeing), and each chain head is
     *pinned* in the buffer pool so eviction pressure cannot push the
@@ -353,8 +464,8 @@ class StoreSnapshot:
     __slots__ = (
         "epoch",
         "groups",
+        "group_records",
         "chains",
-        "tags",
         "n_rows",
         "_store",
         "_rid_maps",
@@ -366,15 +477,16 @@ class StoreSnapshot:
         store: "GroupedTupleStore",
         epoch: int,
         groups: List[List[str]],
-        chains: List[Tuple[int, ...]],
-        tags: List[Tuple[str, int]],
+        group_records: List[_Group],
         n_rows: int,
     ):
         self._store = store
         self.epoch = epoch
         self.groups = groups
-        self.chains = chains
-        self.tags = tags
+        # Records are shared with the live store (scans charge them); their
+        # chains are copied, because writers mutate a live chain in place.
+        self.group_records = group_records
+        self.chains = [tuple(group.chain) for group in group_records]
         self.n_rows = n_rows
         # Lazily-built rid → page-id directories over the captured chains,
         # only materialised by the lockstep-violation fallback path.
@@ -392,27 +504,13 @@ class StoreSnapshot:
     def __exit__(self, *exc: Any) -> None:
         self.release()
 
-    def group_of(self, column_name: str) -> int:
-        key = column_name.lower()
-        for index, members in enumerate(self.groups):
-            for name in members:
-                if name.lower() == key:
-                    return index
-        raise SchemaError(f"unknown column {column_name!r} in snapshot")
-
     def placements(self, names: Sequence[str]) -> List[Tuple[int, int, int]]:
         """``(group_index, fragment_offset, output_offset)`` per column,
         resolved against the captured grouping (the live one may have
         migrated since)."""
         placements: List[Tuple[int, int, int]] = []
         for out_offset, column_name in enumerate(names):
-            group_index = self.group_of(column_name)
-            members = self.groups[group_index]
-            frag_offset = next(
-                i
-                for i, name in enumerate(members)
-                if name.lower() == column_name.lower()
-            )
+            group_index, frag_offset = _locate(self.groups, column_name)
             placements.append((group_index, frag_offset, out_offset))
         return placements
 
@@ -431,13 +529,13 @@ class StoreSnapshot:
                 f"rid {rid} not found in snapshot group {group_index}"
             )
         page = self._store.pool.get(page_id)
-        return GroupedTupleStore._page_fragment(page, rid)
+        return _page_fragment(page, rid)
 
     def _build_rid_map(self, group_index: int) -> Dict[int, int]:
         directory: Dict[int, int] = {}
         for page_id in self.chains[group_index]:
             page = self._store.pool.get(page_id)
-            for rid in GroupedTupleStore._page_rids(page):
+            for rid in _page_rids(page):
                 directory[rid] = page_id
         return directory
 
@@ -465,35 +563,19 @@ class GroupedTupleStore:
         elif layout is LayoutPolicy.COLUMN:
             schema.set_groups([[name] for name in schema.column_names])
         # HYBRID keeps whatever grouping the schema was built with.
-        self._chains: List[List[int]] = [[] for _ in range(schema.n_groups)]
-        self._rid_page: List[Dict[int, int]] = [{} for _ in range(schema.n_groups)]
-        # Stable per-group ids: chains keep their id across group-index
-        # shifts (add/drop/restructure), so per-group I/O accounting in the
-        # pager survives layout changes.
-        self._group_ids: List[int] = list(range(schema.n_groups))
+        # One record per attribute group, in the schema's group order.
+        self._groups: List[_Group] = [_Group(gid) for gid in range(schema.n_groups)]
         self._next_gid = schema.n_groups
         self._next_rid = 0
         self._n_rows = 0
         self.access_stats = AccessStats()
-        # Per-group page-encoding state.  A group is "encoded" when its
-        # chain prefix holds compressed column fragments (see encoding.py);
-        # freshly appended records always land on plain tail pages, so a
-        # chain is encoded-prefix + plain-tail.  ``ratio`` is the measured
-        # plain/encoded byte ratio from the last encode pass (1.0 = plain),
-        # which also scales how many records an encoded page holds.
-        self._group_encoded: List[bool] = [False] * schema.n_groups
-        self._group_ratio: List[float] = [1.0] * schema.n_groups
-        self._group_enc_failed: List[bool] = [False] * schema.n_groups
-        self._group_plain_pages: List[int] = [0] * schema.n_groups
         # Store-level batch-scan counters (metrics exporter).
         self.batch_scans = 0
         self.batches_emitted = 0
         self.bytes_decoded = 0
-        # Pages whose decode was proven unnecessary by zone maps, total and
-        # per group id (gids are stable across group-index shifts).
+        # Pages whose decode was proven unnecessary by zone maps (the
+        # per-group split lives on the group records).
         self.pages_skipped = 0
-        self._group_pages_skipped: Dict[int, int] = {}
-        self._group_pages_scanned: Dict[int, int] = {}
         # Per-page zone-map cache: page_id -> (record_count, {fragment
         # offset -> (min, max, null_count) | None}).  ``None`` marks an
         # offset whose values do not order (mixed types) — never skippable.
@@ -545,8 +627,7 @@ class GroupedTupleStore:
                 self,
                 epoch,
                 [list(members) for members in self.schema.groups],
-                [tuple(chain) for chain in self._chains],
-                [self._tag(index) for index in range(len(self._chains))],
+                list(self._groups),
                 self._n_rows,
             )
             for chain in snap.chains:
@@ -640,20 +721,20 @@ class GroupedTupleStore:
         newest = self._newest_active_epoch()
         if newest < 0 or self._page_epoch.get(page.page_id, 0) > newest:
             return page
+        group = self._groups[group_index]
         clone = self._new_page(self._tag(group_index))
         clone.records = list(page.records)
-        # Shallow header copy: the "enc" payload is never mutated in
-        # place (thaw *pops* the key), so sharing it is safe.
+        # Shallow header copy: an encoded payload is never mutated in
+        # place (thaw *pops* it), so sharing it is safe.
         clone.header = dict(page.header)
         clone.mark_dirty()
-        chain = self._chains[group_index]
+        chain = group.chain
         for i in range(len(chain) - 1, -1, -1):
             if chain[i] == page.page_id:
                 chain[i] = clone.page_id
                 break
-        directory = self._rid_page[group_index]
-        for rid in self._page_rids(clone):
-            directory[rid] = clone.page_id
+        for rid in _page_rids(clone):
+            group.rid_page[rid] = clone.page_id
         self._release_page(page.page_id)
         return clone
 
@@ -675,31 +756,31 @@ class GroupedTupleStore:
 
     @property
     def n_groups(self) -> int:
-        return len(self._chains)
+        return len(self._groups)
 
     def pages_in_group(self, group_index: int) -> int:
-        return len(self._chains[group_index])
+        return len(self._groups[group_index].chain)
 
     @property
     def n_pages(self) -> int:
-        return sum(len(chain) for chain in self._chains)
+        return sum(len(group.chain) for group in self._groups)
 
     def rids(self) -> List[int]:
         """All live rids, in insertion order of their first group."""
         with self._mutation_lock:
-            if not self._rid_page:
+            if not self._groups:
                 return []
             result: List[int] = []
-            for page_id in self._chains[0]:
+            for page_id in self._groups[0].chain:
                 page = self.pool.get(page_id)
-                result.extend(self._page_rids(page))
+                result.extend(_page_rids(page))
             return result
 
     # -- internal page helpers ---------------------------------------------
 
     def _tag(self, group_index: int) -> Tuple[str, int]:
         """Pager accounting tag for one group's pages."""
-        return (self.owner, self._group_ids[group_index])
+        return (self.owner, self._groups[group_index].gid)
 
     def group_io_stats(self, group_index: int) -> IOStats:
         """Cumulative block I/O charged to one group's page chain."""
@@ -719,40 +800,32 @@ class GroupedTupleStore:
     def _append_record(self, group_index: int, rid: int, fragment: Tuple[Any, ...]) -> None:
         """Append one fragment to a group's tail page.  Caller holds the
         mutation lock (every public mutator takes it)."""
-        chain = self._chains[group_index]
+        group = self._groups[group_index]
         page = None
-        if chain:
-            last = self.pool.get(chain[-1])
+        if group.chain:
+            last = self.pool.get(group.chain[-1])
             # Encoded pages are immutable; fresh records go on a plain tail.
-            if "enc" not in last.header and last.n_records < self._group_capacity(
-                group_index
+            # (An encoded page holds no plain records, only some rids.)
+            if last.n_records < self._group_capacity(group_index) and (
+                last.records or not _page_rids(last)
             ):
                 page = self._writable_page(group_index, last)
         if page is None:
             page = self._new_page(self._tag(group_index))
-            chain.append(page.page_id)
-            self._group_plain_pages[group_index] += 1
+            group.chain.append(page.page_id)
+            group.plain_pages += 1
         page.records.append((rid, fragment))
         page.mark_dirty()
         self._page_meta.pop(page.page_id, None)
-        self._rid_page[group_index][rid] = page.page_id
+        group.rid_page[rid] = page.page_id
 
     # -- encoded-page helpers ----------------------------------------------
 
-    @staticmethod
-    def _page_rids(page: Any) -> List[int]:
-        enc = page.header.get("enc")
-        if enc is not None:
-            return enc["rids"]
-        return [rid for rid, _ in page.records]
-
-    def _charge_decode(self, group_index: int, n_bytes: int) -> None:
-        """Account simulated payload bytes decoded from one group's pages."""
-        self._charge_decode_tag(self._tag(group_index), n_bytes)
-
     def _charge_decode_tag(self, tag: Tuple[str, int], n_bytes: int) -> None:
-        """Tag-addressed variant: snapshot scans charge the tag captured
-        at open, which stays correct even if the live group index moved."""
+        """Account simulated payload bytes decoded from one group's pages,
+        addressed by tag: snapshot scans charge the tag of the record
+        captured at open, which stays correct even if the live group index
+        moved."""
         if n_bytes <= 0:
             return
         self.bytes_decoded += n_bytes
@@ -772,43 +845,13 @@ class GroupedTupleStore:
             for i, rid in enumerate(enc["rids"])
         ]
         page.mark_dirty()
-        self._group_plain_pages[group_index] += 1
-        self._charge_decode(group_index, enc["bytes"])
-
-    @staticmethod
-    def _page_fragment(page: Any, rid: int) -> Tuple[Any, ...]:
-        """Extract one rid's fragment from a (possibly encoded) page."""
-        enc = page.header.get("enc")
-        if enc is None:
-            for record_rid, fragment in page.records:
-                if record_rid == rid:
-                    return fragment
-            raise StorageError(
-                f"rid {rid} missing from page {page.page_id} (corrupt directory)"
-            )
-        try:
-            index = enc["rids"].index(rid)
-        except ValueError:
-            raise StorageError(
-                f"rid {rid} missing from page {page.page_id} (corrupt directory)"
-            ) from None
-        return tuple(
-            decode_column(kind, payload)[index] for kind, payload in enc["cols"]
-        )
-
-    def _fragment_at(self, group_index: int, rid: int) -> Tuple[Any, ...]:
-        """Read one fragment without thawing its page (point-read path)."""
-        with self._mutation_lock:
-            page_id = self._rid_page[group_index].get(rid)
-            if page_id is None:
-                raise StorageError(f"rid {rid} not found in group {group_index}")
-            page = self.pool.get(page_id)
-            return self._page_fragment(page, rid)
+        self._groups[group_index].plain_pages += 1
+        self._charge_decode_tag(self._tag(group_index), enc["bytes"])
 
     def _find_slot(self, group_index: int, rid: int) -> Tuple[Any, int]:
         """Locate (and thaw) a rid's page for in-place mutation, routing
         through the copy-on-write gate.  Caller holds the mutation lock."""
-        page_id = self._rid_page[group_index].get(rid)
+        page_id = self._groups[group_index].rid_page.get(rid)
         if page_id is None:
             raise StorageError(f"rid {rid} not found in group {group_index}")
         page = self._writable_page(group_index, self.pool.get(page_id))
@@ -822,29 +865,18 @@ class GroupedTupleStore:
     # -- zone maps (data skipping) -------------------------------------------
 
     def _page_zone(
-        self, page: Any, frag_offset: int
-    ) -> Optional[Tuple[Any, Any, int]]:
-        """Zone-map entry for one fragment offset of a fetched page,
-        computed lazily and cached store-side so the *next* scan can skip
-        the page without fetching it.  Safe without the mutation lock:
-        pages reachable from a snapshot chain are immutable (in-place
-        mutators route through the copy-on-write gate), and concurrent
-        recomputation writes identical values."""
-        meta = self._page_meta.get(page.page_id)
-        if meta is None:
-            enc = page.header.get("enc")
-            count = len(enc["rids"]) if enc is not None else page.n_records
-            meta = self._page_meta[page.page_id] = (count, {})
-        zones = meta[1]
-        if frag_offset in zones:
-            return zones[frag_offset]
-        enc = page.header.get("enc")
-        if enc is None:
-            values = [fragment[frag_offset] for _, fragment in page.records]
-        else:
-            values = decode_column(*enc["cols"][frag_offset])
-        zone = zones[frag_offset] = _zone_of(values)
-        return zone
+        self, page_id: int, frag_offset: int
+    ) -> Tuple[int, Optional[Tuple[Any, Any, int]]]:
+        """``(record count, zone-map entry)`` for one fragment offset of a
+        page whose zone is not cached yet: fetches the page and caches both
+        so the *next* scan can skip the page without fetching it.  Safe
+        without the mutation lock: pages reachable from a snapshot chain
+        are immutable (in-place mutators route through the copy-on-write
+        gate), and concurrent recomputation writes identical values."""
+        rids, (values,), _, _ = _decode_page(self.pool.get(page_id), (frag_offset,))
+        meta = self._page_meta.setdefault(page_id, (len(rids), {}))
+        zone = meta[1][frag_offset] = _zone_of(values)
+        return meta[0], zone
 
     def _dead_intervals(
         self,
@@ -879,9 +911,7 @@ class GroupedTupleStore:
                 if meta is not None and frag_offset in meta[1]:
                     count, zone = meta[0], meta[1][frag_offset]
                 else:
-                    page = self.pool.get(page_id)
-                    zone = self._page_zone(page, frag_offset)
-                    count = self._page_meta[page_id][0]
+                    count, zone = self._page_zone(page_id, frag_offset)
                 if count and zone is not None:
                     if not ranges.may_match(zone[0], zone[1], zone[2], count):
                         dead.append((position, position + count))
@@ -896,18 +926,11 @@ class GroupedTupleStore:
         if meta is None:
             return
         count, zones = meta
-        enc = page.header.get("enc")
-        actual = len(enc["rids"]) if enc is not None else page.n_records
-        self.sanitizer.check_zone_count(page.page_id, count, actual)
-        for offset in needed_offsets:
-            zone = zones.get(offset)
-            if zone is None:
-                continue
-            if enc is None:
-                values = [fragment[offset] for _, fragment in page.records]
-            else:
-                values = decode_column(*enc["cols"][offset])
-            self.sanitizer.check_zone(page.page_id, offset, zone, values)
+        offsets = [offset for offset in needed_offsets if zones.get(offset) is not None]
+        rids, columns, _, _ = _decode_page(page, offsets)
+        self.sanitizer.check_zone_count(page.page_id, count, len(rids))
+        for offset, values in zip(offsets, columns):
+            self.sanitizer.check_zone(page.page_id, offset, zones[offset], values)
 
     def skip_fraction(self, column_name: str, ranges: Any) -> float:
         """Fraction of ``column_name``'s chain pages whose *cached* zone
@@ -917,14 +940,8 @@ class GroupedTupleStore:
         prices as a full scan — matching what the next scan actually pays.
         """
         with self._mutation_lock:
-            group_index = self.schema.group_of(column_name)
-            members = self.schema.groups[group_index]
-            offset = next(
-                i
-                for i, name in enumerate(members)
-                if name.lower() == column_name.lower()
-            )
-            chain = self._chains[group_index]
+            group_index, offset = _locate(self.schema.groups, column_name)
+            chain = self._groups[group_index].chain
             if not chain:
                 return 0.0
             skippable = 0
@@ -943,7 +960,7 @@ class GroupedTupleStore:
         """Fraction of one group's chain pages carrying a cached zone map
         (observability; coverage grows as scans touch the chain)."""
         with self._mutation_lock:
-            chain = self._chains[group_index]
+            chain = self._groups[group_index].chain
             if not chain:
                 return 0.0
             cached = sum(
@@ -983,11 +1000,15 @@ class GroupedTupleStore:
         accounted at its own (cheaper, chain-sequential) cost rather than
         as per-row point reads.  Held under the mutation lock so the row
         is assembled against one consistent grouping even while the
-        maintenance worker migrates chains."""
+        maintenance worker migrates chains.  Pages are read without
+        thawing them."""
         with self._mutation_lock:
             fragments = []
-            for group_index in range(self.n_groups):
-                fragments.append(self._fragment_at(group_index, rid))
+            for group_index, group in enumerate(self._groups):
+                page_id = group.rid_page.get(rid)
+                if page_id is None:
+                    raise StorageError(f"rid {rid} not found in group {group_index}")
+                fragments.append(_page_fragment(self.pool.get(page_id), rid))
             return self.schema.join_fragments(fragments)
 
     def get(self, rid: int) -> Tuple[Any, ...]:
@@ -997,7 +1018,7 @@ class GroupedTupleStore:
 
     def exists(self, rid: int) -> bool:
         with self._mutation_lock:
-            return bool(self._rid_page) and rid in self._rid_page[0]
+            return bool(self._groups) and rid in self._groups[0].rid_page
 
     def update(self, rid: int, row: Sequence[Any]) -> None:
         with self._mutation_lock:
@@ -1012,14 +1033,8 @@ class GroupedTupleStore:
         """Partial update touching only the column's own group — the
         tuple-update cost the paper wants schema changes to match."""
         with self._mutation_lock:
-            group_index = self.schema.group_of(column_name)
+            group_index, offset = _locate(self.schema.groups, column_name)
             self.access_stats.column(column_name).updates += 1
-            members = self.schema.groups[group_index]
-            offset = next(
-                i
-                for i, name in enumerate(members)
-                if name.lower() == column_name.lower()
-            )
             page, slot = self._find_slot(group_index, rid)
             old_rid, fragment = page.records[slot]
             new_fragment = tuple(
@@ -1034,7 +1049,7 @@ class GroupedTupleStore:
                 page, slot = self._find_slot(group_index, rid)
                 del page.records[slot]
                 page.mark_dirty()
-                del self._rid_page[group_index][rid]
+                del self._groups[group_index].rid_page[rid]
             self._n_rows -= 1
             self.access_stats.deletes += 1
 
@@ -1075,72 +1090,44 @@ class GroupedTupleStore:
         any decode; when its record count is already cached it is skipped
         without even fetching it from the buffer pool."""
         needed = list(needed_offsets)
-        tag = snap.tags[group_index]
-        gid = tag[1]
+        group = snap.group_records[group_index]
+        tag = (self.owner, group.gid)
         sanitize = self.sanitizer.enabled
         position = 0
         cursor = 0
         n_dead = len(dead) if dead else 0
         for page_id in snap.chains[group_index]:
             page = None
-            meta = self._page_meta.get(page_id) if n_dead else None
-            if meta is not None and meta[0]:
-                count = meta[0]
-            else:
-                # Record count not cached yet: fetch the page to learn it.
-                page = self.pool.get(page_id)
-                enc = page.header.get("enc")
-                count = len(enc["rids"]) if enc is not None else page.n_records
-                if page_id not in self._page_meta:
-                    self._page_meta[page_id] = (count, {})
             alive: Optional[List[int]] = None
             if n_dead:
+                meta = self._page_meta.get(page_id)
+                if meta is None or not meta[0]:
+                    # Record count not cached yet: fetch the page to learn it.
+                    page = self.pool.get(page_id)
+                    meta = self._page_meta.setdefault(
+                        page_id, (len(_page_rids(page)), {})
+                    )
+                count = meta[0]
                 while cursor < n_dead and dead[cursor][1] <= position:
                     cursor += 1
                 alive = _alive_offsets(dead, cursor, position, count)
+                position += count
                 if alive is not None and not alive:
                     # Provably dead: skipped before any decode work, and
                     # with a cached count without touching the pool.
                     self.pages_skipped += 1
-                    self._group_pages_skipped[gid] = (
-                        self._group_pages_skipped.get(gid, 0) + 1
-                    )
-                    position += count
+                    group.pages_skipped += 1
                     continue
             if page is None:
                 page = self.pool.get(page_id)
-                enc = page.header.get("enc")
-            self._group_pages_scanned[gid] = (
-                self._group_pages_scanned.get(gid, 0) + 1
-            )
+            rids, columns, n_bytes, _ = _decode_page(page, needed, alive)
+            if not n_dead and page_id not in self._page_meta:
+                self._page_meta[page_id] = (len(rids), {})
+            group.pages_scanned += 1
             if sanitize:
                 self._sanitize_page_zones(page, needed)
-            if enc is None:
-                kept = page.records
-                if alive is not None:
-                    kept = [page.records[i] for i in alive]
-                self._charge_decode_tag(
-                    tag, len(kept) * len(needed) * PLAIN_VALUE_BYTES
-                )
-                rids = [rid for rid, _ in kept]
-                columns = [
-                    [fragment[offset] for _, fragment in kept]
-                    for offset in needed
-                ]
-                yield rids, columns
-            else:
-                self._charge_decode_tag(
-                    tag, sum(enc["col_bytes"][offset] for offset in needed)
-                )
-                rids = enc["rids"]
-                columns = [
-                    decode_column(*enc["cols"][offset]) for offset in needed
-                ]
-                if alive is not None:
-                    rids = [rids[i] for i in alive]
-                    columns = [[column[i] for i in alive] for column in columns]
-                yield rids, columns
-            position += count
+            self._charge_decode_tag(tag, n_bytes)
+            yield rids, columns
 
     def scan_group_batches(
         self,
@@ -1307,88 +1294,63 @@ class GroupedTupleStore:
             self.access_stats.schema_changes += 1
             self.access_stats.column(column.name)
             default = column.default
-            if placed >= len(self._chains):
+            if placed >= len(self._groups):
                 # Fresh group: build its chain from scratch; zero rewrites.
-                self._chains.append([])
-                self._rid_page.append({})
-                self._group_ids.append(self._next_gid)
+                self._groups.append(_Group(self._next_gid))
                 self._next_gid += 1
-                self._group_encoded.append(False)
-                self._group_ratio.append(1.0)
-                self._group_enc_failed.append(False)
-                self._group_plain_pages.append(0)
                 for rid in self.rids():
                     self._append_record(placed, rid, (default,))
                 return 0
-            # Existing group: rewrite every page of that chain (each one
-            # routed through the copy-on-write gate so open snapshots keep
-            # the narrower pre-change fragments).
-            rewritten = 0
-            members = self.schema.groups[placed]
-            offset = next(
-                i
-                for i, name in enumerate(members)
-                if name.lower() == column.name.lower()
+            # Existing group: widen every fragment of that chain.
+            _, offset = _locate(self.schema.groups, column.name)
+            return self._rewrite_group(
+                placed,
+                lambda fragment: fragment[:offset] + (default,) + fragment[offset:],
             )
-            for page_id in list(self._chains[placed]):
-                page = self._writable_page(placed, self.pool.get(page_id))
-                self._thaw_page(placed, page)
-                page.records = [
-                    (rid, fragment[:offset] + (default,) + fragment[offset:])
-                    for rid, fragment in page.records
-                ]
-                page.mark_dirty()
-                self._page_meta.pop(page.page_id, None)
-                rewritten += 1
-            self._reset_group_encoding(placed)
-            return rewritten
 
     def drop_column(self, column_name: str) -> int:
         """Drop a column; returns the number of existing pages rewritten."""
         with self._mutation_lock:
-            group_index = self.schema.group_of(column_name)
+            group_index, offset = _locate(self.schema.groups, column_name)
             self.access_stats.schema_changes += 1
             self.access_stats.columns.pop(column_name.lower(), None)
             dropped_key = column_name.lower()
             self.access_stats.remap_scan_sets(
                 lambda names: tuple(name for name in names if name != dropped_key)
             )
-            members = self.schema.groups[group_index]
-            if len(members) == 1:
+            if len(self.schema.groups[group_index]) == 1:
                 # Sole member: unlink the whole chain, rewrite nothing.
                 # Retired (not freed) while snapshots still walk it.
                 tag = self._tag(group_index)
                 self.schema.drop_column(column_name)
-                for page_id in self._chains[group_index]:
+                for page_id in self._groups[group_index].chain:
                     self._release_page(page_id)
                 self._release_tag(tag)
-                del self._chains[group_index]
-                del self._rid_page[group_index]
-                del self._group_ids[group_index]
-                del self._group_encoded[group_index]
-                del self._group_ratio[group_index]
-                del self._group_enc_failed[group_index]
-                del self._group_plain_pages[group_index]
+                del self._groups[group_index]
                 return 0
-            offset = next(
-                i
-                for i, name in enumerate(members)
-                if name.lower() == column_name.lower()
-            )
             self.schema.drop_column(column_name)
-            rewritten = 0
-            for page_id in list(self._chains[group_index]):
-                page = self._writable_page(group_index, self.pool.get(page_id))
-                self._thaw_page(group_index, page)
-                page.records = [
-                    (rid, fragment[:offset] + fragment[offset + 1 :])
-                    for rid, fragment in page.records
-                ]
-                page.mark_dirty()
-                self._page_meta.pop(page.page_id, None)
-                rewritten += 1
-            self._reset_group_encoding(group_index)
-            return rewritten
+            return self._rewrite_group(
+                group_index,
+                lambda fragment: fragment[:offset] + fragment[offset + 1 :],
+            )
+
+    def _rewrite_group(
+        self, group_index: int, rewrite: Callable[[Tuple[Any, ...]], Tuple[Any, ...]]
+    ) -> int:
+        """Rewrite every fragment of one group's chain through ``rewrite``;
+        returns the number of existing pages rewritten.  Each page is
+        routed through the copy-on-write gate (open snapshots keep the
+        pre-change fragments) and thawed, so the whole chain ends plain.
+        Caller holds the mutation lock."""
+        group = self._groups[group_index]
+        for page_id in list(group.chain):
+            page = self._writable_page(group_index, self.pool.get(page_id))
+            self._thaw_page(group_index, page)
+            page.records = [(rid, rewrite(fragment)) for rid, fragment in page.records]
+            page.mark_dirty()
+            self._page_meta.pop(page.page_id, None)
+        group.reset_encoding()
+        return len(group.chain)
 
     def rename_column(self, old: str, new: str) -> None:
         """Metadata-only operation; no pages touched in any layout."""
@@ -1409,28 +1371,6 @@ class GroupedTupleStore:
 
     # -- re-partitioning -------------------------------------------------------
 
-    def _column_values(self, column_name: str) -> Dict[int, Any]:
-        """rid → value for one column, read chain-sequentially without
-        charging workload statistics (migration-internal; caller holds
-        the mutation lock via :meth:`restructure`)."""
-        group_index = self.schema.group_of(column_name)
-        members = self.schema.groups[group_index]
-        offset = next(
-            i for i, name in enumerate(members) if name.lower() == column_name.lower()
-        )
-        values: Dict[int, Any] = {}
-        for page_id in self._chains[group_index]:
-            page = self.pool.get(page_id)
-            enc = page.header.get("enc")
-            if enc is None:
-                for rid, fragment in page.records:
-                    values[rid] = fragment[offset]
-            else:
-                decoded = decode_column(*enc["cols"][offset])
-                for rid, value in zip(enc["rids"], decoded):
-                    values[rid] = value
-        return values
-
     def _build_chain(
         self,
         members: Sequence[str],
@@ -1440,12 +1380,21 @@ class GroupedTupleStore:
     ) -> Tuple[List[int], Dict[int, int]]:
         """Materialise a fresh chain for one prospective group.
 
-        Only allocates new pages (recorded in ``allocated`` so a failed
-        restructure can release them); never mutates existing chains.
-        Caller holds the mutation lock."""
+        Reads each member column chain-sequentially from the live layout
+        without charging workload statistics, and only allocates new pages
+        (recorded in ``allocated`` so a failed restructure can release
+        them); never mutates existing chains.  Caller holds the mutation
+        lock."""
         width = max(1, len(members))
         capacity = max(1, self.pool.page_capacity // width)
-        sources = [self._column_values(name) for name in members]
+        sources: List[Dict[int, Any]] = []
+        for name in members:
+            group_index, offset = _locate(self.schema.groups, name)
+            values: Dict[int, Any] = {}
+            for page_id in self._groups[group_index].chain:
+                rids, (column,), _, _ = _decode_page(self.pool.get(page_id), (offset,))
+                values.update(zip(rids, column))
+            sources.append(values)
         chain: List[int] = []
         directory: Dict[int, int] = {}
         page = None
@@ -1463,18 +1412,21 @@ class GroupedTupleStore:
 
     def restructure(self, target_groups: Sequence[Sequence[str]]) -> int:
         """Re-partition into ``target_groups``, rebuilding only the groups
-        whose member list actually changes; returns new pages written.
+        whose member list actually changes; returns new pages written
+        (:attr:`n_pages` gives the size of the resulting layout).
 
         **Build-then-swap-then-retire**, all under the mutation lock:
-        every replacement chain is fully materialised through the buffer
-        pool *before* the schema and chain directory are swapped.  An
+        every changed group gets a fresh record whose chain is fully
+        materialised through the buffer pool *before* the schema and the
+        record list are swapped; unchanged groups keep their record.  An
         exception at any point (bad grouping discovered late, allocation
-        failure, crash injection) leaves the store exactly as it was —
-        the crash hole the old free-then-rebuild ``compact_groups`` had.
-        Old pages are *retired* after the swap: freed immediately when no
-        snapshot is open, otherwise kept alive until the last snapshot
-        whose epoch can see them is released, so concurrent scans finish
-        against the pre-migration chains.
+        failure, crash injection) leaves the store exactly as it was.  The
+        dropped records' pages are *retired* after the swap: freed
+        immediately when no snapshot is open, otherwise kept alive until
+        the last snapshot whose epoch can see them is released, so
+        concurrent scans finish against the pre-migration chains.  This is
+        the offline compaction that amortises many cheap ADD COLUMNs, and
+        one step of the online :class:`repro.engine.layout.LayoutMigration`.
         """
         with self._mutation_lock:
             targets = [list(group) for group in target_groups if group]
@@ -1489,8 +1441,7 @@ class GroupedTupleStore:
                 for index, group in enumerate(self.schema.groups)
             }
             rid_order = self.rids()
-            built: List[Optional[Tuple[List[int], Dict[int, int], int]]] = []
-            reused: List[Optional[int]] = []
+            groups: List[_Group] = []
             allocated: List[int] = []
             pages_written = 0
             try:
@@ -1498,16 +1449,14 @@ class GroupedTupleStore:
                     key = tuple(name.lower() for name in members)
                     old_index = old_keys.get(key)
                     if old_index is not None:
-                        reused.append(old_index)
-                        built.append(None)
+                        groups.append(self._groups[old_index])
                         continue
-                    reused.append(None)
                     gid = self._next_gid
                     self._next_gid += 1
                     chain, directory = self._build_chain(
                         members, rid_order, gid, allocated
                     )
-                    built.append((chain, directory, gid))
+                    groups.append(_Group(gid, chain, directory))
                     pages_written += len(chain)
             except BaseException:
                 for page_id in allocated:
@@ -1516,81 +1465,31 @@ class GroupedTupleStore:
                     self._release_page(page_id)
                 raise
             # Swap: from here on nothing can fail.
-            old_chains = self._chains
-            old_rid_page = self._rid_page
-            old_gids = self._group_ids
-            old_encoded = self._group_encoded
-            old_ratio = self._group_ratio
-            old_failed = self._group_enc_failed
-            old_plain = self._group_plain_pages
+            old_groups = self._groups
             self.schema.set_groups(targets)
-            self._chains, self._rid_page, self._group_ids = [], [], []
-            self._group_encoded, self._group_ratio = [], []
-            self._group_enc_failed, self._group_plain_pages = [], []
-            kept = set()
-            for index in range(len(targets)):
-                old_index = reused[index]
-                if old_index is not None:
-                    kept.add(old_index)
-                    self._chains.append(old_chains[old_index])
-                    self._rid_page.append(old_rid_page[old_index])
-                    self._group_ids.append(old_gids[old_index])
-                    self._group_encoded.append(old_encoded[old_index])
-                    self._group_ratio.append(old_ratio[old_index])
-                    self._group_enc_failed.append(old_failed[old_index])
-                    self._group_plain_pages.append(old_plain[old_index])
-                else:
-                    chain, directory, gid = built[index]  # type: ignore[misc]
-                    self._chains.append(chain)
-                    self._rid_page.append(directory)
-                    self._group_ids.append(gid)
-                    self._group_encoded.append(False)
-                    self._group_ratio.append(1.0)
-                    self._group_enc_failed.append(False)
-                    self._group_plain_pages.append(len(chain))
-            # Retire: the old layout's pages, now unreachable from the
-            # live directory, and the dead groups' I/O counters
-            # (migrations mint fresh group ids, so stale tags would
-            # otherwise accumulate forever).  Open snapshots keep both
-            # alive until released.
-            for old_index, chain in enumerate(old_chains):
-                if old_index not in kept:
-                    for page_id in chain:
+            self._groups = groups
+            # Retire: the dropped records' pages, now unreachable from the
+            # live directory, and their I/O counters (migrations mint fresh
+            # group ids, so stale tags would otherwise accumulate forever).
+            # Open snapshots keep both alive until released.
+            for group in old_groups:
+                if group not in groups:
+                    for page_id in group.chain:
                         self._release_page(page_id)
-                    self._release_tag((self.owner, old_gids[old_index]))
+                    self._release_tag((self.owner, group.gid))
             return pages_written
-
-    def compact_groups(self, target_groups: Sequence[Sequence[str]]) -> int:
-        """Physically re-partition the table into ``target_groups``.
-
-        The offline maintenance operation that amortises many cheap ADD
-        COLUMNs (see the hybrid-store ablation in DESIGN.md §5); returns
-        the page count of the new layout.  Crash-safe: delegates to
-        :meth:`restructure`, which builds new chains before freeing old
-        ones.  For *online* re-partitioning one group at a time, see
-        :class:`repro.engine.layout.LayoutMigration`.
-        """
-        self.restructure(target_groups)
-        return self.n_pages
 
     # -- page encodings ------------------------------------------------------
 
-    def _reset_group_encoding(self, group_index: int) -> None:
-        """Forget one group's encoding state after a plain rewrite."""
-        self._group_encoded[group_index] = False
-        self._group_ratio[group_index] = 1.0
-        self._group_enc_failed[group_index] = False
-        self._group_plain_pages[group_index] = len(self._chains[group_index])
-
     def group_encoded(self, group_index: int) -> bool:
-        return self._group_encoded[group_index]
+        return self._groups[group_index].encoded
 
     def group_encoding_ratio(self, group_index: int) -> float:
-        return self._group_ratio[group_index]
+        return self._groups[group_index].ratio
 
     @property
     def encoded_group_count(self) -> int:
-        return sum(1 for encoded in self._group_encoded if encoded)
+        return sum(1 for group in self._groups if group.encoded)
 
     def encode_group(self, group_index: int) -> int:
         """Rewrite one group's chain with per-column page encodings.
@@ -1603,25 +1502,18 @@ class GroupedTupleStore:
         Returns the new chain's page count, or 0 when the group does not
         compress (remembered, so maintenance stops retrying)."""
         with self._mutation_lock:
-            members = self.schema.groups[group_index]
-            width = max(1, len(members))
+            group = self._groups[group_index]
+            width = max(1, len(self.schema.groups[group_index]))
             rid_list: List[int] = []
             columns: List[List[Any]] = [[] for _ in range(width)]
-            for page_id in self._chains[group_index]:
-                page = self.pool.get(page_id)
-                enc = page.header.get("enc")
-                if enc is None:
-                    for rid, fragment in page.records:
-                        rid_list.append(rid)
-                        for offset in range(width):
-                            columns[offset].append(fragment[offset])
-                else:
-                    rid_list.extend(enc["rids"])
-                    for offset in range(width):
-                        columns[offset].extend(decode_column(*enc["cols"][offset]))
+            for page_id in group.chain:
+                rids, values, _, _ = _decode_page(self.pool.get(page_id), range(width))
+                rid_list.extend(rids)
+                for column, more in zip(columns, values):
+                    column.extend(more)
             n = len(rid_list)
             if n == 0:
-                self._group_enc_failed[group_index] = True
+                group.enc_failed = True
                 return 0
             kinds: List[str] = []
             encoded_bytes = 0
@@ -1632,7 +1524,7 @@ class GroupedTupleStore:
             plain_bytes = n * width * PLAIN_VALUE_BYTES
             ratio = plain_bytes / max(1, encoded_bytes)
             if ratio <= 1.05:
-                self._group_enc_failed[group_index] = True
+                group.enc_failed = True
                 return 0
             capacity = self._group_capacity(group_index)
             per_page = max(capacity, int(capacity * ratio))
@@ -1684,14 +1576,14 @@ class GroupedTupleStore:
                 raise
             # Swap in the encoded chain; the plain one is retired for any
             # open snapshot still streaming it.
-            for page_id in self._chains[group_index]:
+            for page_id in group.chain:
                 self._release_page(page_id)
-            self._chains[group_index] = chain
-            self._rid_page[group_index] = directory
-            self._group_encoded[group_index] = True
-            self._group_ratio[group_index] = ratio
-            self._group_enc_failed[group_index] = False
-            self._group_plain_pages[group_index] = 0
+            group.chain = chain
+            group.rid_page = directory
+            group.encoded = True
+            group.ratio = ratio
+            group.enc_failed = False
+            group.plain_pages = 0
             return len(chain)
 
     def encoding_tick(
@@ -1706,9 +1598,10 @@ class GroupedTupleStore:
         encoded: List[Tuple[int, float]] = []
         with self._mutation_lock:
             for group_index, members in enumerate(self.schema.groups):
-                if self._group_enc_failed[group_index]:
+                group = self._groups[group_index]
+                if group.enc_failed:
                     continue
-                if self._group_plain_pages[group_index] < min_pages:
+                if group.plain_pages < min_pages:
                     continue
                 scans = sum(
                     self.access_stats.column(name).scans for name in members
@@ -1716,29 +1609,29 @@ class GroupedTupleStore:
                 if scans < min_scans:
                     continue
                 if self.encode_group(group_index):
-                    encoded.append((group_index, self._group_ratio[group_index]))
+                    encoded.append((group_index, group.ratio))
         return encoded
 
     def column_encoding_ratios(self) -> Dict[str, float]:
         """Lower-cased column name → measured compression ratio for every
         column living in an encoded group (the cost model's discount)."""
         ratios: Dict[str, float] = {}
-        for group_index, members in enumerate(self.schema.groups):
-            if not self._group_encoded[group_index]:
+        for group, members in zip(self._groups, self.schema.groups):
+            if not group.encoded:
                 continue
             for name in members:
-                ratios[name.lower()] = self._group_ratio[group_index]
+                ratios[name.lower()] = group.ratio
         return ratios
 
     def encoding_snapshot(self) -> List[Dict[str, Any]]:
         """Per-group encoding state, in group order, for persistence."""
         return [
             {
-                "encoded": self._group_encoded[index],
-                "ratio": self._group_ratio[index],
-                "failed": self._group_enc_failed[index],
+                "encoded": group.encoded,
+                "ratio": group.ratio,
+                "failed": group.enc_failed,
             }
-            for index in range(self.n_groups)
+            for group in self._groups
         ]
 
     def restore_encodings(self, payloads: Sequence[Dict[str, Any]]) -> None:
@@ -1752,7 +1645,7 @@ class GroupedTupleStore:
             if payload.get("encoded"):
                 self.encode_group(group_index)
             elif payload.get("failed"):
-                self._group_enc_failed[group_index] = True
+                self._groups[group_index].enc_failed = True
 
     def covering_io_snapshot(self, column_names: Sequence[str]) -> IOStats:
         """Aggregated cumulative I/O of the groups covering a column set.
@@ -1760,35 +1653,17 @@ class GroupedTupleStore:
         The trace instrumentation snapshots this before and after a
         projected scan: the delta is the block I/O the scan charged to
         exactly the page chains it was allowed to touch."""
-        groups = sorted({self.schema.group_of(name) for name in column_names})
+        groups = sorted({_locate(self.schema.groups, name)[0] for name in column_names})
         total = IOStats()
         for group_index in groups:
-            stats = self.group_io_stats(group_index)
-            total.reads += stats.reads
-            total.writes += stats.writes
-            total.allocations += stats.allocations
-            total.frees += stats.frees
-            total.bytes_read += stats.bytes_read
-            total.bytes_written += stats.bytes_written
+            total.add(self.group_io_stats(group_index))
         return total
 
     def group_io_snapshot(self) -> List[Dict[str, int]]:
         """Cumulative per-group I/O counters, in group order — what the
         persistence layer carries so the ``stats`` surface survives a
         restart (pager tags are process-local and rebuilt on load)."""
-        return [
-            {
-                "reads": stats.reads,
-                "writes": stats.writes,
-                "allocations": stats.allocations,
-                "frees": stats.frees,
-                "bytes_read": stats.bytes_read,
-                "bytes_written": stats.bytes_written,
-            }
-            for stats in (
-                self.group_io_stats(index) for index in range(self.n_groups)
-            )
-        ]
+        return [self.group_io_stats(index).to_dict() for index in range(self.n_groups)]
 
     def restore_group_io(self, payloads: Sequence[Dict[str, int]]) -> None:
         """Overwrite the live per-group I/O counters with persisted ones.
@@ -1800,24 +1675,13 @@ class GroupedTupleStore:
         but a truncated payload must not corrupt the store) are ignored.
         """
         for group_index, payload in enumerate(payloads[: self.n_groups]):
-            self.pool.set_tag_stats(
-                self._tag(group_index),
-                IOStats(
-                    reads=int(payload.get("reads", 0)),
-                    writes=int(payload.get("writes", 0)),
-                    allocations=int(payload.get("allocations", 0)),
-                    frees=int(payload.get("frees", 0)),
-                    bytes_read=int(payload.get("bytes_read", 0)),
-                    bytes_written=int(payload.get("bytes_written", 0)),
-                ),
-            )
+            self.pool.set_tag_stats(self._tag(group_index), IOStats.from_dict(payload))
 
     def group_skip_stats(self, group_index: int) -> Dict[str, Any]:
         """One group's cumulative data-skipping counters: pages skipped,
         pages decoded, and the resulting skip ratio."""
-        gid = self._group_ids[group_index]
-        skipped = self._group_pages_skipped.get(gid, 0)
-        scanned = self._group_pages_scanned.get(gid, 0)
+        group = self._groups[group_index]
+        skipped, scanned = group.pages_skipped, group.pages_scanned
         total = skipped + scanned
         return {
             "pages_skipped": skipped,
@@ -1830,11 +1694,11 @@ class GroupedTupleStore:
         return [
             {
                 "group": index,
-                "group_id": self._group_ids[index],
+                "group_id": self._groups[index].gid,
                 "columns": list(members),
                 "pages": self.pages_in_group(index),
-                "encoded": self._group_encoded[index],
-                "ratio": round(self._group_ratio[index], 2),
+                "encoded": self._groups[index].encoded,
+                "ratio": round(self._groups[index].ratio, 2),
                 "zones": round(self.zone_coverage(index), 2),
                 "skip": self.group_skip_stats(index),
                 "io": {
@@ -1860,36 +1724,34 @@ class GroupedTupleStore:
 
     def _validate_locked(self) -> None:
         """Body of :meth:`validate`; mutation lock held."""
-        if len(self._chains) != self.schema.n_groups:
-            raise StorageError("chain count does not match schema groups")
-        if len(self._group_ids) != len(self._chains):
-            raise StorageError("group id directory does not match chains")
+        if len(self._groups) != self.schema.n_groups:
+            raise StorageError("group records do not match schema groups")
         counts = set()
-        for group_index, chain in enumerate(self._chains):
-            width = len(self.schema.groups[group_index])
+        for group, members in zip(self._groups, self.schema.groups):
+            width = len(members)
             seen = 0
-            for page_id in chain:
+            plain_pages = 0
+            for page_id in group.chain:
                 page = self.pool.get(page_id)
-                enc = page.header.get("enc")
-                if enc is not None:
-                    if page.records:
-                        raise StorageError("encoded page still holds plain records")
-                    if len(enc["cols"]) != width:
-                        raise StorageError("encoded column count mismatch")
-                    for rid in enc["rids"]:
-                        if self._rid_page[group_index].get(rid) != page_id:
-                            raise StorageError(f"directory mismatch for rid {rid}")
-                        seen += 1
-                    for kind, payload in enc["cols"]:
-                        if len(decode_column(kind, payload)) != len(enc["rids"]):
-                            raise StorageError("encoded column length mismatch")
-                    continue
-                for rid, fragment in page.records:
-                    if self._rid_page[group_index].get(rid) != page_id:
+                if any(len(fragment) != width for _, fragment in page.records):
+                    raise StorageError("fragment width mismatch")
+                rids, columns, _, encoded = _decode_page(page, None)
+                if encoded and page.records:
+                    raise StorageError("encoded page still holds plain records")
+                if encoded and len(columns) != width:
+                    raise StorageError("encoded column count mismatch")
+                if any(len(column) != len(rids) for column in columns):
+                    raise StorageError("encoded column length mismatch")
+                for rid in rids:
+                    if group.rid_page.get(rid) != page_id:
                         raise StorageError(f"directory mismatch for rid {rid}")
-                    if len(fragment) != width:
-                        raise StorageError("fragment width mismatch")
-                    seen += 1
+                seen += len(rids)
+                plain_pages += not encoded
+            if plain_pages != group.plain_pages:
+                raise StorageError(
+                    f"group {group.gid} counts {group.plain_pages} plain pages, "
+                    f"its chain holds {plain_pages}"
+                )
             counts.add(seen)
         if len(counts) > 1:
             raise StorageError(f"groups disagree on row count: {counts}")

@@ -593,6 +593,12 @@ class Table:
         return self._layout_migration is not None
 
     @property
+    def wants_maintenance(self) -> bool:
+        """Whether maintenance beats tick this table: it opted into
+        adaptive layout, or a migration is in flight."""
+        return self.auto_layout or self.migration_active
+
+    @property
     def layout_migration_target(self) -> Optional[List[List[str]]]:
         """The in-flight migration's target grouping (None when idle) —
         what persistence carries so a recovered server resumes the

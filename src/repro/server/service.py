@@ -47,7 +47,6 @@ from repro.core.persist import workbook_from_dict
 from repro.core.workbook import Workbook
 from repro.engine import sql_ast
 from repro.engine.database import ResultSet, txn_command
-from repro.engine.hybridstore import suggested_tick_budget
 from repro.engine.maintenance import MaintenanceWorker
 from repro.engine.sql_parser import parse_sql
 from repro.errors import DataSpreadError, ServerError, SqlError, StaleWriteError
@@ -653,10 +652,6 @@ class WorkbookService:
         # spin up its own (its inline interval is already zeroed above).
         self.workbook.database.background_maintenance = False
         self._maintenance_worker: Optional[MaintenanceWorker] = None
-        # Restructure-work budget per maintenance beat (blocks); None =
-        # unbudgeted, the historical behaviour.  Operators serving large
-        # tables set this so layout migrations never monopolise a beat.
-        self.layout_tick_budget: Optional[int] = None
         # Observability: the service reports through the workbook's
         # database registry/tracer/event log — one surface for all layers.
         database = self.workbook.database
@@ -1088,14 +1083,12 @@ class WorkbookService:
         suffix replay converges to the same physical layout the live
         server had.
 
-        ``max_blocks`` (default: the service's ``layout_tick_budget``)
-        caps each table's restructure work per beat so a big migration is
-        spread over many beats instead of stalling the serve loop."""
+        ``max_blocks`` (default: unbudgeted) caps each table's restructure
+        work per beat so a big migration is spread over many beats instead
+        of stalling the serve loop."""
         database = self.workbook.database
         if database.in_transaction:
             return []
-        if max_blocks is None:
-            max_blocks = self.layout_tick_budget
         with self._apply_lock:
             reports = database.maintenance_tick(
                 steps, observer=self._on_layout_transition, max_blocks=max_blocks
@@ -1119,10 +1112,7 @@ class WorkbookService:
             return
         self._ops_since_maintenance = 0
         if self.background_maintenance:
-            if any(
-                table.auto_layout or table.migration_active
-                for table in self.workbook.database.catalog.tables()
-            ):
+            if self.workbook.database.maintenance_candidates():
                 self.ensure_maintenance_worker().wake()
             return
         self.maintenance_tick()
@@ -1140,22 +1130,11 @@ class WorkbookService:
         with self._apply_lock:
             if database.in_transaction:
                 return False
-            candidates = [
-                table
-                for table in database.catalog.tables()
-                if table.auto_layout or table.migration_active
-            ]
+            candidates = database.maintenance_candidates()
             if not candidates:
                 self._drain_layout_queue()
                 return False
-            budget = self.layout_tick_budget
-            if budget is None:
-                budget = max(
-                    suggested_tick_budget(
-                        table.n_rows, database.catalog.pool.page_capacity
-                    )
-                    for table in candidates
-                )
+            budget = database.background_tick_budget(candidates)
             reports = database.maintenance_tick(
                 steps=2, observer=self._on_layout_transition, max_blocks=budget
             )

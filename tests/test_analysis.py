@@ -267,40 +267,6 @@ class TestRC005ExceptionSwallowing:
         )
 
 
-class TestRC006FrozenGroupMutation:
-    def test_unthawed_mutation_fires(self, tmp_path):
-        diags = check(
-            tmp_path,
-            """
-            class Store:
-                def _thaw_page(self, page_id):
-                    pass
-
-                def add(self, rid, row):
-                    page = self.pool.get(self.chain[-1])
-                    page.records.append((rid, row))
-            """,
-            "RC006",
-        )
-        assert diags and "thaw" in diags[0].message.lower()
-
-    def test_thawed_mutation_is_quiet(self, tmp_path):
-        assert not check(
-            tmp_path,
-            """
-            class Store:
-                def _thaw_page(self, page_id):
-                    pass
-
-                def add(self, rid, row):
-                    self._thaw_page(self.chain[-1])
-                    page = self.pool.get(self.chain[-1])
-                    page.records.append((rid, row))
-            """,
-            "RC006",
-        )
-
-
 class TestRC007LockDiscipline:
     def test_unlocked_mutation_fires(self, tmp_path):
         diags = check(
@@ -311,15 +277,41 @@ class TestRC007LockDiscipline:
             class Store:
                 def __init__(self):
                     self._mutation_lock = threading.RLock()
-                    self._chains = {}
+                    self._groups = []
 
                 def restructure(self, groups):
-                    self._chains["a"] = [1]
+                    self._groups[0] = None
             """,
             "RC007",
         )
         assert diags and "lock" in diags[0].message.lower()
-        assert "Store.restructure:_chains" in diags[0].symbol
+        assert "Store.restructure:_groups" in diags[0].symbol
+
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            "self._groups[i].chain.append(page_id)",
+            "group = self._groups[i]; group.rid_page[rid] = page_id",
+        ],
+        ids=["record-chain", "local-record-directory"],
+    )
+    def test_unlocked_group_record_mutation_fires(self, tmp_path, mutation):
+        diags = check(
+            tmp_path,
+            f"""
+            import threading
+
+            class Store:
+                def __init__(self):
+                    self._mutation_lock = threading.RLock()
+                    self._groups = []
+
+                def append(self, i, rid, page_id):
+                    {mutation}
+            """,
+            "RC007",
+        )
+        assert diags and "lock" in diags[0].message.lower()
 
     def test_locked_mutation_is_quiet(self, tmp_path):
         assert not check(
@@ -330,11 +322,11 @@ class TestRC007LockDiscipline:
             class Store:
                 def __init__(self):
                     self._mutation_lock = threading.RLock()
-                    self._chains = {}
+                    self._groups = []
 
                 def restructure(self, groups):
                     with self._mutation_lock:
-                        self._chains["a"] = [1]
+                        self._groups[0] = None
             """,
             "RC007",
         )
@@ -348,11 +340,11 @@ class TestRC007LockDiscipline:
             class Store:
                 def __init__(self):
                     self._mutation_lock = threading.RLock()
-                    self._chains = {}
+                    self._groups = []
 
                 def _restructure_locked(self, groups):
                     \"\"\"Caller holds the mutation lock.\"\"\"
-                    self._chains["a"] = [1]
+                    self._groups[0] = None
             """,
             "RC007",
         )
@@ -365,10 +357,10 @@ class TestRC007LockDiscipline:
             """
             class Builder:
                 def __init__(self):
-                    self._chains = {}
+                    self._groups = []
 
                 def add(self):
-                    self._chains["a"] = [1]
+                    self._groups[0] = None
             """,
             "RC007",
         )
@@ -403,6 +395,73 @@ def test_store_row_mutators_are_called_only_from_the_table_chokepoint():
     assert callers == {"engine/table.py:_change"}
 
 
+def test_page_records_are_assigned_only_by_the_store_page_helpers():
+    """What RC006 used to police, now true by construction: in
+    ``engine/store.py`` a page's ``.records`` is assigned or mutated only
+    by the helpers that build a fresh page (``_new_page``), by
+    ``_thaw_page``, and by the rewrite/update/delete helpers whose page
+    comes through the copy-on-write gate (``_writable_page``, directly or
+    via ``_find_slot``, which thaws it).  An encoded page's rows live only
+    in its codec payload, so nothing else can corrupt one in place."""
+    tree = python_ast.parse((REPO_ROOT / "src/repro/engine/store.py").read_text())
+
+    def records_of(node):
+        while isinstance(node, python_ast.Subscript):
+            node = node.value
+        return isinstance(node, python_ast.Attribute) and node.attr == "records"
+
+    def mutates_records(node):
+        if isinstance(node, python_ast.Assign):
+            return any(records_of(target) for target in node.targets)
+        if isinstance(node, (python_ast.AugAssign, python_ast.AnnAssign)):
+            return records_of(node.target)
+        if isinstance(node, python_ast.Delete):
+            return any(records_of(target) for target in node.targets)
+        return (
+            isinstance(node, python_ast.Call)
+            and isinstance(node.func, python_ast.Attribute)
+            and node.func.attr
+            in ("append", "extend", "insert", "remove", "pop", "clear", "sort")
+            and records_of(node.func.value)
+        )
+
+    def calls(function):
+        return {
+            node.func.attr
+            for node in python_ast.walk(function)
+            if isinstance(node, python_ast.Call)
+            and isinstance(node.func, python_ast.Attribute)
+        }
+
+    functions = {}
+    for owner in [tree, *(n for n in tree.body if isinstance(n, python_ast.ClassDef))]:
+        prefix = "" if owner is tree else f"{owner.name}."
+        for function in owner.body:
+            if isinstance(function, python_ast.FunctionDef):
+                functions[prefix + function.name] = function
+    mutators = {
+        name
+        for name, function in functions.items()
+        if any(mutates_records(node) for node in python_ast.walk(function))
+    }
+    assert mutators == {
+        "GroupedTupleStore._writable_page",
+        "GroupedTupleStore._append_record",
+        "GroupedTupleStore._thaw_page",
+        "GroupedTupleStore.update",
+        "GroupedTupleStore.update_column",
+        "GroupedTupleStore.delete",
+        "GroupedTupleStore._rewrite_group",
+        "GroupedTupleStore._build_chain",
+    }
+    for name in mutators - {"GroupedTupleStore._thaw_page"}:
+        sources = {"_new_page", "_writable_page", "_find_slot"}
+        assert calls(functions[name]) & sources, name
+    for name in ("_find_slot", "_rewrite_group"):
+        called = calls(functions[f"GroupedTupleStore.{name}"])
+        assert {"_writable_page", "_thaw_page"} <= called, name
+
+
 # -- framework ----------------------------------------------------------------
 
 
@@ -414,7 +473,6 @@ class TestFramework:
             "RC002",
             "RC004",
             "RC005",
-            "RC006",
             "RC007",
         }
 
@@ -515,30 +573,30 @@ class TestSanitizer:
     def test_frozen_group_mutation_raises(self):
         store = make_store(sanitize=True)
         assert store.encode_group(0) > 0
-        page = store.pool.get(store._chains[0][0])
+        page = store.pool.get(store._groups[0].chain[0])
         # Simulate a buggy code path appending to an encoded page
         # without thawing it first.
         page.records.append((999, [999]))
         with pytest.raises(SanitizerError, match="thaw"):
-            store.pool.get(store._chains[0][0])
+            store.pool.get(store._groups[0].chain[0])
 
     def test_frozen_group_mutation_silent_when_off(self):
         store = make_store(sanitize=False)
         assert store.encode_group(0) > 0
-        page = store.pool.get(store._chains[0][0])
+        page = store.pool.get(store._groups[0].chain[0])
         page.records.append((999, [999]))
-        store.pool.get(store._chains[0][0])  # tolerated silently
+        store.pool.get(store._groups[0].chain[0])  # tolerated silently
 
     def test_rid_lockstep_violation_raises(self):
         store = make_store(sanitize=True)
-        page = store.pool.get(store._chains[1][0])
+        page = store.pool.get(store._groups[1].chain[0])
         page.records[0], page.records[1] = page.records[1], page.records[0]
         with pytest.raises(SanitizerError, match="lockstep"):
             list(store.scan_group_batches(["a", "b"], batch_size=8))
 
     def test_rid_lockstep_falls_back_when_off(self):
         store = make_store(sanitize=False)
-        page = store.pool.get(store._chains[1][0])
+        page = store.pool.get(store._groups[1].chain[0])
         page.records[0], page.records[1] = page.records[1], page.records[0]
         rows = {}
         for rids, cols in store.scan_group_batches(["a", "b"], batch_size=8):

@@ -247,14 +247,14 @@ class TestMigration:
     def test_restructure_reuses_unchanged_chains(self):
         store = make_store(layout=LayoutPolicy.COLUMN)
         pages_before = {
-            tuple(group): list(store._chains[index])
+            tuple(group): list(store._groups[index].chain)
             for index, group in enumerate(store.schema.groups)
         }
         written = store.restructure([["c0"], ["c1"], ["c2", "c3"]])
         # c0 and c1 chains are untouched (same page ids), only the merged
         # group was built.
-        assert store._chains[0] == pages_before[("c0",)]
-        assert store._chains[1] == pages_before[("c1",)]
+        assert store._groups[0].chain == pages_before[("c0",)]
+        assert store._groups[1].chain == pages_before[("c1",)]
         assert written == store.pages_in_group(2)
 
     def test_restructure_rejects_bad_cover(self):

@@ -230,8 +230,9 @@ class TestHybridCompaction:
         store = make_store(HYBRID)
         rids = fill(store, 20)
         store.add_column(Column("e", default=5))
-        store.compact_groups([["a", "b", "c", "d", "e"]])
+        store.restructure([["a", "b", "c", "d", "e"]])
         assert store.schema.n_groups == 1
+        assert store.n_pages == 20  # one 5-wide record per 8-value page
         for i, rid in enumerate(rids):
             assert store.get(rid) == (i, f"t{i}", i * 0.5, f"u{i}", 5)
         store.validate()
@@ -240,10 +241,10 @@ class TestHybridCompaction:
         store = make_store(HYBRID)
         fill(store, 4)
         with pytest.raises(SchemaError):
-            store.compact_groups([["a", "b"]])
+            store.restructure([["a", "b"]])
 
     def test_compact_crash_mid_rebuild_leaves_store_intact(self, monkeypatch):
-        """Regression: the old compact_groups freed every page *before*
+        """Regression: compaction used to free every page *before*
         rebuilding, so a failure mid-rebuild corrupted the store.  With
         build-then-swap-then-free, an injected crash at any allocation
         leaves data, layout and directory exactly as they were."""
@@ -266,7 +267,7 @@ class TestHybridCompaction:
 
             monkeypatch.setattr(BufferPool, "new_page", exploding_new_page)
             try:
-                store.compact_groups([["a", "b", "c", "d"]])
+                store.restructure([["a", "b", "c", "d"]])
                 monkeypatch.setattr(BufferPool, "new_page", real_new_page)
                 break  # enough allocations allowed: compaction succeeded
             except RuntimeError:
@@ -290,6 +291,45 @@ class TestHybridCompaction:
         assert len(summary) == 2
         assert summary[0]["columns"] == ["a", "b"]
         assert summary[0]["pages"] >= 1
+
+    def test_restructure_keeps_no_counters_for_dead_groups(self):
+        """Regression: every restructure mints fresh group ids and releases
+        the dead groups' pager tags, but their skip/scan counters used to
+        stay behind, one entry per dead group, forever."""
+        store = make_store(HYBRID)
+        fill(store, 400)
+        groupings = ([["a"], ["b"], ["c", "d"]], [["a", "b"], ["c", "d"]])
+        sizes = []
+        for cycle in range(50):
+            store.restructure(groupings[cycle % 2])
+            list(store.scan_groups(["a", "b", "c", "d"]))
+            sizes.append(
+                {
+                    name: len(value)
+                    for name, value in vars(store).items()
+                    if isinstance(value, dict)
+                }
+            )
+        # Same grouping, same live pages: nothing store-wide may grow.
+        assert sizes[-1] == sizes[1]
+        assert store.pool.stats_snapshot()["pager_tags"] == store.n_groups == 2
+        # ["a", "b"] was rebuilt by the last restructure and scanned once;
+        # ["c", "d"] kept its record through all 50 and was scanned 50 times.
+        assert [store.group_skip_stats(i)["pages_scanned"] for i in range(2)] == [
+            store.pages_in_group(0),
+            50 * store.pages_in_group(1),
+        ]
+        store.validate()
+
+    def test_validate_checks_each_groups_plain_page_count(self):
+        store = make_store(HYBRID)
+        fill(store, 40)
+        assert store.encode_group(0) > 0
+        fill(store, 10)  # plain tail pages after the encoded prefix
+        store.validate()
+        store._groups[0].plain_pages += 1
+        with pytest.raises(StorageError, match="plain pages"):
+            store.validate()
 
 
 #: Logical I/O of :func:`run_pinned_script` per layout: per-group
