@@ -10,8 +10,10 @@ What it asserts (each check is cheap relative to the operation it rides):
 
 * **encoded-page freshness** — a page carrying an ``"enc"`` header must
   hold no plain records; one means a frozen group was mutated without
-  ``_thaw_page``.  Checked on every buffer-pool fetch and write-back, so
-  the corruption surfaces at the next page touch.
+  ``_thaw_page``.  The header itself must be the frozen
+  :class:`~repro.engine.encoding.EncodedPage` with tuple rids and columns,
+  since disk and buffer frames share it.  Checked on every buffer-pool
+  fetch and write-back, so the corruption surfaces at the next page touch.
 * **batch rid lockstep** — every column fragment of an emitted batch must
   be exactly as long as its rid list, rids unique; covering chains that
   disagree on rid order raise instead of silently degrading to per-rid
@@ -100,12 +102,18 @@ class Sanitizer(NullSanitizer):
                 f"{len(page.records)} plain record(s) — a frozen group was "
                 "mutated without _thaw_page"
             )
-        rids = enc.get("rids")
-        cols = enc.get("cols")
-        if rids is None or cols is None:
+        # Imported here: the engine imports this module at load time.
+        from repro.engine.encoding import EncodedPage
+
+        if not (
+            type(enc) is EncodedPage
+            and type(enc.rids) is tuple
+            and type(enc.cols) is tuple
+        ):
             self._fail(
                 f"page {page.page_id} has a malformed 'enc' header "
-                "(missing rids/cols)"
+                f"({type(enc).__name__}, not a frozen EncodedPage with "
+                "tuple rids/cols) — a shared page image could be mutated"
             )
 
     # -- store scans ---------------------------------------------------------

@@ -19,18 +19,22 @@ Sizes are *simulated bytes*, mirroring how ``page_capacity`` simulates an
 the store divides a page's byte budget by the encoded record size to
 decide how many records an encoded page holds.  :func:`choose_encoding`
 picks the smallest representation, falling back to ``plain`` for columns
-that do not compress (mixed types, high-cardinality text).
+that do not compress (mixed types, high-cardinality text).  Payloads are
+immutable (tuples; ``bytes`` behind a typed ``memoryview`` for ``packed``)
+and travel in one frozen :class:`EncodedPage` per page, so disk and buffer
+frames share a page image instead of copying it.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, NamedTuple, Sequence, Tuple
 
 from repro.errors import StorageError
 
 __all__ = [
     "PLAIN_VALUE_BYTES",
+    "EncodedPage",
     "plain_size",
     "encoded_size",
     "choose_encoding",
@@ -48,6 +52,17 @@ _INT_WIDTHS: List[Tuple[int, str, int, int]] = [
     (4, "l", -(1 << 31), (1 << 31) - 1),
     (8, "q", -(1 << 63), (1 << 63) - 1),
 ]
+
+
+class EncodedPage(NamedTuple):
+    """An encoded page's ``"enc"`` header: ``(kind, payload)`` per column
+    for the page's rids, with simulated sizes.  Frozen, never edited."""
+
+    rids: Tuple[int, ...]
+    cols: Tuple[Tuple[str, Any], ...]
+    col_bytes: Tuple[int, ...]
+    bytes: int
+    plain_bytes: int
 
 
 def plain_size(n_values: int) -> int:
@@ -134,8 +149,7 @@ def encoded_size(n_values: int, kind: str, payload: Any) -> int:
     if kind == "plain":
         return plain_size(n_values)
     if kind == "packed":
-        typed: array = payload
-        return len(typed) * typed.itemsize
+        return len(payload[1])
     if kind == "dict":
         mapping, codes = payload
         return plain_size(len(mapping)) + len(codes) * _code_bytes(len(mapping))
@@ -145,19 +159,21 @@ def encoded_size(n_values: int, kind: str, payload: Any) -> int:
 
 
 def encode_column(values: Sequence[Any], kind: str) -> Any:
-    """Encode one column fragment as ``kind``; returns the payload."""
+    """Encode one column fragment as ``kind``; returns the immutable
+    payload: values (``plain``), ``(typecode, bytes)`` (``packed``),
+    ``(distinct values, codes)`` (``dict``) or ``(value, count)`` runs."""
     if kind == "plain":
-        return list(values)
+        return tuple(values)
     if kind == "packed":
         if _pure_ints(values):
             _, typecode = _int_width(values) if values else (1, "b")
         else:
             typecode = "d"
-        return array(typecode, values)
+        return (typecode, array(typecode, values).tobytes())
     if kind == "dict":
         mapping: List[Any] = []
         index: dict = {}
-        codes = array("l")
+        codes: List[int] = []
         for value in values:
             key = (type(value).__name__, value)
             code = index.get(key)
@@ -165,9 +181,9 @@ def encode_column(values: Sequence[Any], kind: str) -> Any:
                 code = index[key] = len(mapping)
                 mapping.append(value)
             codes.append(code)
-        return (mapping, codes)
+        return (tuple(mapping), tuple(codes))
     if kind == "rle":
-        return _runs(values)
+        return tuple(_runs(values))
     raise StorageError(f"unknown column encoding {kind!r}")
 
 
@@ -176,7 +192,7 @@ def decode_column(kind: str, payload: Any) -> List[Any]:
     if kind == "plain":
         return list(payload)
     if kind == "packed":
-        return payload.tolist()
+        return memoryview(payload[1]).cast(payload[0]).tolist()
     if kind == "dict":
         mapping, codes = payload
         return [mapping[code] for code in codes]

@@ -758,12 +758,20 @@ class SortNode(PlanNode):
         return self._count(row for _, row in decorated)
 
 
+#: ``compare_values``' total order over the types a typed sort key takes:
+#: NULL, then numbers (a bool is an int), then text.
+_KEY_CLASS = {type(None): 0, bool: 1, int: 1, float: 1, str: 2}
+
+
 def sort_decorated(
     decorated: List[Tuple[Tuple[Any, ...], Any]], directions: Sequence[bool]
 ) -> None:
     """Sort ``(sort keys, payload)`` pairs in place, stably, the way
     ``ORDER BY`` does: key by key, ``descending`` per key, NULLs first
-    ascending and last descending."""
+    ascending and last descending.  One ``list.sort`` pass per key, last
+    key first, on ``(class, value)`` (the bare value if the key holds one
+    class).  Before any pass, a value of another type (a date, say) or a
+    NaN sends the whole list to the three-way comparator instead."""
 
     def compare(a, b) -> int:
         for index, descending in enumerate(directions):
@@ -780,7 +788,23 @@ def sort_decorated(
                 return -outcome if descending else outcome
         return 0
 
-    decorated.sort(key=functools.cmp_to_key(compare))
+    classes = []
+    for index in range(len(directions)):
+        kinds = {type(keys[index]) for keys, _ in decorated}
+        if not kinds <= _KEY_CLASS.keys() or (
+            float in kinds and any(keys[index] != keys[index] for keys, _ in decorated)
+        ):
+            decorated.sort(key=functools.cmp_to_key(compare))
+            return
+        classes.append({_KEY_CLASS[kind] for kind in kinds})
+    for index in range(len(directions) - 1, -1, -1):
+        if len(classes[index]) > 1:
+            decorated.sort(
+                key=lambda item: (_KEY_CLASS[type(item[0][index])], item[0][index]),
+                reverse=directions[index],
+            )
+        elif classes[index] != {0}:  # (all NULL: every row ties)
+            decorated.sort(key=lambda item: item[0][index], reverse=directions[index])
 
 
 class LimitNode(PlanNode):

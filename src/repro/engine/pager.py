@@ -3,9 +3,11 @@
 The paper's storage-manager claims are about *disk blocks touched* ("with an
 insight to reduce the disk blocks to update during a schema change", §3).
 To reproduce those claims on a laptop we simulate a disk: a
-:class:`DiskManager` holds immutable page snapshots and counts every read,
+:class:`DiskManager` holds immutable page images and counts every read,
 write and allocation; a :class:`BufferPool` sits in front with an LRU of
-mutable :class:`Page` objects.  Benchmarks (E6, E8) read the counters off
+mutable :class:`Page` frames.  Records are tuples of scalars and an
+encoded page's payload is a frozen record, so a read or write copies
+pointers, never values.  Benchmarks (E6, E8) read the counters off
 :class:`IOStats` rather than wall-clock alone, which makes the *shape* of the
 paper's claims measurable deterministically.
 
@@ -16,7 +18,6 @@ for the byte budget of a real 8 KB block.
 
 from __future__ import annotations
 
-import copy
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
@@ -137,15 +138,17 @@ class Page:
 
 
 class DiskManager:
-    """The simulated disk: page id → frozen snapshot.
+    """The simulated disk: page id → immutable image.
 
-    Snapshots are deep copies so that buffer-pool mutations cannot leak to
-    "disk" without an explicit write — exactly the property that makes the
-    write counters trustworthy.
+    An image is a tuple of records and a header dict over immutable values;
+    ``read`` hands out a new list and dict over them, ``write`` stores a
+    tuple and a dict copy.  So buffer-pool mutations cannot leak to "disk"
+    without an explicit write — exactly the property that makes the write
+    counters trustworthy — and no page is ever deep-copied.
     """
 
     def __init__(self) -> None:
-        self._pages: Dict[int, Tuple[List[Tuple[Any, ...]], Dict[str, Any]]] = {}
+        self._pages: Dict[int, Tuple[Tuple[Tuple[Any, ...], ...], Dict[str, Any]]] = {}
         self._next_id = 0
         self.stats = IOStats()
         # Per-tag accounting: a tag identifies the logical owner of a page
@@ -193,7 +196,7 @@ class DiskManager:
         with self._lock:
             page_id = self._next_id
             self._next_id += 1
-            self._pages[page_id] = ([], {})
+            self._pages[page_id] = ((), {})
             self.stats.allocations += 1
             if tag is not None:
                 self._tags[page_id] = tag
@@ -244,13 +247,13 @@ class DiskManager:
             records, header = self._pages[page_id]
             self.stats.reads += 1
             self._bump(page_id, "reads")
-        # Stored snapshots are never mutated in place (writes replace the
-        # tuple wholesale), so the copy can happen outside the lock.
-        return Page(page_id, copy.deepcopy(records), copy.deepcopy(header))
+        # Stored images are never mutated in place (writes replace them
+        # wholesale), so the frame's containers are built outside the lock.
+        return Page(page_id, list(records), dict(header))
 
     def write(self, page: Page) -> None:
-        records = copy.deepcopy(page.records)
-        header = copy.deepcopy(page.header)
+        records = tuple(page.records)
+        header = dict(page.header)
         with self._lock:
             if page.page_id not in self._pages:
                 raise StorageError(f"write to unallocated page {page.page_id}")

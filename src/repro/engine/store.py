@@ -44,6 +44,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from repro.engine.encoding import (
     PLAIN_VALUE_BYTES,
+    EncodedPage,
     choose_encoding,
     decode_column,
     encode_column,
@@ -412,11 +413,11 @@ def _decode_page(
         columns = [[fragment[offset] for _, fragment in records] for offset in offsets]
         n_bytes = len(records) * len(offsets) * PLAIN_VALUE_BYTES
         return [rid for rid, _ in records], columns, n_bytes, False
-    rids = enc["rids"]
+    rids = list(enc.rids)
     if offsets is None:
-        offsets = range(len(enc["cols"]))
-    columns = [decode_column(*enc["cols"][offset]) for offset in offsets]
-    n_bytes = sum(enc["col_bytes"][offset] for offset in offsets)
+        offsets = range(len(enc.cols))
+    columns = [decode_column(*enc.cols[offset]) for offset in offsets]
+    n_bytes = sum(enc.col_bytes[offset] for offset in offsets)
     if alive is not None:
         rids = [rids[i] for i in alive]
         columns = [[column[i] for i in alive] for column in columns]
@@ -723,9 +724,8 @@ class GroupedTupleStore:
             return page
         group = self._groups[group_index]
         clone = self._new_page(self._tag(group_index))
+        # Page images are immutable past their list and dict: share them.
         clone.records = list(page.records)
-        # Shallow header copy: an encoded payload is never mutated in
-        # place (thaw *pops* it), so sharing it is safe.
         clone.header = dict(page.header)
         clone.mark_dirty()
         chain = group.chain
@@ -839,14 +839,14 @@ class GroupedTupleStore:
         enc = page.header.pop("enc", None)
         if enc is None:
             return
-        columns = [decode_column(kind, payload) for kind, payload in enc["cols"]]
+        columns = [decode_column(kind, payload) for kind, payload in enc.cols]
         page.records = [
             (rid, tuple(column[i] for column in columns))
-            for i, rid in enumerate(enc["rids"])
+            for i, rid in enumerate(enc.rids)
         ]
         page.mark_dirty()
         self._groups[group_index].plain_pages += 1
-        self._charge_decode_tag(self._tag(group_index), enc["bytes"])
+        self._charge_decode_tag(self._tag(group_index), enc.bytes)
 
     def _find_slot(self, group_index: int, rid: int) -> Tuple[Any, int]:
         """Locate (and thaw) a rid's page for in-place mutation, routing
@@ -1538,25 +1538,17 @@ class GroupedTupleStore:
                     page = self._new_page(tag)
                     allocated.append(page.page_id)
                     chain.append(page.page_id)
-                    page_rids = rid_list[start:stop]
-                    cols: List[Tuple[str, Any]] = []
-                    col_bytes: List[int] = []
-                    total = 0
-                    for offset in range(width):
-                        payload = encode_column(
-                            columns[offset][start:stop], kinds[offset]
-                        )
-                        size = encoded_size(stop - start, kinds[offset], payload)
-                        cols.append((kinds[offset], payload))
-                        col_bytes.append(size)
-                        total += size
-                    page.header["enc"] = {
-                        "rids": page_rids,
-                        "cols": cols,
-                        "col_bytes": col_bytes,
-                        "bytes": total,
-                        "plain_bytes": (stop - start) * width * PLAIN_VALUE_BYTES,
-                    }
+                    page_rids = tuple(rid_list[start:stop])
+                    cols = tuple(
+                        (kind, encode_column(column[start:stop], kind))
+                        for kind, column in zip(kinds, columns)
+                    )
+                    col_bytes = tuple(
+                        encoded_size(stop - start, kind, payload) for kind, payload in cols
+                    )
+                    total = sum(col_bytes)
+                    page_plain = (stop - start) * width * PLAIN_VALUE_BYTES
+                    page.header["enc"] = EncodedPage(page_rids, cols, col_bytes, total, page_plain)
                     page.mark_dirty()
                     # The column slices are in hand: compute zone maps
                     # eagerly so the encoded chain skips on its first scan.

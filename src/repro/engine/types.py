@@ -124,6 +124,8 @@ def coerce_value(value: Any, target: DBType, strict: bool = False) -> Any:
     """
     if value is None or target is DBType.NULL:
         return value
+    if isinstance(value, float) and math.isnan(value) and target is not DBType.TEXT:
+        return None  # sqlite binds a NaN as NULL: no stored value is unordered
     try:
         if target is DBType.INTEGER:
             if isinstance(value, bool):
@@ -138,7 +140,9 @@ def coerce_value(value: Any, target: DBType, strict: bool = False) -> Any:
             if isinstance(value, (int, float)):
                 return float(value)
             if isinstance(value, str):
-                return float(value) if value.strip() else None
+                number = float(value) if value.strip() else None
+                if number is None or math.isfinite(number):
+                    return number  # NaN/infinity text stays TEXT, as in sqlite
         elif target is DBType.BOOLEAN:
             if isinstance(value, bool):
                 return value
@@ -163,7 +167,7 @@ def coerce_value(value: Any, target: DBType, strict: bool = False) -> Any:
                 return value
             if isinstance(value, str):
                 return _dt.date.fromisoformat(value.strip())
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):
         pass
     if strict:
         raise ExecutionError(f"cannot coerce {value!r} to {target}")

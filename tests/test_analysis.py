@@ -580,6 +580,21 @@ class TestSanitizer:
         with pytest.raises(SanitizerError, match="thaw"):
             store.pool.get(store._groups[0].chain[0])
 
+    def test_mutable_enc_header_raises(self):
+        store = make_store(sanitize=True)
+        assert store.encode_group(0) > 0
+        page = store.pool.get(store._groups[0].chain[0])
+        enc = page.header["enc"]
+        # A dict (or list rids) would be shared, mutably, by disk and frame.
+        page.header["enc"] = dict(enc._asdict())
+        with pytest.raises(SanitizerError, match="EncodedPage"):
+            store.pool.get(store._groups[0].chain[0])
+        page.header["enc"] = enc._replace(rids=list(enc.rids))
+        with pytest.raises(SanitizerError, match="EncodedPage"):
+            store.pool.get(store._groups[0].chain[0])
+        page.header["enc"] = enc
+        store.pool.get(store._groups[0].chain[0])
+
     def test_frozen_group_mutation_silent_when_off(self):
         store = make_store(sanitize=False)
         assert store.encode_group(0) > 0

@@ -83,6 +83,93 @@ def test_ordered_agreement(comparator, query):
     assert ok, f"ours={ours} sqlite={theirs}"
 
 
+MIXED_SETUP = [
+    "CREATE TABLE m (id INTEGER, v REAL, w TEXT, b BOOLEAN)",
+    "INSERT INTO m VALUES (1, 2.5, 'b', TRUE), (2, NULL, 'a', FALSE), "
+    "(3, 'abc', NULL, NULL), (4, 2, 'b', TRUE), (5, -1.5, 'a', FALSE), "
+    "(6, 'abc', 'c', TRUE), (7, NULL, 'b', NULL), (8, 10, 'a', TRUE), "
+    "(9, 'Z', 'c', FALSE), (10, 2.5, 'b', TRUE)",
+]
+
+#: ORDER BY over one key holding NULLs, numbers and text (``v``, and a
+#: CASE that mixes INTEGER, REAL and TEXT), bools, several keys with
+#: mixed directions, and LIMIT/OFFSET.  Every key has ties.
+MIXED_ORDERED_QUERIES = [
+    "SELECT id, v FROM m ORDER BY v, id",
+    "SELECT id, v FROM m ORDER BY v DESC, id",
+    "SELECT id, b FROM m ORDER BY b, id",
+    "SELECT id, b FROM m ORDER BY b DESC, id DESC",
+    "SELECT id FROM m ORDER BY CASE WHEN id < 4 THEN id WHEN id < 7 THEN v ELSE w END, id",
+    "SELECT id FROM m ORDER BY CASE WHEN id < 4 THEN id WHEN id < 7 THEN v ELSE w END DESC, id",
+    "SELECT id, w, v FROM m ORDER BY w DESC, v ASC, id",
+    "SELECT id, w, v FROM m ORDER BY w ASC, v DESC, id",
+    "SELECT id FROM m ORDER BY v > 2, id DESC",
+    "SELECT id, v FROM m ORDER BY v, id LIMIT 4 OFFSET 3",
+    "SELECT id, v FROM m ORDER BY v DESC, id LIMIT 3",
+    "SELECT id, w FROM m ORDER BY w, b DESC, id LIMIT 5 OFFSET 2",
+]
+
+
+@pytest.fixture
+def mixed():
+    comp = SqliteComparator()
+    comp.setup(MIXED_SETUP)
+    yield comp
+    comp.close()
+
+
+@pytest.mark.parametrize("query", MIXED_ORDERED_QUERIES)
+def test_mixed_type_order_agreement(mixed, query):
+    ok, ours, theirs = mixed.ordered_match(query)
+    assert ok, f"ours={ours} sqlite={theirs}"
+
+
+@pytest.mark.parametrize("direction", ["ASC", "DESC"])
+def test_order_by_ties_keep_input_order(mixed, direction):
+    """Rows that tie on every key come out in input order, both ways."""
+    query = f"SELECT id, w FROM m ORDER BY w {direction}"
+    by_w = {}
+    for row_id, w in mixed.database.execute("SELECT id, w FROM m").rows:
+        by_w.setdefault(w, []).append(row_id)
+    present = sorted((w for w in by_w if w is not None), reverse=direction == "DESC")
+    groups = [None] + present if direction == "ASC" else present + [None]
+    ids = [row_id for row_id, _ in mixed.database.execute(query).rows]
+    assert ids == [row_id for w in groups for row_id in by_w[w]]
+    ok, ours, theirs = mixed.ordered_match(query)
+    assert ok, f"ours={ours} sqlite={theirs}"
+
+
+def test_nan_text_in_a_real_column_sorts_as_sqlite_does():
+    """``'nan'`` in a REAL column stays TEXT (sqlite's affinity rule), so
+    it sorts after every number; a NaN float would tie with everything and
+    scramble the order."""
+    comp = SqliteComparator()
+    try:
+        comp.setup(
+            [
+                "CREATE TABLE t (id INTEGER, x REAL)",
+                "INSERT INTO t VALUES (1, 3.0), (2, 'nan'), (3, 1.0), (4, NULL), "
+                "(5, 2.0), (6, 0.5), (7, 4.0), (8, 'inf')",
+            ]
+        )
+        for query in (
+            "SELECT id, x FROM t ORDER BY x DESC LIMIT 3",
+            "SELECT id, x FROM t WHERE x > 1.5 ORDER BY x, id",
+            "SELECT id, x FROM t ORDER BY x",
+        ):
+            ok, ours, theirs = comp.ordered_match(query)
+            assert ok, f"{query}: ours={ours} sqlite={theirs}"
+        assert [x for _, x in ours][-2:] == ["inf", "nan"]
+        # A NaN bound as a parameter is stored as NULL, as sqlite binds it.
+        comp.database.execute("INSERT INTO t VALUES (?, ?)", (9, float("nan")))
+        comp.connection.execute("INSERT INTO t VALUES (?, ?)", (9, float("nan")))
+        comp.assert_match("SELECT id FROM t WHERE x IS NULL")
+        ok, ours, theirs = comp.ordered_match("SELECT id, x FROM t ORDER BY x, id")
+        assert ok, f"ours={ours} sqlite={theirs}"
+    finally:
+        comp.close()
+
+
 class TestDmlAgreement:
     def test_update_then_query(self, comparator):
         comparator.setup(["UPDATE r SET b = b + 1 WHERE c = 'x'"])

@@ -145,8 +145,7 @@ class TestBufferPool:
         page.records.append((0, ("held",)))
         page.mark_dirty()
         pool.new_page()  # evicts the held page, writing it back
-        records, _ = pool.disk._pages[page.page_id]
-        assert records == [(0, ("held",))]
+        assert pool.disk.read(page.page_id).records == [(0, ("held",))]
         assert pool.get(page.page_id).records == [(0, ("held",))]
         # And flush_all on a clean pool has nothing left to lose.
         pool.flush_all()

@@ -1,11 +1,17 @@
 """End-to-end SELECT execution tests (planner + executor + functions)."""
 
+import datetime
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Database
-from repro.engine.executor import ProjectedScan
+from repro.engine.executor import ProjectedScan, sort_decorated
 from repro.engine.planner import Planner
 from repro.engine.sql_parser import parse_statement
+from repro.engine.types import compare_values
 from repro.errors import PlanError, SqlError
 
 
@@ -251,6 +257,104 @@ class TestOrderLimit:
     def test_ordinal_out_of_range(self, sample):
         with pytest.raises(PlanError):
             sample.execute("SELECT id FROM t ORDER BY 9")
+
+
+def comparator_sort(decorated, directions):
+    """``ORDER BY`` as a three-way comparator sort: the reference order."""
+
+    def compare(a, b):
+        for index, descending in enumerate(directions):
+            left, right = a[0][index], b[0][index]
+            if left is None and right is None:
+                continue
+            if left is None:
+                outcome = -1
+            elif right is None:
+                outcome = 1
+            else:
+                outcome = compare_values(left, right) or 0
+            if outcome:
+                return -outcome if descending else outcome
+        return 0
+
+    return sorted(decorated, key=functools.cmp_to_key(compare))
+
+
+def assert_sorts_like_the_comparator(keys, directions):
+    decorated = [(key, position) for position, key in enumerate(keys)]
+    expected = comparator_sort(decorated, directions)
+    sort_decorated(decorated, directions)
+    # Payloads, not keys: NaN != NaN, and ties must keep input order.
+    assert [position for _, position in decorated] == [
+        position for _, position in expected
+    ]
+
+
+typed_key = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, min_value=-3, max_value=3),
+    st.floats(allow_nan=False),
+    st.sampled_from(["", "a", "B", "b", "ab"]),
+)
+
+
+class TestSortKeys:
+    """``sort_decorated`` (typed keys, one pass per key) orders exactly as
+    the three-way comparator does, including its fallback cases."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_typed_keys_match_the_comparator(self, data):
+        n_keys = data.draw(st.integers(1, 3))
+        directions = data.draw(st.lists(st.booleans(), min_size=n_keys, max_size=n_keys))
+        # Per-key value pools, so a key is sometimes one class, sometimes mixed.
+        pools = [data.draw(st.lists(typed_key, min_size=1, max_size=4)) for _ in range(n_keys)]
+        keys = data.draw(
+            st.lists(st.tuples(*[st.sampled_from(pool) for pool in pools]), max_size=30)
+        )
+        assert_sorts_like_the_comparator(keys, directions)
+
+    @pytest.mark.parametrize("directions", [[False, False], [True, False], [False, True]])
+    def test_date_and_datetime_keys_take_the_comparator(self, directions):
+        day = datetime.date(2020, 1, 2)
+        keys = [
+            (day, 1),
+            (None, 2),
+            (datetime.datetime(2020, 1, 2, 9), 1),
+            (datetime.date(2019, 5, 1), 3),
+            (day, 0),
+            (5, 1),
+            ("text", 1),
+            (datetime.datetime(2020, 1, 1, 23), None),
+        ]
+        assert_sorts_like_the_comparator(keys, directions)
+
+    def test_nan_from_an_expression_takes_the_comparator(self):
+        # NaN ties with everything under the comparator, which is not a
+        # total order: one sort pass per key would order these rows
+        # differently (2, 1, 0, 3 for ASC, DESC; the comparator's is 2, 3, 1, 0).
+        db = Database()
+        db.execute("CREATE TABLE t (id INTEGER, x REAL, y REAL, k INTEGER)")
+        inf = float("inf")
+        for row in [(0, inf, 0.0, 0), (1, 1.0, 1.0, 1), (2, inf, 0.0, 2), (3, 5.0, 0.0, 0)]:
+            db.execute("INSERT INTO t VALUES (?, ?, ?, ?)", row)
+        rows = db.execute("SELECT id, x - x + y, k FROM t").rows
+        assert [value != value for _, value, _ in rows] == [True, False, True, False]
+        for directions in ([False, True], [False, False], [True, True], [True, False]):
+            keys = [(value, k) for _, value, k in rows]
+            assert_sorts_like_the_comparator(keys, directions)
+            order = ", ".join(
+                f"{key} {'DESC' if descending else 'ASC'}"
+                for key, descending in zip(["x - x + y", "k"], directions)
+            )
+            got = [row_id for (row_id,) in db.execute(f"SELECT id FROM t ORDER BY {order}").rows]
+            expected = comparator_sort([(key, i) for i, key in enumerate(keys)], directions)
+            assert got == [i for _, i in expected]
+        asc_desc = db.execute("SELECT id FROM t ORDER BY x - x + y, k DESC").rows
+        assert [row_id for (row_id,) in asc_desc] == [2, 3, 1, 0]
 
 
 class TestSubqueries:

@@ -6,6 +6,7 @@ here at page granularity — the core of experiment E6.
 
 import pytest
 
+from repro.engine.encoding import EncodedPage, encoded_size
 from repro.engine.expr import IntervalSet
 from repro.engine.pager import BufferPool
 from repro.engine.schema import Column, TableSchema
@@ -416,6 +417,82 @@ def test_logical_io_of_a_fixed_script_is_pinned(layout):
     assert skip == expected["skip"]
     assert tuple(held.values()) == expected["held"]
     assert tuple(store.snapshot_stats().values()) == expected["released"]
+
+
+def _assert_frozen(value):
+    """``value`` is immutable all the way down: tuples and bytes whose
+    items cannot be assigned, over scalars."""
+    if isinstance(value, (tuple, bytes)):
+        if value:
+            with pytest.raises(TypeError):
+                value[0] = value[0]  # type: ignore[index]
+        if isinstance(value, tuple):
+            for item in value:
+                _assert_frozen(item)
+    else:
+        assert value is None or isinstance(value, (bool, int, float, str)), value
+
+
+class TestFrameIsolation:
+    """The disk and the buffer frames share page images without copying
+    them: a frame's records list and header dict are its own, and
+    everything inside them is immutable."""
+
+    def encoded_store(self):
+        pool = BufferPool(page_capacity=8)
+        store = GroupedTupleStore(schema4(), pool=pool, layout=ROW)
+        for i in range(64):
+            store.insert((i, f"k{i % 3}", float(i // 16), f"unique-{i}"))
+        assert store.encode_group(0) > 0
+        store.insert((64, "k0", 4.0, "tail"))  # a plain tail page
+        pool.flush_all()
+        chain = store._groups[0].chain
+        return store, pool.disk, chain[0], chain[-1]
+
+    @staticmethod
+    def image(disk, page_id):
+        page = disk.read(page_id)
+        return list(page.records), dict(page.header)
+
+    def test_every_encoding_kind_is_a_frozen_payload(self):
+        store, disk, encoded_id, _ = self.encoded_store()
+        enc = disk.read(encoded_id).header["enc"]
+        assert isinstance(enc, EncodedPage)
+        assert sorted(kind for kind, _ in enc.cols) == ["dict", "packed", "plain", "rle"]
+        for field_name in enc._fields:
+            with pytest.raises(AttributeError):
+                setattr(enc, field_name, getattr(enc, field_name))
+            _assert_frozen(getattr(enc, field_name))
+        for kind, payload in enc.cols:
+            assert encoded_size(len(enc.rids), kind, payload) > 0
+
+    def test_mutating_a_read_frame_leaves_the_disk_image(self):
+        store, disk, encoded_id, plain_id = self.encoded_store()
+        for page_id in (encoded_id, plain_id):
+            before = self.image(disk, page_id)
+            frame = disk.read(page_id)
+            store._thaw_page(0, frame)  # pops "enc", rebuilds the records
+            frame.records.append((999, (1, "x", 1.0, "y")))
+            frame.records[0] = (-1, ())
+            frame.header["junk"] = True
+            assert self.image(disk, page_id) == before
+        assert "enc" in disk.read(encoded_id).header
+        assert not disk.read(encoded_id).records
+
+    def test_mutating_a_frame_after_its_write_leaves_the_disk_image(self):
+        store, disk, encoded_id, plain_id = self.encoded_store()
+        for page_id in (encoded_id, plain_id):
+            frame = disk.read(page_id)
+            store._thaw_page(0, frame)
+            frame.records.append((999, (1, "x", 1.0, "y")))
+            disk.write(frame)
+            written = self.image(disk, page_id)
+            assert written[0][-1] == (999, (1, "x", 1.0, "y"))
+            assert "enc" not in written[1]
+            frame.records.pop()
+            frame.records[0] = (-1, ())
+            frame.header["enc"] = "junk"
+            assert self.image(disk, page_id) == written
 
 
 class TestSharedPool:
