@@ -6,14 +6,12 @@ Paper claim: grouping schema-free cells "by proximity" into blocks indexed
 We populate a sparse sheet (dense islands on a huge canvas — the realistic
 spreadsheet shape) and measure window-sized range queries under:
 
-* the grid (tile) index — DataSpread's default,
-* the quadtree index,
+* the grid (tile) index — DataSpread's 2-D index,
 * a flat dict scanned per query — the no-index strawman.
 
-Expected shape: grid and quadtree answer a 40×20 window in time
-proportional to the cells in the window; the flat dict scans all occupied
-cells per query, linear in sheet size.  Tile-size ablation included
-(DESIGN.md §5).
+Expected shape: the grid answers a 40×20 window in time proportional to
+the cells in the window; the flat dict scans all occupied cells per query,
+linear in sheet size.  Tile-size ablation included (DESIGN.md §5).
 """
 
 import random
@@ -44,16 +42,15 @@ CELLS = island_cells()
 QUERY_ANCHORS = [(row, col) for row, col, _ in CELLS[:: len(CELLS) // 200]]
 
 
-def populated_store(index_kind: str, tile_rows: int = 64, tile_cols: int = 16):
-    store = CellStore(tile_rows=tile_rows, tile_cols=tile_cols, index_kind=index_kind)
+def populated_store(tile_rows: int = 64, tile_cols: int = 16):
+    store = CellStore(tile_rows=tile_rows, tile_cols=tile_cols)
     for row, col, value in CELLS:
         store.set(row, col, value)
     return store
 
 
-@pytest.mark.parametrize("index_kind", ["grid", "quadtree"])
-def test_window_range_query(benchmark, index_kind):
-    store = populated_store(index_kind)
+def test_window_range_query(benchmark):
+    store = populated_store()
     anchors = iter(QUERY_ANCHORS * 10_000)
 
     def query():
@@ -62,7 +59,7 @@ def test_window_range_query(benchmark, index_kind):
                                               col + WINDOW_COLS - 1))
 
     hits = benchmark(query)
-    benchmark.extra_info["index"] = index_kind
+    benchmark.extra_info["index"] = "grid"
     benchmark.extra_info["occupied_cells"] = len(store)
     benchmark.extra_info["hits_last_query"] = hits
 
@@ -87,7 +84,7 @@ def test_window_range_query_flat_dict(benchmark):
 
 @pytest.mark.parametrize("tile_rows,tile_cols", [(16, 4), (64, 16), (256, 64)])
 def test_grid_tile_size_ablation(benchmark, tile_rows, tile_cols):
-    store = populated_store("grid", tile_rows, tile_cols)
+    store = populated_store(tile_rows, tile_cols)
     anchors = iter(QUERY_ANCHORS * 10_000)
 
     def query():
@@ -101,9 +98,8 @@ def test_grid_tile_size_ablation(benchmark, tile_rows, tile_cols):
     benchmark.extra_info["blocks_scanned_total"] = store.stats.blocks_scanned
 
 
-@pytest.mark.parametrize("index_kind", ["grid", "quadtree"])
-def test_point_writes(benchmark, index_kind):
-    store = populated_store(index_kind)
+def test_point_writes(benchmark):
+    store = populated_store()
     rng = random.Random(7)
     coordinates = iter(
         [(rng.randrange(100_000), rng.randrange(500)) for _ in range(100_000)] * 10
@@ -114,4 +110,4 @@ def test_point_writes(benchmark, index_kind):
         store.set(row, col, 1)
 
     benchmark(write)
-    benchmark.extra_info["index"] = index_kind
+    benchmark.extra_info["index"] = "grid"

@@ -52,7 +52,6 @@ class DBTableRegion(SpillRegion):
         table_name: str,
         include_headers: bool = True,
         window_rows: Optional[int] = None,
-        use_cache: bool = True,
     ):
         self.workbook = workbook
         self.table_name = table_name
@@ -72,10 +71,8 @@ class DBTableRegion(SpillRegion):
         #: display data-row offset -> primary key (or position when no PK)
         self.row_keys: List[Any] = []
         # Blocks of rids, not rows: an update never makes a block stale.
-        self.cache: Optional[WindowCache] = (
-            WindowCache(lambda start, count: self.table.positions.window(start, count))
-            if use_cache
-            else None
+        self.cache = WindowCache(
+            lambda start, count: self.table.positions.window(start, count)
         )
         #: rid -> display data row, while the window shown is current.
         self._slot: Optional[Dict[int, int]] = None
@@ -111,10 +108,7 @@ class DBTableRegion(SpillRegion):
         if self.window_rows is None:
             shown = [(rid, row) for _, rid, row in table.scan()]
             return [rid for rid, _ in shown], [row for _, row in shown]
-        if self.cache is not None:
-            rids = self.cache.window(self.offset, self.window_rows)
-        else:
-            rids = table.positions.window(self.offset, self.window_rows)
+        rids = self.cache.window(self.offset, self.window_rows)
         return rids, [table.get(rid) for rid in rids]
 
     def refresh(self) -> Any:
@@ -221,7 +215,7 @@ class DBTableRegion(SpillRegion):
         row, or an insert/delete below the window, shows nothing new;
         anything else re-fetches the window."""
         kind = event.kind
-        if kind in ("insert", "delete") and self.cache is not None:
+        if kind in ("insert", "delete"):
             self.cache.invalidate()
         slot = self._slot
         if slot is not None:

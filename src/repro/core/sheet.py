@@ -28,17 +28,11 @@ RangeLike = Union[str, RangeAddress]
 class Sheet:
     """One named sheet of a workbook."""
 
-    def __init__(
-        self,
-        name: str,
-        tile_rows: int = 64,
-        tile_cols: int = 16,
-        index_kind: str = "grid",
-    ):
+    def __init__(self, name: str, tile_rows: int = 64, tile_cols: int = 16):
         if not name:
             raise SheetError("sheet name must be non-empty")
         self.name = name
-        self.store = CellStore(tile_rows, tile_cols, index_kind)
+        self.store = CellStore(tile_rows, tile_cols)
 
     # -- address helpers ------------------------------------------------------
 

@@ -183,9 +183,9 @@ class ProjectedScan(PlanNode):
     ) -> None:
         """Attach a pushed predicate, evaluated on the narrow fragment.
 
-        ``expression`` is the conjunct's AST when the planner has it;
-        :meth:`run` batch-compiles it, and conjuncts without one (or with
-        non-vectorizable shapes) fall back to the row closure."""
+        ``expression`` is the conjunct's AST when the planner has it; a
+        ``column <cmp> constant`` conjunct runs as the batch kernel, and
+        every other one (or one without an AST) as the row closure."""
         self.predicates.append((predicate, description, expression))
 
     def label(self) -> str:
@@ -212,7 +212,7 @@ class ProjectedScan(PlanNode):
         """Batched execution: selection vectors over column fragments,
         output tuples materialised only for surviving rids.
 
-        Pushed conjuncts with a batch-compilable AST evaluate over whole
+        Pushed ``column <cmp> constant`` conjuncts evaluate over whole
         column lists; the rest run row-at-a-time on the already-filtered
         survivors (late materialisation *is* the ``to_rows`` adapter —
         downstream operators still consume plain tuples)."""

@@ -18,6 +18,7 @@ expressions share one accumulator).
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -99,6 +100,16 @@ def _like_to_regex(pattern: str) -> "re.Pattern":
     return re.compile("^" + "".join(out) + "$", re.IGNORECASE | re.DOTALL)
 
 
+def _truncate(value: Any) -> int:
+    """SQLite's REAL → INTEGER cast: toward zero, saturating at the 64-bit
+    ends, NaN as 0.  TEXT raises ``TypeError``, as Python arithmetic does."""
+    if isinstance(value, int):
+        return value
+    if value != value:
+        return 0
+    return int(max(-(2 ** 63), min(2 ** 63 - 1, value)))
+
+
 def _arith(op: str, left: Any, right: Any) -> Any:
     if left is None or right is None:
         return None
@@ -121,9 +132,13 @@ def _arith(op: str, left: Any, right: Any) -> Any:
                 return int(result)
             return result
         if op == "%":
-            if right == 0:
+            # SQLite: both sides truncate to integers, the remainder takes
+            # the dividend's sign, and a REAL operand makes it REAL.
+            dividend, divisor = _truncate(left), _truncate(right)
+            if divisor == 0:
                 return None
-            return left % right
+            result = abs(dividend) % abs(divisor) * (-1 if dividend < 0 else 1)
+            return float(result) if float in (type(left), type(right)) else result
     except TypeError:
         raise ExecutionError(
             f"operator {op!r} not applicable to {left!r} and {right!r}"
@@ -419,20 +434,12 @@ def compile_expression(
     return compile_node(expression)
 
 
-class _NotVectorizable(Exception):
-    """Internal: the expression needs the row-at-a-time compiler."""
-
-
 #: Python operators matching ``_COMPARISONS`` for same-kind numerics
 #: (bool/int/float share one slot in the SQL type order, so Python's own
 #: comparison agrees with ``compare_values`` there).
 _PY_COMPARISONS = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq, "<>": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
 }
 
 _SWAPPED_COMPARISON = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
@@ -441,226 +448,55 @@ _SWAPPED_COMPARISON = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=
 def compile_batch_predicate(
     expression: ast.Expression, scope: Scope
 ) -> Optional[BatchFn]:
-    """Compile a WHERE conjunct to a whole-batch selection function.
+    """Compile a ``column <cmp> constant`` conjunct (either orientation)
+    to a whole-batch selection function.
 
     Returns ``fn(columns, params, n) -> values`` where ``columns`` holds
-    one rid-aligned value list per scope column, or ``None`` when the
-    expression uses constructs (subqueries, LIKE, CASE, function calls)
-    that only the row-at-a-time compiler supports — the scan then falls
-    back to evaluating that conjunct per surviving row.  Semantics match
-    :func:`compile_expression` exactly, including three-valued logic; the
-    only visible difference is that AND/OR evaluate both sides (no
-    short-circuit — batch expressions are side-effect free).
+    one rid-aligned value list per scope column, or ``None`` for every
+    other shape — the scan then runs that conjunct's
+    :func:`compile_expression` closure on the kernel's survivors.  The
+    shape is the sargable extractor's (a literal, a ``?`` or a negated
+    numeric literal against a column), and the constant side evaluates
+    through its own row closure, so the values, the three-valued logic
+    and the unbound-parameter error are :func:`compile_expression`'s.
     """
-    try:
-        return _compile_batch_node(expression, scope)
-    except _NotVectorizable:
+    if not isinstance(expression, ast.BinaryOp) or expression.op not in _COMPARISONS:
         return None
+    column, constant, op = expression.left, expression.right, expression.op
+    if _ref_column(column, None) is None:
+        column, constant, op = constant, column, _SWAPPED_COMPARISON[op]
+    if _ref_column(column, None) is None or not _const_bound(constant, None)[0]:
+        return None
+    index = scope.resolve(column.name, column.table)
+    const_side = compile_expression(constant, scope)
+    py_op = _PY_COMPARISONS[op]
+    check = _COMPARISONS[op]
 
-
-def _compile_batch_const(node: ast.Expression) -> Optional[Callable[[Sequence[Any]], Any]]:
-    """``params -> value`` for constant-per-batch nodes, else ``None``."""
-    if isinstance(node, ast.Literal):
-        value = node.value
-        return lambda params: value
-    if isinstance(node, ast.Parameter):
-        index = node.index
-
-        def param_value(params: Sequence[Any]) -> Any:
-            if index >= len(params):
-                raise ExecutionError(
-                    f"statement uses parameter ?{index + 1} but only "
-                    f"{len(params)} values were bound"
-                )
-            return params[index]
-
-        return param_value
-    return None
-
-
-def _compile_batch_node(node: ast.Expression, scope: Scope) -> BatchFn:
-    const = _compile_batch_const(node)
-    if const is not None:
-        return lambda cols, params, n: [const(params)] * n
-
-    if isinstance(node, ast.ColumnRef):
-        index = scope.resolve(node.name, node.table)
-        return lambda cols, params, n: cols[index]
-
-    if isinstance(node, ast.UnaryOp):
-        operand = _compile_batch_node(node.operand, scope)
-        if node.op == "NOT":
-            return lambda cols, params, n: [
-                None if v is None else not _truthy(v)
-                for v in operand(cols, params, n)
-            ]
-        if node.op == "-":
-            return lambda cols, params, n: [
-                None if v is None else -v for v in operand(cols, params, n)
-            ]
-        return operand  # unary +
-
-    if isinstance(node, ast.BinaryOp):
-        op = node.op
-        if op in _COMPARISONS:
-            # Column-vs-constant gets a tight loop with a pure-Python
-            # numeric fast path — the common shape of pushed-down filters.
-            left_node, right_node, cmp_op = node.left, node.right, op
-            if _compile_batch_const(left_node) is not None and isinstance(
-                right_node, ast.ColumnRef
-            ):
-                left_node, right_node = right_node, left_node
-                cmp_op = _SWAPPED_COMPARISON[op]
-            const_side = _compile_batch_const(right_node)
-            if isinstance(left_node, ast.ColumnRef) and const_side is not None:
-                index = scope.resolve(left_node.name, left_node.table)
-                py_op = _PY_COMPARISONS[cmp_op]
-                check = _COMPARISONS[cmp_op]
-
-                def fast_cmp(cols, params, n):
-                    value = const_side(params)
-                    column = cols[index]
-                    if value is None:
-                        return [None] * n
-                    if type(value) is int or type(value) is float:
-                        out: Optional[List[Any]] = []
-                        for v in column:
-                            tv = type(v)
-                            if tv is int or tv is float or tv is bool:
-                                out.append(py_op(v, value))
-                            elif v is None:
-                                out.append(None)
-                            else:
-                                out = None  # mixed types: use compare_values
-                                break
-                        if out is not None:
-                            return out
-                    result = []
-                    for v in column:
-                        ordering = compare_values(v, value)
-                        result.append(None if ordering is None else check(ordering))
-                    return result
-
-                return fast_cmp
-            left = _compile_batch_node(node.left, scope)
-            right = _compile_batch_node(node.right, scope)
-            check = _COMPARISONS[op]
-
-            def cmp_fn(cols, params, n):
-                out = []
-                for a, b in zip(left(cols, params, n), right(cols, params, n)):
-                    ordering = compare_values(a, b)
-                    out.append(None if ordering is None else check(ordering))
-                return out
-
-            return cmp_fn
-        left = _compile_batch_node(node.left, scope)
-        right = _compile_batch_node(node.right, scope)
-        if op == "AND":
-
-            def and_fn(cols, params, n):
-                out = []
-                for a, b in zip(left(cols, params, n), right(cols, params, n)):
-                    if (a is not None and not _truthy(a)) or (
-                        b is not None and not _truthy(b)
-                    ):
-                        out.append(False)
-                    elif a is None or b is None:
-                        out.append(None)
-                    else:
-                        out.append(True)
-                return out
-
-            return and_fn
-        if op == "OR":
-
-            def or_fn(cols, params, n):
-                out = []
-                for a, b in zip(left(cols, params, n), right(cols, params, n)):
-                    if (a is not None and _truthy(a)) or (
-                        b is not None and _truthy(b)
-                    ):
-                        out.append(True)
-                    elif a is None or b is None:
-                        out.append(None)
-                    else:
-                        out.append(False)
-                return out
-
-            return or_fn
-        if op == "||":
-            return lambda cols, params, n: [
-                None
-                if a is None or b is None
-                else coerce_value(a, DBType.TEXT) + coerce_value(b, DBType.TEXT)
-                for a, b in zip(left(cols, params, n), right(cols, params, n))
-            ]
-        return lambda cols, params, n: [
-            _arith(op, a, b)
-            for a, b in zip(left(cols, params, n), right(cols, params, n))
-        ]
-
-    if isinstance(node, ast.IsNull):
-        operand = _compile_batch_node(node.operand, scope)
-        if node.negated:
-            return lambda cols, params, n: [
-                v is not None for v in operand(cols, params, n)
-            ]
-        return lambda cols, params, n: [v is None for v in operand(cols, params, n)]
-
-    if isinstance(node, ast.Between):
-        operand = _compile_batch_node(node.operand, scope)
-        low = _compile_batch_node(node.low, scope)
-        high = _compile_batch_node(node.high, scope)
-        negated = node.negated
-
-        def between_fn(cols, params, n):
-            out = []
-            for v, lo, hi in zip(
-                operand(cols, params, n),
-                low(cols, params, n),
-                high(cols, params, n),
-            ):
-                low_cmp = compare_values(v, lo)
-                high_cmp = compare_values(v, hi)
-                if low_cmp is None or high_cmp is None:
+    def compare_column(cols, params, n):
+        value = const_side((), params)
+        values = cols[index]
+        if value is None:
+            return [None] * n
+        if type(value) is int or type(value) is float:
+            out: Optional[List[Any]] = []
+            for v in values:
+                tv = type(v)
+                if tv is int or tv is float or tv is bool:
+                    out.append(py_op(v, value))
+                elif v is None:
                     out.append(None)
                 else:
-                    inside = low_cmp >= 0 and high_cmp <= 0
-                    out.append((not inside) if negated else inside)
-            return out
+                    out = None  # mixed types: use compare_values
+                    break
+            if out is not None:
+                return out
+        result = []
+        for v in values:
+            ordering = compare_values(v, value)
+            result.append(None if ordering is None else check(ordering))
+        return result
 
-        return between_fn
-
-    if isinstance(node, ast.InList):
-        operand = _compile_batch_node(node.operand, scope)
-        items = [_compile_batch_node(item, scope) for item in node.items]
-        negated = node.negated
-
-        def in_fn(cols, params, n):
-            value_lists = [item(cols, params, n) for item in items]
-            out = []
-            for i, value in enumerate(operand(cols, params, n)):
-                if value is None:
-                    out.append(None)
-                    continue
-                saw_null = False
-                verdict: Any = negated
-                for candidates in value_lists:
-                    candidate = candidates[i]
-                    if candidate is None:
-                        saw_null = True
-                        continue
-                    if compare_values(value, candidate) == 0:
-                        verdict = not negated
-                        saw_null = False
-                        break
-                out.append(None if saw_null and verdict is negated else verdict)
-            return out
-
-        return in_fn
-
-    raise _NotVectorizable(type(node).__name__)
+    return compare_column
 
 
 def _truthy(value: Any) -> bool:
@@ -994,7 +830,8 @@ def _extract_ranges(
             return None
         if low is None or high is None:
             # Either bound NULL makes the comparison UNKNOWN for every
-            # row — never TRUE, negated or not (see between_fn above).
+            # row — never TRUE, negated or not (as compile_expression's
+            # BETWEEN evaluates it).
             return {column: IntervalSet.empty()}
         if node.negated:
             return {

@@ -10,13 +10,13 @@
   moving cells.
 * :mod:`repro.index.btree` — B+-tree key index used for primary keys and the
   key↔position mapping of the interface manager.
-* :mod:`repro.index.index2d` — grid and quadtree indexes over spreadsheet
-  cell blocks (interface storage manager, §3).
+* :mod:`repro.index.index2d` — the tiled grid index over spreadsheet cell
+  blocks (interface storage manager, §3).
 """
 
 from repro.index.posmap import LOGICAL_MAX, KeySequence, PositionalMapper
 from repro.index.btree import BPlusTree
-from repro.index.index2d import GridIndex, QuadTree
+from repro.index.index2d import GridIndex
 
 __all__ = [
     "KeySequence",
@@ -24,5 +24,4 @@ __all__ = [
     "LOGICAL_MAX",
     "BPlusTree",
     "GridIndex",
-    "QuadTree",
 ]

@@ -1,26 +1,21 @@
-"""Two-dimensional indexes over spreadsheet cell blocks.
+"""Two-dimensional index over spreadsheet cell blocks.
 
 Paper §3, *Interface Storage Manager*: "the component groups the cells
 together by proximity and splits the groups into data blocks ... the blocks
 are further indexed by a two-dimensional indexing method."
 
-Two structures are provided, benchmarked against each other in E8:
-
-* :class:`GridIndex` — the cells plane is partitioned into fixed-size tiles;
-  a hash map keyed by tile coordinate gives O(1) point access and
-  O(tiles-overlapping-range) range queries.  This is the default because
-  spreadsheet edits cluster strongly.
-* :class:`QuadTree` — an adaptive region quadtree over (row, col) points,
-  better when occupied cells are extremely skewed (a few dense islands on a
-  vast sheet).
+:class:`GridIndex` partitions the cells plane into fixed-size tiles; a hash
+map keyed by tile coordinate gives O(1) point access and
+O(tiles-overlapping-range) range queries.  Tiles suit spreadsheets because
+edits cluster strongly, and per-tile bounding boxes answer used-range
+probes from tile summaries instead of cells.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["GridIndex", "QuadTree"]
+__all__ = ["GridIndex"]
 
 
 class GridIndex:
@@ -195,172 +190,3 @@ class GridIndex:
     def extreme_col_in(self, lo: int, hi: int, smallest: bool = True) -> Optional[int]:
         """Column-axis twin of :meth:`extreme_row_in`."""
         return self._extreme_in(1, lo, hi, smallest)
-
-
-@dataclass
-class _QuadNode:
-    top: int
-    left: int
-    size: int  # the node covers [top, top+size) x [left, left+size)
-    points: Optional[Dict[Tuple[int, int], Any]] = None
-    children: Optional[List[Optional["_QuadNode"]]] = None
-
-
-class QuadTree:
-    """Adaptive region quadtree over sparse (row, col) points.
-
-    The root region grows by doubling whenever a point lands outside, so
-    callers never specify bounds up front (sheets are unbounded).
-    """
-
-    LEAF_CAPACITY = 32
-    MIN_SIZE = 8
-
-    def __init__(self):
-        self._root: Optional[_QuadNode] = None
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    # -- growth ----------------------------------------------------------
-
-    def _ensure_covers(self, row: int, col: int) -> None:
-        # The root is always anchored at the origin (coordinates are
-        # non-negative), so growth simply doubles toward bottom-right with
-        # the old root becoming the top-left quadrant — geometry stays
-        # aligned by construction.
-        if self._root is None:
-            self._root = _QuadNode(0, 0, 16, points={})
-        while not self._covers(self._root, row, col):
-            old = self._root
-            new_size = old.size * 2
-            if new_size > 2 ** 42:
-                raise ValueError("quadtree grew unreasonably large")
-            root = _QuadNode(0, 0, new_size, children=[None] * 4)
-            root.children[0] = old
-            self._root = root
-
-    @staticmethod
-    def _covers(node: _QuadNode, row: int, col: int) -> bool:
-        return (
-            node.top <= row < node.top + node.size
-            and node.left <= col < node.left + node.size
-        )
-
-    @staticmethod
-    def _quadrant_of(node: _QuadNode, row: int, col: int) -> int:
-        half = node.size // 2
-        index = 0
-        if row >= node.top + half:
-            index += 2
-        if col >= node.left + half:
-            index += 1
-        return index
-
-    @staticmethod
-    def _child_region(node: _QuadNode, quadrant: int) -> Tuple[int, int, int]:
-        half = node.size // 2
-        top = node.top + (half if quadrant >= 2 else 0)
-        left = node.left + (half if quadrant % 2 == 1 else 0)
-        return top, left, half
-
-    # -- mutation -----------------------------------------------------------
-
-    def put(self, row: int, col: int, payload: Any) -> None:
-        if row < 0 or col < 0:
-            raise ValueError("coordinates must be non-negative")
-        self._ensure_covers(row, col)
-        self._count += self._put(self._root, row, col, payload)
-
-    def _put(self, node: _QuadNode, row: int, col: int, payload: Any) -> int:
-        if node.points is not None:  # leaf
-            added = 0 if (row, col) in node.points else 1
-            node.points[(row, col)] = payload
-            if len(node.points) > self.LEAF_CAPACITY and node.size > self.MIN_SIZE:
-                points = node.points
-                node.points = None
-                node.children = [None] * 4
-                for (p_row, p_col), p_payload in points.items():
-                    self._put_into_child(node, p_row, p_col, p_payload)
-            return added
-        return self._put_into_child(node, row, col, payload)
-
-    def _put_into_child(self, node: _QuadNode, row: int, col: int, payload: Any) -> int:
-        quadrant = self._quadrant_of(node, row, col)
-        child = node.children[quadrant]
-        if child is None:
-            top, left, size = self._child_region(node, quadrant)
-            child = _QuadNode(top, left, size, points={})
-            node.children[quadrant] = child
-        return self._put(child, row, col, payload)
-
-    def get(self, row: int, col: int, default: Any = None) -> Any:
-        node = self._root
-        while node is not None:
-            if not self._covers(node, row, col):
-                return default
-            if node.points is not None:
-                return node.points.get((row, col), default)
-            node = node.children[self._quadrant_of(node, row, col)]
-        return default
-
-    def remove(self, row: int, col: int) -> bool:
-        node = self._root
-        while node is not None:
-            if not self._covers(node, row, col):
-                return False
-            if node.points is not None:
-                if (row, col) in node.points:
-                    del node.points[(row, col)]
-                    self._count -= 1
-                    return True
-                return False
-            node = node.children[self._quadrant_of(node, row, col)]
-        return False
-
-    # -- queries ---------------------------------------------------------------
-
-    def query_range(
-        self, top: int, left: int, bottom: int, right: int
-    ) -> Iterator[Tuple[int, int, Any]]:
-        results: List[Tuple[int, int, Any]] = []
-
-        def rec(node: Optional[_QuadNode]) -> None:
-            if node is None:
-                return
-            if (
-                node.top > bottom
-                or node.top + node.size - 1 < top
-                or node.left > right
-                or node.left + node.size - 1 < left
-            ):
-                return
-            if node.points is not None:
-                for (row, col), payload in node.points.items():
-                    if top <= row <= bottom and left <= col <= right:
-                        results.append((row, col, payload))
-                return
-            for child in node.children:
-                rec(child)
-
-        rec(self._root)
-        results.sort(key=lambda item: (item[0], item[1]))
-        return iter(results)
-
-    def items(self) -> Iterator[Tuple[int, int, Any]]:
-        return self.query_range(0, 0, 2 ** 42, 2 ** 42)
-
-    def extreme_row_in(self, lo: int, hi: int, smallest: bool = True) -> Optional[int]:
-        """Extreme occupied row within rows ``[lo, hi]`` (quadtree variant:
-        region pruning bounds the scan to the matching stripe)."""
-        rows = [row for row, _col, _ in self.query_range(lo, 0, hi, 2 ** 42)]
-        if not rows:
-            return None
-        return min(rows) if smallest else max(rows)
-
-    def extreme_col_in(self, lo: int, hi: int, smallest: bool = True) -> Optional[int]:
-        cols = [col for _row, col, _ in self.query_range(0, lo, 2 ** 42, hi)]
-        if not cols:
-            return None
-        return min(cols) if smallest else max(cols)

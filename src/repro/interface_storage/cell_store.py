@@ -8,7 +8,7 @@ splits the groups into data blocks ... the blocks are further indexed by a
 two-dimensional indexing method."
 
 :class:`CellStore` is that component.  Cells live in fixed-geometry *blocks*
-(tiles) managed by one of the 2-D indexes from :mod:`repro.index.index2d`;
+(tiles) managed by the 2-D grid index from :mod:`repro.index.index2d`;
 a range fetch touches only the blocks overlapping the range — the property
 experiment E8 charts against a flat per-cell dictionary.
 
@@ -19,8 +19,8 @@ index's key sequence over a fixed universe) translates the logical
 row/column the user sees into the physical key the 2-D index stores.
 ``insert_rows``/``delete_rows`` splice the mapper's key space in
 O(log s) — **zero stored cells move**; deletes only purge the cells that
-actually occupied the removed slice.  The 2-D indexes keep operating on
-physical keys and never notice a structural edit happened.
+actually occupied the removed slice.  The 2-D index keeps operating on
+physical keys and never notices a structural edit happened.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Tuple
 
-from repro.index.index2d import GridIndex, QuadTree
+from repro.index.index2d import GridIndex
 from repro.index.posmap import LOGICAL_MAX, PositionalMapper
 
 __all__ = ["CellStore", "CellStoreStats"]
@@ -68,21 +68,10 @@ class CellStoreStats:
 class CellStore:
     """A sparse, unbounded 2-D map of cells grouped into proximity blocks."""
 
-    def __init__(
-        self,
-        tile_rows: int = 64,
-        tile_cols: int = 16,
-        index_kind: str = "grid",
-    ):
+    def __init__(self, tile_rows: int = 64, tile_cols: int = 16):
         self.tile_rows = tile_rows
         self.tile_cols = tile_cols
-        self.index_kind = index_kind
-        if index_kind == "grid":
-            self._index = GridIndex(tile_rows, tile_cols)
-        elif index_kind == "quadtree":
-            self._index = QuadTree()
-        else:
-            raise ValueError(f"unknown index kind {index_kind!r} (grid|quadtree)")
+        self._index = GridIndex(tile_rows, tile_cols)
         self.rows = PositionalMapper(seed=0xA11)
         self.cols = PositionalMapper(seed=0xB22)
         self.stats = CellStoreStats()
@@ -150,9 +139,7 @@ class CellStore:
 
     @property
     def n_blocks(self) -> int:
-        if isinstance(self._index, GridIndex):
-            return self._index.n_tiles
-        return len(self._index)  # quadtree: no block notion; report points
+        return self._index.n_tiles
 
     # -- range access --------------------------------------------------------
 
@@ -168,10 +155,9 @@ class CellStore:
         results: List[Tuple[int, int, Any]] = []
         for prow_lo, prow_hi, lrow_lo in self.rows.intervals(top, bottom):
             for pcol_lo, pcol_hi, lcol_lo in self.cols.intervals(left, right):
-                if isinstance(self._index, GridIndex):
-                    self.stats.blocks_scanned += self._index.tiles_overlapping(
-                        prow_lo, pcol_lo, prow_hi, pcol_hi
-                    )
+                self.stats.blocks_scanned += self._index.tiles_overlapping(
+                    prow_lo, pcol_lo, prow_hi, pcol_hi
+                )
                 for prow, pcol, payload in self._index.query_range(
                     prow_lo, pcol_lo, prow_hi, pcol_hi
                 ):

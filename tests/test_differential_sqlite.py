@@ -60,6 +60,13 @@ QUERIES = [
     "SELECT abs(-a), length(c) FROM r WHERE a IS NOT NULL AND c IS NOT NULL",
     "SELECT coalesce(b, 0) FROM r",
     "SELECT upper(c) || '!' FROM r WHERE c IS NOT NULL",
+    # ``%`` truncates both sides to integers; the remainder takes the
+    # dividend's sign and is REAL when either operand is.
+    "SELECT -7 % 3 FROM s WHERE a = 1",
+    "SELECT 7 % -3 FROM s WHERE a = 1",
+    "SELECT 7.5 % 2 FROM s WHERE a = 1",
+    "SELECT -7.5 % 2 FROM s WHERE a = 1",
+    "SELECT 7 % 0.5 FROM s WHERE a = 1",
 ]
 
 

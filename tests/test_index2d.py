@@ -1,15 +1,15 @@
-"""Unit + property tests for the 2-D indexes (grid and quadtree)."""
+"""Unit + property tests for the 2-D grid index, at two tile shapes."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index.index2d import GridIndex, QuadTree
+from repro.index.index2d import GridIndex
 
 
 INDEXES = [
     pytest.param(lambda: GridIndex(tile_rows=4, tile_cols=4), id="grid"),
-    pytest.param(QuadTree, id="quadtree"),
+    pytest.param(lambda: GridIndex(tile_rows=1, tile_cols=1), id="grid1x1"),
 ]
 
 
@@ -95,20 +95,6 @@ class TestGridSpecifics:
             GridIndex(tile_rows=0)
 
 
-class TestQuadTreeSpecifics:
-    def test_leaf_split_beyond_capacity(self):
-        tree = QuadTree()
-        for i in range(QuadTree.LEAF_CAPACITY * 2):
-            tree.put(i, i, i)
-        assert len(tree) == QuadTree.LEAF_CAPACITY * 2
-        for i in range(QuadTree.LEAF_CAPACITY * 2):
-            assert tree.get(i, i) == i
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            QuadTree().put(-1, 0, "x")
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(0, 300), st.integers(0, 300)), max_size=80),
@@ -119,14 +105,14 @@ def test_indexes_agree_with_dict_model(points, box):
     top, bottom = min(top, bottom), max(top, bottom)
     left, right = min(left, right), max(left, right)
     grid = GridIndex(tile_rows=16, tile_cols=16)
-    tree = QuadTree()
+    cells = GridIndex(tile_rows=1, tile_cols=1)
     model = {}
     for row, col in points:
         grid.put(row, col, (row, col))
-        tree.put(row, col, (row, col))
+        cells.put(row, col, (row, col))
         model[(row, col)] = (row, col)
     expected = sorted(
         (r, c) for (r, c) in model if top <= r <= bottom and left <= c <= right
     )
     assert [(r, c) for r, c, _ in grid.query_range(top, left, bottom, right)] == expected
-    assert [(r, c) for r, c, _ in tree.query_range(top, left, bottom, right)] == expected
+    assert [(r, c) for r, c, _ in cells.query_range(top, left, bottom, right)] == expected

@@ -115,10 +115,17 @@ def test_random_single_row_deletes_keep_the_treap_shallow():
         assert mapper.counts.rank_steps - before <= bound
 
 
+#: The default-like tile shape and one cell per tile.
+TILE_SHAPES = [
+    pytest.param((8, 4), id="grid"),
+    pytest.param((1, 1), id="grid1x1"),
+]
+
+
 class TestCellStoreStructural:
-    @pytest.mark.parametrize("index_kind", ["grid", "quadtree"])
-    def test_insert_moves_zero_cells(self, index_kind):
-        store = CellStore(tile_rows=8, tile_cols=4, index_kind=index_kind)
+    @pytest.mark.parametrize("tiles", TILE_SHAPES)
+    def test_insert_moves_zero_cells(self, tiles):
+        store = CellStore(*tiles)
         for row in range(100):
             store.set(row, 0, row)
         store.stats.reset()
@@ -150,9 +157,9 @@ class TestCellStoreStructural:
         assert store.get(0, 10) == "x"
         assert store.stats.cells_moved == 0
 
-    @pytest.mark.parametrize("index_kind", ["grid", "quadtree"])
-    def test_used_bounds_agrees_with_brute_force(self, index_kind):
-        store = CellStore(tile_rows=8, tile_cols=4, index_kind=index_kind)
+    @pytest.mark.parametrize("tiles", TILE_SHAPES)
+    def test_used_bounds_agrees_with_brute_force(self, tiles):
+        store = CellStore(*tiles)
         coords = [(3, 17), (40, 2), (9, 9), (77, 30), (5, 0)]
         for row, col in coords:
             store.set(row, col, "v")

@@ -191,9 +191,9 @@ cell_ops = st.lists(
 
 
 @settings(max_examples=40, deadline=None)
-@given(operations=cell_ops, index_kind=st.sampled_from(["grid", "quadtree"]))
-def test_cellstore_matches_dict_model(operations, index_kind):
-    store = CellStore(tile_rows=8, tile_cols=4, index_kind=index_kind)
+@given(operations=cell_ops, tiles=st.sampled_from([(8, 4), (1, 1)]))
+def test_cellstore_matches_dict_model(operations, tiles):
+    store = CellStore(*tiles)
     model = {}
     token = 0
     for op, a, b in operations:

@@ -93,15 +93,12 @@ class TestCellStore:
         assert removed == 3
         assert len(store) == 2
 
-    def test_quadtree_variant(self):
-        store = CellStore(index_kind="quadtree")
+    def test_one_cell_tiles(self):
+        store = CellStore(tile_rows=1, tile_cols=1)
         store.set(10, 10, "x")
         assert store.get(10, 10) == "x"
         assert len(list(store.get_range(0, 0, 20, 20))) == 1
-
-    def test_unknown_index_kind(self):
-        with pytest.raises(ValueError):
-            CellStore(index_kind="btree")
+        assert store.n_blocks == 1
 
 
 class TestSheet:

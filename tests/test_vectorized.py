@@ -18,10 +18,14 @@ from hypothesis import strategies as st
 
 from repro.baselines.sqlite_backend import SqliteComparator
 from repro.engine import encoding
+from repro.engine import sql_ast as ast
 from repro.engine.database import Database
+from repro.engine.expr import Scope, compile_batch_predicate, compile_expression
 from repro.engine.schema import TableSchema
+from repro.engine.sql_parser import parse_expression
 from repro.engine.store import DEFAULT_BATCH_SIZE, LayoutPolicy
 from repro.engine.types import DBType
+from repro.errors import ExecutionError
 from repro.server.service import WorkbookService
 
 
@@ -89,6 +93,12 @@ PREDICATES = [
     ("c0 IS NULL", 0),
     ("c0 IN (?, ?)", 2),
     ("c0 < ? OR c0 IS NULL", 1),
+    ("? < c0", 1),
+    ("? >= c0", 1),
+    ("c0 <> ?", 1),
+    ("c0 <= ?", 1),
+    ("c0 > ?", 1),
+    ("c0 BETWEEN ? AND ?", 2),
 ]
 
 
@@ -170,6 +180,71 @@ def test_row_fallback_predicates_agree():
     finally:
         oracle.close()
     assert ok and ours == [(float(i),) for i in range(1, 30, 4)], (ours, theirs)
+
+
+# -- the batch kernel against the row compiler ---------------------------------
+
+
+KERNEL_SCOPE = Scope([("t", "a"), ("t", "b")])
+
+kernel_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(-(2**60), 2**60),
+    st.floats(allow_nan=False),
+    st.sampled_from(["", "a", "b", "10"]),
+)
+
+
+def constant_node(form, value):
+    """``value`` as a literal, a ``?`` or (numbers only) a negated literal."""
+    if form == "param":
+        return ast.Parameter(0)
+    if form == "negated" and type(value) in (int, float):
+        return ast.UnaryOp("-", ast.Literal(-value))
+    return ast.Literal(value)
+
+
+@pytest.mark.parametrize("op", ["=", "<>", "<", "<=", ">", ">="])
+@given(
+    column=st.lists(kernel_values, max_size=30),
+    value=kernel_values,
+    form=st.sampled_from(["literal", "param", "negated"]),
+    swapped=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_row_compiler(op, column, value, form, swapped):
+    ref, constant = ast.ColumnRef("a"), constant_node(form, value)
+    expression = (
+        ast.BinaryOp(op, constant, ref) if swapped else ast.BinaryOp(op, ref, constant)
+    )
+    params = [value] if form == "param" else []
+    kernel = compile_batch_predicate(expression, KERNEL_SCOPE)
+    assert kernel is not None
+    row_fn = compile_expression(expression, KERNEL_SCOPE)
+    expected = [row_fn((v, None), params) for v in column]
+    got = kernel([column, [None] * len(column)], params, len(column))
+    assert got == expected
+    assert [type(v) for v in got] == [type(v) for v in expected]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["a < b", "a + 1 > 2", "a BETWEEN 1 AND 2", "a IS NULL", "a IN (1, 2)", "NOT a > 1"],
+)
+def test_kernel_declines_every_other_shape(text):
+    assert compile_batch_predicate(parse_expression(text), KERNEL_SCOPE) is None
+
+
+def test_kernel_unbound_parameter_raises_the_row_compiler_error():
+    expression = parse_expression("a > ?")
+    kernel = compile_batch_predicate(expression, KERNEL_SCOPE)
+    with pytest.raises(ExecutionError) as batch_error:
+        kernel([[1], [2]], [], 1)
+    with pytest.raises(ExecutionError) as row_error:
+        compile_expression(expression, KERNEL_SCOPE)((1, 2), [])
+    assert str(batch_error.value) == str(row_error.value)
 
 
 def test_batches_respect_batch_size():
