@@ -1,6 +1,6 @@
 """Correctness tooling: static engine-invariant checkers + runtime sanitizer.
 
-Static half (``python -m repro.analysis [--baseline] [paths]``): six
+Static half (``python -m repro.analysis [--baseline] [paths]``): three
 AST-based checkers with stable ``RC0xx`` codes walk the source tree and
 report invariant violations; a committed baseline file grandfathers the
 deliberate ones.  See :mod:`repro.analysis.checkers` for the code table.

@@ -7,13 +7,6 @@ RC001    WAL replay / recovery / snapshot-restore call paths must be
          deterministic: no wall clock, no unseeded randomness, no iteration
          over unordered sets (call-graph walk from the recovery entry
          points).
-RC002    All page I/O flows through the buffer pool: no direct
-         ``DiskManager`` ``read``/``write``/``allocate``/``free`` calls
-         outside ``pager.py`` (direct calls bypass per-group tag
-         accounting, silently under-counting I/O stats).
-RC004    Pull metrics collectors read only attributes that exist on the
-         counter structs they scrape (constructor-assignment type
-         propagation; unresolvable receivers are skipped, never guessed).
 RC005    No swallowed exceptions: an ``except Exception:`` / bare
          ``except:`` handler must re-raise or record a structured EventLog
          entry.
@@ -28,24 +21,32 @@ RC007    Lock discipline: in a class that owns a mutation lock, methods
 =======  ====================================================================
 
 Codes are never reused.  The gaps in the numbering are retired checks
-whose invariants now hold by construction: RC003, op-registry
-completeness (the op vocabulary is one table, ``OPS`` in
-``repro.server.service``), and RC006, frozen-group mutation (an encoded
-page's rows live only in its codec payload, and the store's page helpers
-that assign ``.records`` get their page from ``_new_page`` or the
-copy-on-write gate and thaw it first — an allow-list test in
-``tests/test_analysis.py`` pins that set).
-"""
+whose invariants now hold by construction, each pinned by a test in
+``tests/test_analysis.py`` where a test is needed:
 
+* RC002, pager discipline: the buffer pool's disk is private
+  (``BufferPool._disk``), and an allow-list test pins that no module
+  but ``pager.py`` names it, so page I/O cannot bypass the per-group
+  tag accounting;
+* RC003, op-registry completeness: the op vocabulary is one table,
+  ``OPS`` in ``repro.server.service``;
+* RC004, metrics-collector drift: counter structs derive from
+  :class:`repro.obs.counters.Counters` and collectors export them with
+  ``.metrics(prefix)``, so a collector cannot name a counter that does
+  not exist;
+* RC006, frozen-group mutation: an encoded page's rows live only in its
+  codec payload, and the store's page helpers that assign ``.records``
+  get their page from ``_new_page`` or the copy-on-write gate and thaw
+  it first — an allow-list test pins that set.
+"""
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from repro.analysis.callgraph import reachable
 from repro.analysis.core import (
     Diagnostic,
-    Module,
     ProjectIndex,
     own_nodes,
     register,
@@ -145,256 +146,6 @@ def check_replay_determinism(index: ProjectIndex) -> List[Diagnostic]:
                         f"iteration over an unordered set in {info.scope}, "
                         "reachable from a replay entry point — wrap in "
                         "sorted() for a stable order",
-                    )
-                )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# RC002 — pager discipline
-# ---------------------------------------------------------------------------
-
-_DISK_METHODS = ("read", "write", "allocate", "free")
-
-
-@register("RC002", "pager discipline")
-def check_pager_discipline(index: ProjectIndex) -> List[Diagnostic]:
-    out: List[Diagnostic] = []
-    for module in index.modules:
-        if module.path.endswith("pager.py"):
-            continue  # the pool's own delegation lives here
-        for scope, node in walk_scoped(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not isinstance(func, ast.Attribute) or func.attr not in _DISK_METHODS:
-                continue
-            receiver = func.value
-            is_disk = (
-                isinstance(receiver, ast.Attribute) and receiver.attr == "disk"
-            ) or (isinstance(receiver, ast.Name) and receiver.id == "disk")
-            if is_disk:
-                out.append(
-                    Diagnostic(
-                        "RC002",
-                        module.path,
-                        node.lineno,
-                        f"{scope or '<module>'}:disk.{func.attr}",
-                        f"direct DiskManager.{func.attr}() call — page I/O "
-                        "must go through the BufferPool so per-group tag "
-                        "stats are charged",
-                    )
-                )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# RC004 — metrics-collector drift
-# ---------------------------------------------------------------------------
-
-
-class _ClassInfo:
-    def __init__(self, module: Module, node: ast.ClassDef):
-        self.module = module
-        self.node = node
-        self.bases = [
-            base.id for base in node.bases if isinstance(base, ast.Name)
-        ]
-
-
-def _collect_classes(index: ProjectIndex) -> Dict[str, _ClassInfo]:
-    classes: Dict[str, _ClassInfo] = {}
-    for module in index.modules:
-        for _, node in walk_scoped(module.tree):
-            if isinstance(node, ast.ClassDef):
-                classes[node.name] = _ClassInfo(module, node)
-    return classes
-
-
-def _class_attrs(
-    classes: Dict[str, _ClassInfo], name: str, _seen: Optional[Set[str]] = None
-) -> Set[str]:
-    """Every attribute name a class observably has: methods, class-body
-    assignments, dataclass fields, ``__slots__``, and ``self.X = ...``
-    in any of its methods — plus everything from resolvable bases."""
-    seen = _seen if _seen is not None else set()
-    if name in seen or name not in classes:
-        return set()
-    seen.add(name)
-    info = classes[name]
-    attrs: Set[str] = set()
-    for item in info.node.body:
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            attrs.add(item.name)
-            for node in ast.walk(item):
-                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                    targets = (
-                        node.targets
-                        if isinstance(node, ast.Assign)
-                        else [node.target]
-                    )
-                    for target in targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"
-                        ):
-                            attrs.add(target.attr)
-        elif isinstance(item, ast.Assign):
-            for target in item.targets:
-                if isinstance(target, ast.Name):
-                    attrs.add(target.id)
-                    if target.id == "__slots__" and isinstance(
-                        item.value, (ast.Tuple, ast.List)
-                    ):
-                        for element in item.value.elts:
-                            if isinstance(element, ast.Constant) and isinstance(
-                                element.value, str
-                            ):
-                                attrs.add(element.value)
-        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-            attrs.add(item.target.id)  # dataclass field
-    for base in info.bases:
-        attrs |= _class_attrs(classes, base, seen)
-    return attrs
-
-
-def _ctor_types(
-    classes: Dict[str, _ClassInfo]
-) -> Dict[Tuple[str, str], str]:
-    """``(class, attr) -> class``: attributes assigned a bare constructor
-    call (``self.stats = WalStats()``) anywhere in the class's methods."""
-    result: Dict[Tuple[str, str], str] = {}
-    for name, info in classes.items():
-        for item in info.node.body:
-            if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for node in ast.walk(item):
-                if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-                    continue
-                target = node.targets[0]
-                if not (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    continue
-                value = node.value
-                if (
-                    isinstance(value, ast.Call)
-                    and isinstance(value.func, ast.Name)
-                    and value.func.id in classes
-                ):
-                    result[(name, target.attr)] = value.func.id
-    return result
-
-
-def _resolve_attr_type(
-    node: ast.expr,
-    owner: str,
-    classes: Dict[str, _ClassInfo],
-    ctor: Dict[Tuple[str, str], str],
-    env: Dict[str, str],
-) -> Optional[str]:
-    """Best-effort static type of an expression inside a method of
-    ``owner``; None whenever any step is not a tracked constructor
-    assignment (the skip-don't-guess rule)."""
-    if isinstance(node, ast.Name):
-        if node.id == "self":
-            return owner
-        return env.get(node.id)
-    if isinstance(node, ast.Attribute):
-        base = _resolve_attr_type(node.value, owner, classes, ctor, env)
-        if base is None:
-            return None
-        resolved = ctor.get((base, node.attr))
-        if resolved is not None:
-            return resolved
-        if base in classes:  # inherited constructor assignments
-            for base_name in classes[base].bases:
-                resolved = ctor.get((base_name, node.attr))
-                if resolved is not None:
-                    return resolved
-        return None
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in classes
-    ):
-        return node.func.id
-    return None
-
-
-def _collector_methods(
-    index: ProjectIndex, classes: Dict[str, _ClassInfo]
-) -> List[Tuple[Module, str, ast.FunctionDef]]:
-    """(module, owning class, method) for every pull collector: methods
-    registered via ``register_collector(self._x)`` plus the ``_collect*``
-    naming convention."""
-    registered_names: Set[str] = set()
-    for module in index.modules:
-        for _, node in walk_scoped(module.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "register_collector"
-            ):
-                for arg in node.args:
-                    if isinstance(arg, ast.Attribute):
-                        registered_names.add(arg.attr)
-                    elif isinstance(arg, ast.Name):
-                        registered_names.add(arg.id)
-    out: List[Tuple[Module, str, ast.FunctionDef]] = []
-    for name, info in sorted(classes.items()):
-        for item in info.node.body:
-            if isinstance(item, ast.FunctionDef) and (
-                item.name in registered_names or item.name.startswith("_collect")
-            ):
-                out.append((info.module, name, item))
-    return out
-
-
-@register("RC004", "metrics-collector drift")
-def check_collector_drift(index: ProjectIndex) -> List[Diagnostic]:
-    classes = _collect_classes(index)
-    ctor = _ctor_types(classes)
-    attr_cache: Dict[str, Set[str]] = {}
-
-    def attrs_of(name: str) -> Set[str]:
-        if name not in attr_cache:
-            attr_cache[name] = _class_attrs(classes, name)
-        return attr_cache[name]
-
-    out: List[Diagnostic] = []
-    for module, owner, method in _collector_methods(index, classes):
-        env: Dict[str, str] = {}
-        # one linear pass: record local constructor-typed assignments, then
-        # check every attribute read against the receiver's attribute set
-        for node in own_nodes(method):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    resolved = _resolve_attr_type(
-                        node.value, owner, classes, ctor, env
-                    )
-                    if resolved is not None:
-                        env[target.id] = resolved
-        for node in own_nodes(method):
-            if not isinstance(node, ast.Attribute):
-                continue
-            base = _resolve_attr_type(node.value, owner, classes, ctor, env)
-            if base is None or base not in classes:
-                continue
-            if node.attr not in attrs_of(base):
-                out.append(
-                    Diagnostic(
-                        "RC004",
-                        module.path,
-                        node.lineno,
-                        f"{owner}.{method.name}:{base}.{node.attr}",
-                        f"collector {owner}.{method.name} reads "
-                        f"{base}.{node.attr}, but {base} has no such "
-                        "attribute — the scrape would raise at runtime",
                     )
                 )
     return out

@@ -43,6 +43,7 @@ from repro.formula.dependency import extract_dependencies
 from repro.formula.evaluator import EvalContext, RangeValues, evaluate_formula
 from repro.formula.nodes import FormulaNode
 from repro.formula.parser import parse_formula
+from repro.obs.counters import Counters
 
 __all__ = ["ComputeHost", "ComputeEngine", "ComputeStats"]
 
@@ -75,7 +76,7 @@ class ComputeHost:
 
 
 @dataclass
-class ComputeStats:
+class ComputeStats(Counters):
     evaluations: int = 0
     demand_evaluations: int = 0
     scheduled_evaluations: int = 0
@@ -88,15 +89,6 @@ class ComputeStats:
     #: the edit, formulas on or referencing a deleted key.  The logical-work
     #: metric showing a splice does not depend on the size of the sheet.
     splice_touched: int = 0
-
-    def reset(self) -> None:
-        self.evaluations = 0
-        self.demand_evaluations = 0
-        self.scheduled_evaluations = 0
-        self.errors = 0
-        self.cycles = 0
-        self.reparses = 0
-        self.splice_touched = 0
 
 
 class _EngineEvalContext(EvalContext):

@@ -41,24 +41,19 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
 from repro.engine.table import ChangeEvent
+from repro.obs.counters import Counters
 
 __all__ = ["SyncManager", "SyncStats"]
 
 
 @dataclass
-class SyncStats:
+class SyncStats(Counters):
     events_received: int = 0
     #: full re-queries (``region.refresh``): the fallback.
     regions_refreshed: int = 0
     #: renders of a maintained result (``region.render``).
     regions_patched: int = 0
     events_by_kind: Dict[str, int] = field(default_factory=dict)
-
-    def reset(self) -> None:
-        self.events_received = 0
-        self.regions_refreshed = 0
-        self.regions_patched = 0
-        self.events_by_kind.clear()
 
 
 class SyncManager:

@@ -90,22 +90,14 @@ class Workbook(ComputeHost):
             self.add_sheet(default_sheet)
 
     def _collect_workbook_metrics(self) -> Dict[str, Any]:
-        """Pull-collector over the existing compute/sync counter structs."""
-        compute = self.compute.stats
-        sync = self.sync.stats
+        """Pull-collector over the compute/sync counter structs plus the
+        workbook's size gauges."""
         return {
             "wb_sheets": len(self.sheets),
             "wb_regions": len(self.regions),
             "wb_formulas": self.compute.n_formulas,
-            "compute_evaluations": compute.evaluations,
-            "compute_demand_evaluations": compute.demand_evaluations,
-            "compute_scheduled_evaluations": compute.scheduled_evaluations,
-            "compute_errors": compute.errors,
-            "compute_cycles": compute.cycles,
-            "compute_reparses": compute.reparses,
-            "sync_events_received": sync.events_received,
-            "sync_regions_refreshed": sync.regions_refreshed,
-            "sync_regions_patched": sync.regions_patched,
+            **self.compute.stats.metrics("compute_"),
+            **self.sync.stats.metrics("sync_"),
         }
 
     # ------------------------------------------------------------- observers

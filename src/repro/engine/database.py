@@ -34,7 +34,7 @@ from repro.engine.pager import IOStats
 from repro.engine.planner import Planner, RangeResolver
 from repro.engine.schema import Column, TableSchema
 from repro.engine.sql_parser import parse_sql
-from repro.engine.store import LayoutPolicy
+from repro.engine.store import LayoutPolicy, ScanStats
 from repro.engine.table import ChangeEvent, Table
 from repro.engine.transaction import TransactionManager
 from repro.engine.types import DBType, infer_type, unify_types
@@ -183,30 +183,21 @@ class Database:
     # -- observability -------------------------------------------------------
 
     def _collect_engine_metrics(self) -> Dict[str, Any]:
-        """Pull-collector over the engine's existing counters — reading
-        them at scrape time keeps the hot paths un-instrumented."""
+        """Pull-collector over the engine's counter structs plus gauges,
+        read at scrape time so the hot paths stay un-instrumented."""
         snap = self.catalog.pool.stats_snapshot()
         snap["db_tables"] = len(self.catalog.table_names())
         snap["db_events_logged"] = len(self.events)
-        batch_scans = batches = bytes_decoded = encoded_groups = 0
-        open_snapshots = retired_pages = 0
-        pages_skipped = index_lookups = 0
+        scans = ScanStats()
+        encoded_groups = open_snapshots = retired_pages = 0
         for table in self.catalog.tables():
-            batch_scans += table.store.batch_scans
-            batches += table.store.batches_emitted
-            bytes_decoded += table.store.bytes_decoded
+            scans.add(table.store.scan_stats)
             encoded_groups += table.store.encoded_group_count
-            pages_skipped += table.store.pages_skipped
-            index_lookups += table.index_lookups
             snapshot_stats = table.store.snapshot_stats()
             open_snapshots += snapshot_stats["active_snapshots"]
             retired_pages += snapshot_stats["retired_pages"]
-        snap["db_batch_scans"] = batch_scans
-        snap["db_batches"] = batches
-        snap["db_bytes_decoded"] = bytes_decoded
+        snap.update(scans.metrics("db_"))
         snap["db_encoded_groups"] = encoded_groups
-        snap["db_pages_skipped"] = pages_skipped
-        snap["db_index_lookups"] = index_lookups
         snap["db_open_snapshots"] = open_snapshots
         snap["db_retired_pages"] = retired_pages
         worker = self._maintenance_worker

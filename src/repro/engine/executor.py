@@ -155,7 +155,8 @@ class ProjectedScan(PlanNode):
             base["pages_read"] = delta.reads
             base["pages_written"] = delta.writes
         if self._skip_before is not None:
-            base["pages_skipped"] = self.table.store.pages_skipped - self._skip_before
+            skipped = self.table.store.scan_stats.pages_skipped
+            base["pages_skipped"] = skipped - self._skip_before
         return base
 
     def sargable_ranges(
@@ -232,7 +233,7 @@ class ProjectedScan(PlanNode):
         params = ctx.params
         ranges = self.sargable_ranges(params)
         if ranges:
-            self._skip_before = self.table.store.pages_skipped
+            self._skip_before = self.table.store.scan_stats.pages_skipped
         # The table scan is opened *here*, not at first next(): the store
         # snapshot is acquired at operator open, so everything this node
         # yields is isolated from concurrent DML and background
@@ -403,7 +404,7 @@ class IndexScan(PlanNode):
             ranges = extract_sargable_ranges(combined, ctx.params, self.binding)
         table = self.table
         store = table.store
-        table.index_lookups += 1
+        store.scan_stats.index_lookups += 1
         with store.mutation_lock:
             column_indexes = [
                 table.schema.column_index(name) for name in self.column_names

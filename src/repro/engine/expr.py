@@ -119,19 +119,18 @@ def _arith(op: str, left: Any, right: Any) -> Any:
         right = int(right)
     try:
         if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
+            result = left + right
+        elif op == "-":
+            result = left - right
+        elif op == "*":
+            result = left * right
+        elif op == "/":
             if right == 0:
                 return None  # sqlite semantics: x/0 is NULL
             result = left / right
             if isinstance(left, int) and isinstance(right, int) and result == int(result):
                 return int(result)
-            return result
-        if op == "%":
+        elif op == "%":
             # SQLite: both sides truncate to integers, the remainder takes
             # the dividend's sign, and a REAL operand makes it REAL.
             dividend, divisor = _truncate(left), _truncate(right)
@@ -139,11 +138,15 @@ def _arith(op: str, left: Any, right: Any) -> Any:
                 return None
             result = abs(dividend) % abs(divisor) * (-1 if dividend < 0 else 1)
             return float(result) if float in (type(left), type(right)) else result
+        else:
+            raise ExecutionError(f"unknown arithmetic operator {op!r}")
     except TypeError:
         raise ExecutionError(
             f"operator {op!r} not applicable to {left!r} and {right!r}"
         ) from None
-    raise ExecutionError(f"unknown arithmetic operator {op!r}")
+    # SQLite has no NaN: inf - inf, inf * 0 and inf / inf are NULL there,
+    # as a stored NaN already is here.
+    return None if result != result else result
 
 
 _COMPARISONS = {

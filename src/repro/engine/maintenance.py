@@ -146,6 +146,14 @@ class MaintenanceWorker:
                 self._events.record("maintenance_resume", worker=self.name)
             self._wake.set()
 
+    def between_beats(self) -> Any:
+        """Context manager: on entry no beat is in flight, and none starts
+        before exit.  A beat's effects become visible before the beat is
+        counted, so a reader wanting both consistent (``beats`` and what
+        the beats did) reads inside this — taken before any lock a beat
+        takes, as the worker itself does."""
+        return self._beat_lock
+
     def drain(self, max_beats: int = 10_000) -> int:
         """Run the remaining maintenance to quiescence on the *caller's*
         thread (serialised with the worker via the beat lock); returns

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.sanitizer import NULL_SANITIZER
 from repro.errors import StorageError
+from repro.obs.counters import Counters
 
 __all__ = [
     "IOStats",
@@ -40,11 +41,12 @@ DEFAULT_PAGE_CAPACITY = 128
 
 
 @dataclass
-class IOStats:
+class IOStats(Counters):
     """Counters for the simulated disk.  Block granularity, plus the
     *simulated payload bytes* moved — the page-encoding layer charges
     decoded bytes here so layout tooling can see that an encoded chain
-    moves less data per block than a plain one."""
+    moves less data per block than a plain one.  ``to_dict`` is the
+    persisted per-group ``group_io`` shape."""
 
     reads: int = 0
     writes: int = 0
@@ -53,45 +55,9 @@ class IOStats:
     bytes_read: int = 0
     bytes_written: int = 0
 
-    def snapshot(self) -> "IOStats":
-        return IOStats(**self.to_dict())
-
-    def delta(self, earlier: "IOStats") -> "IOStats":
-        """Counts accumulated since ``earlier`` (an older snapshot)."""
-        return IOStats(
-            **{
-                name: getattr(self, name) - getattr(earlier, name)
-                for name in _IO_FIELDS
-            }
-        )
-
-    def add(self, other: "IOStats") -> None:
-        """Accumulate ``other``'s counts into this one."""
-        for name in _IO_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
-    def reset(self) -> None:
-        for name in _IO_FIELDS:
-            setattr(self, name, 0)
-
     @property
     def total(self) -> int:
         return self.reads + self.writes
-
-    def to_dict(self) -> Dict[str, int]:
-        """The counters by field name, in declaration order (the persisted
-        per-group ``group_io`` shape)."""
-        return {name: getattr(self, name) for name in _IO_FIELDS}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "IOStats":
-        """Inverse of :meth:`to_dict`; a missing counter reads as 0, so
-        payloads written before a counter existed still load."""
-        return cls(**{name: int(payload.get(name, 0)) for name in _IO_FIELDS})
-
-
-#: The counter names, in declaration order.
-_IO_FIELDS = tuple(spec.name for spec in fields(IOStats))
 
 
 class _FrozenIOStats(IOStats):
@@ -113,6 +79,11 @@ class _FrozenIOStats(IOStats):
 
     def reset(self) -> None:
         pass  # already all zeros, and must stay that way
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any]) -> IOStats:
+        # snapshot() and delta() build through here: copies are mutable.
+        return IOStats.from_dict(payload)
 
 
 #: The shared all-zero stats returned for untouched tags.
@@ -220,7 +191,7 @@ class DiskManager:
             for stats in self._tag_stats.values():
                 tagged.add(stats)
         return {
-            **{f"pager_{name}": value for name, value in self.stats.to_dict().items()},
+            **self.stats.metrics("pager_"),
             "pager_pages": self.n_pages,
             "pager_tags": len(self._tag_stats),
             "pager_tagged_reads": tagged.reads,
@@ -284,6 +255,10 @@ class BufferPool:
     ``capacity`` is the number of buffered pages; evicting a dirty page
     writes it back.  A capacity of ``None`` means unbounded (still counts
     first-touch reads, which is what most benchmarks want).
+
+    The disk is private to the pool (``_disk``): no other module can
+    read, write, allocate or free a page except through it, so no page
+    I/O escapes the per-group tag accounting.
     """
 
     def __init__(
@@ -299,7 +274,7 @@ class BufferPool:
             # admitted, so mutations through the still-held Page reference
             # would never be seen by flush_all — silent lost writes.
             raise StorageError("buffer pool capacity must be >= 1 (or None)")
-        self.disk = disk if disk is not None else DiskManager()
+        self._disk = disk if disk is not None else DiskManager()
         self.capacity = capacity
         self.page_capacity = page_capacity
         self._frames: "OrderedDict[int, Page]" = OrderedDict()
@@ -330,7 +305,7 @@ class BufferPool:
                     self.sanitizer.check_page(frame)
                 return frame
             self.misses += 1
-            page = self.disk.read(page_id)
+            page = self._disk.read(page_id)
             if self.sanitizer.enabled and "enc" in page.header:
                 self.sanitizer.check_page(page)
             self._admit(page)
@@ -339,7 +314,7 @@ class BufferPool:
     def new_page(self, tag: Any = None) -> Page:
         """Allocate a fresh page (optionally tagged) and admit it dirty."""
         with self._mutation_lock:
-            page_id = self.disk.allocate(tag)
+            page_id = self._disk.allocate(tag)
             page = Page(page_id, dirty=True)
             self._admit(page)
             return page
@@ -369,15 +344,15 @@ class BufferPool:
             return self._pins.get(page_id, 0)
 
     def tag_stats(self, tag: Any) -> IOStats:
-        return self.disk.tag_stats(tag)
+        return self._disk.tag_stats(tag)
 
     def add_bytes(self, tag: Any, bytes_read: int = 0, bytes_written: int = 0) -> None:
-        self.disk.add_bytes(tag, bytes_read, bytes_written)
+        self._disk.add_bytes(tag, bytes_read, bytes_written)
 
     def stats_snapshot(self) -> Dict[str, Any]:
         """The disk's one-pass aggregate plus the pool's own hit/miss
         counters (what the metrics exporter scrapes)."""
-        snap = self.disk.stats_snapshot()
+        snap = self._disk.stats_snapshot()
         snap["buffer_hits"] = self.hits
         snap["buffer_misses"] = self.misses
         snap["buffer_hit_ratio"] = round(self.hit_ratio, 4)
@@ -386,16 +361,16 @@ class BufferPool:
         return snap
 
     def drop_tag_stats(self, tag: Any) -> None:
-        self.disk.drop_tag_stats(tag)
+        self._disk.drop_tag_stats(tag)
 
     def set_tag_stats(self, tag: Any, stats: IOStats) -> None:
-        self.disk.set_tag_stats(tag, stats)
+        self._disk.set_tag_stats(tag, stats)
 
     def free_page(self, page_id: int) -> None:
         with self._mutation_lock:
             self._frames.pop(page_id, None)
             self._pins.pop(page_id, None)
-            self.disk.free(page_id)
+            self._disk.free(page_id)
 
     def _admit(self, page: Page) -> None:
         """Frame a page, evicting LRU victims past capacity.
@@ -422,7 +397,7 @@ class BufferPool:
                 if victim.dirty:
                     if self.sanitizer.enabled:
                         self.sanitizer.check_page(victim)
-                    self.disk.write(victim)
+                    self._disk.write(victim)
                     victim.dirty = False
                 del self._frames[victim_id]
 
@@ -434,7 +409,7 @@ class BufferPool:
             if frame is not None and frame.dirty:
                 if self.sanitizer.enabled:
                     self.sanitizer.check_page(frame)
-                self.disk.write(frame)
+                self._disk.write(frame)
                 frame.dirty = False
 
     def flush_all(self) -> int:
@@ -445,7 +420,7 @@ class BufferPool:
                 if frame.dirty:
                     if self.sanitizer.enabled:
                         self.sanitizer.check_page(frame)
-                    self.disk.write(frame)
+                    self._disk.write(frame)
                     frame.dirty = False
                     written += 1
         return written
@@ -460,7 +435,7 @@ class BufferPool:
 
     @property
     def stats(self) -> IOStats:
-        return self.disk.stats
+        return self._disk.stats
 
     @property
     def hit_ratio(self) -> float:

@@ -54,6 +54,7 @@ from repro.analysis.sanitizer import NULL_SANITIZER
 from repro.engine.pager import BufferPool, DEFAULT_PAGE_CAPACITY, IOStats
 from repro.engine.schema import Column, TableSchema
 from repro.errors import SchemaError, StorageError
+from repro.obs.counters import Counters
 
 __all__ = [
     "LayoutPolicy",
@@ -61,6 +62,7 @@ __all__ = [
     "StoreSnapshot",
     "ColumnAccessStats",
     "AccessStats",
+    "ScanStats",
     "DEFAULT_BATCH_SIZE",
 ]
 
@@ -91,7 +93,23 @@ class ColumnAccessStats:
 
 
 @dataclass
-class AccessStats:
+class ScanStats(Counters):
+    """Scan-side counters of one store (the engine's ``db_*`` metrics)."""
+
+    batch_scans: int = 0
+    #: column batches yielded by ``scan_group_batches``.
+    batches: int = 0
+    #: simulated payload bytes decoded from this store's pages.
+    bytes_decoded: int = 0
+    #: pages whose decode zone maps proved unnecessary (the per-group
+    #: split lives on the group records).
+    pages_skipped: int = 0
+    #: index-driven lookups the executor ran against the owning table.
+    index_lookups: int = 0
+
+
+@dataclass
+class AccessStats(Counters):
     """Workload profile of one store, fed to the layout advisor.
 
     Counts *logical* operations (not blocks): how the table is being used,
@@ -168,20 +186,10 @@ class AccessStats:
             + sum(c.total() for c in self.columns.values())
         )
 
-    def reset(self) -> None:
-        self.inserts = self.deletes = self.point_reads = 0
-        self.full_updates = self.full_scans = self.schema_changes = 0
-        self.columns.clear()
-        self.group_scans.clear()
-
     def decay(self, factor: float = 0.5) -> None:
         """Age the profile so the advisor tracks the *recent* workload."""
-        self.inserts = int(self.inserts * factor)
-        self.deletes = int(self.deletes * factor)
-        self.point_reads = int(self.point_reads * factor)
-        self.full_updates = int(self.full_updates * factor)
-        self.full_scans = int(self.full_scans * factor)
-        self.schema_changes = int(self.schema_changes * factor)
+        for name, value in super().to_dict().items():
+            setattr(self, name, int(value * factor))
         for stats in self.columns.values():
             stats.scans = int(stats.scans * factor)
             stats.updates = int(stats.updates * factor)
@@ -194,12 +202,7 @@ class AccessStats:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "inserts": self.inserts,
-            "deletes": self.deletes,
-            "point_reads": self.point_reads,
-            "full_updates": self.full_updates,
-            "full_scans": self.full_scans,
-            "schema_changes": self.schema_changes,
+            **super().to_dict(),
             "columns": {
                 name: {"scans": c.scans, "updates": c.updates}
                 for name, c in sorted(self.columns.items())
@@ -220,14 +223,7 @@ class AccessStats:
         it had at snapshot time instead of re-learning from cold counters
         — without this, a restarted server's advisor is blind until the
         workload has been replayed against it a second time."""
-        stats = cls(
-            inserts=int(payload.get("inserts", 0)),
-            deletes=int(payload.get("deletes", 0)),
-            point_reads=int(payload.get("point_reads", 0)),
-            full_updates=int(payload.get("full_updates", 0)),
-            full_scans=int(payload.get("full_scans", 0)),
-            schema_changes=int(payload.get("schema_changes", 0)),
-        )
+        stats = super().from_dict(payload)
         for name, counters in (payload.get("columns") or {}).items():
             column = stats.column(name)
             column.scans = int(counters.get("scans", 0))
@@ -570,13 +566,7 @@ class GroupedTupleStore:
         self._next_rid = 0
         self._n_rows = 0
         self.access_stats = AccessStats()
-        # Store-level batch-scan counters (metrics exporter).
-        self.batch_scans = 0
-        self.batches_emitted = 0
-        self.bytes_decoded = 0
-        # Pages whose decode was proven unnecessary by zone maps (the
-        # per-group split lives on the group records).
-        self.pages_skipped = 0
+        self.scan_stats = ScanStats()
         # Per-page zone-map cache: page_id -> (record_count, {fragment
         # offset -> (min, max, null_count) | None}).  ``None`` marks an
         # offset whose values do not order (mixed types) — never skippable.
@@ -828,7 +818,7 @@ class GroupedTupleStore:
         moved."""
         if n_bytes <= 0:
             return
-        self.bytes_decoded += n_bytes
+        self.scan_stats.bytes_decoded += n_bytes
         self.pool.add_bytes(tag, bytes_read=n_bytes)
 
     def _thaw_page(self, group_index: int, page: Any) -> None:
@@ -1115,7 +1105,7 @@ class GroupedTupleStore:
                 if alive is not None and not alive:
                     # Provably dead: skipped before any decode work, and
                     # with a cached count without touching the pool.
-                    self.pages_skipped += 1
+                    self.scan_stats.pages_skipped += 1
                     group.pages_skipped += 1
                     continue
             if page is None:
@@ -1183,7 +1173,7 @@ class GroupedTupleStore:
                     self.access_stats.full_scans += 1
                 else:
                     self.access_stats.record_scan(names)
-                self.batch_scans += 1
+                self.scan_stats.batch_scans += 1
             except BaseException:
                 if owns:
                     snap.release()
@@ -1198,6 +1188,7 @@ class GroupedTupleStore:
         }
 
         def batches() -> Iterator[Tuple[List[int], List[List[Any]]]]:
+            stats = self.scan_stats
             try:
                 width = len(names)
                 driver = covering[0]
@@ -1255,7 +1246,7 @@ class GroupedTupleStore:
                             by_group[group_index]
                         ):
                             out[out_offset] = other_cols[position]
-                    self.batches_emitted += 1
+                    stats.batches += 1
                     if self.sanitizer.enabled:
                         self.sanitizer.check_batch(rids, out)
                     yield rids, out  # type: ignore[misc]

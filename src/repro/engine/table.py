@@ -113,9 +113,6 @@ class Table:
         # while one of its statement scopes is open, _change hands it each
         # change's inverse.  None = nothing to undo into.
         self.transactions = None
-        # Executor probes through index_for(); counted for the
-        # db_index_lookups metric.
-        self.index_lookups = 0
         self.listeners: List[Callable[[ChangeEvent], None]] = []
         # Maintenance event sink (a repro.obs.EventLog); the owning
         # Database wires its shared log in on attach.  None = no eventing.

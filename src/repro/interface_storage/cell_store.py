@@ -30,6 +30,7 @@ from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.index.index2d import GridIndex
 from repro.index.posmap import LOGICAL_MAX, PositionalMapper
+from repro.obs.counters import Counters
 
 __all__ = ["CellStore", "CellStoreStats"]
 
@@ -39,7 +40,7 @@ _PHYS_MAX = 1 << 44
 
 
 @dataclass
-class CellStoreStats:
+class CellStoreStats(Counters):
     """Logical-work counters: how many blocks/cells operations touched.
 
     ``cells_moved`` counts cells physically relocated by a structural edit
@@ -55,14 +56,6 @@ class CellStoreStats:
     blocks_scanned: int = 0
     cells_moved: int = 0
     cells_dropped: int = 0
-
-    def reset(self) -> None:
-        self.point_reads = 0
-        self.point_writes = 0
-        self.range_queries = 0
-        self.blocks_scanned = 0
-        self.cells_moved = 0
-        self.cells_dropped = 0
 
 
 class CellStore:

@@ -11,11 +11,15 @@ report through one surface instead of five disconnected counter islands:
 * :mod:`repro.obs.trace` — a lightweight span tracer for per-statement
   capture (``EXPLAIN TRACE <query>``) and the server apply path; when no
   trace is active every instrumentation point is a shared no-op,
+* :mod:`repro.obs.counters` — :class:`Counters`, the dataclass base of
+  every layer's counter struct; collectors export a struct with
+  ``stats.metrics(prefix)``,
 * :mod:`repro.obs.events` — a bounded structured log of maintenance
   events (layout advice, migration lifecycle, snapshot compaction, WAL
   repair, crash recovery) with timestamps and causes.
 """
 
+from repro.obs.counters import Counters
 from repro.obs.events import Event, EventLog
 from repro.obs.metrics import (
     Counter,
@@ -27,6 +31,7 @@ from repro.obs.metrics import (
 from repro.obs.trace import Span, Tracer
 
 __all__ = [
+    "Counters",
     "Counter",
     "Gauge",
     "Histogram",

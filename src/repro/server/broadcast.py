@@ -29,9 +29,10 @@ from dataclasses import dataclass
 from typing import Any, List, Optional
 
 from repro.core.address import RangeAddress
+from repro.obs.counters import Counters
 from repro.server.session import Session, SessionManager
 
-__all__ = ["Delta", "Broadcaster"]
+__all__ = ["Delta", "Broadcaster", "BroadcastStats"]
 
 
 @dataclass
@@ -73,14 +74,20 @@ class Delta:
         return viewport.overlaps(self.area, sheet=self.sheet)
 
 
+@dataclass
+class BroadcastStats(Counters):
+    published: int = 0
+    #: (session, delta) pairs delivered / filtered out by the viewport.
+    delivered: int = 0
+    suppressed: int = 0
+
+
 class Broadcaster:
     """Fans deltas out to the sessions whose viewports cover them."""
 
     def __init__(self, sessions: SessionManager):
         self.sessions = sessions
-        self.published = 0
-        self.delivered = 0
-        self.suppressed = 0
+        self.stats = BroadcastStats()
 
     def publish(
         self,
@@ -93,7 +100,8 @@ class Broadcaster:
         holds the result of its own apply, so it is skipped by default."""
         if not deltas:
             return 0
-        self.published += len(deltas)
+        stats = self.stats
+        stats.published += len(deltas)
         deliveries = 0
         for session in self.sessions.sessions():
             if session.session_id == origin and not include_origin:
@@ -103,6 +111,6 @@ class Broadcaster:
                     session.deliver(delta)
                     deliveries += 1
                 else:
-                    self.suppressed += 1
-        self.delivered += deliveries
+                    stats.suppressed += 1
+        stats.delivered += deliveries
         return deliveries

@@ -39,6 +39,7 @@ import os
 import threading
 import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -671,10 +672,10 @@ class WorkbookService:
     # -- observability -------------------------------------------------------
 
     def _collect_server_metrics(self) -> Dict[str, Any]:
-        """Pull-collector over the service's existing counters (WAL,
-        broadcast, sessions) — read at scrape time, never double-counted
-        on the apply path."""
-        wal = self.wal.stats
+        """Pull-collector over the WAL and broadcast counter structs plus
+        the service's own state (version, sessions, queue depths) — read
+        at scrape time, never double-counted on the apply path."""
+        worker = self._maintenance_worker
         return {
             "server_version": self.version,
             "server_ops_applied": self.ops_applied,
@@ -682,20 +683,11 @@ class WorkbookService:
             "server_sessions": len(self.sessions),
             "server_snapshots_written": self.snapshots.snapshots_written,
             "wal_lsn": self.wal.last_lsn,
-            "wal_appends": wal.appends,
-            "wal_syncs": wal.syncs,
-            "wal_truncations": wal.truncations,
-            "wal_bytes_written": wal.bytes_written,
+            **self.wal.stats.metrics("wal_"),
             "snapshot_lsn": self._snapshot_lsn,
-            "broadcast_published": self.broadcast.published,
-            "broadcast_delivered": self.broadcast.delivered,
-            "broadcast_suppressed": self.broadcast.suppressed,
+            **self.broadcast.stats.metrics("broadcast_"),
             "server_layout_queue": len(self._layout_op_queue),
-            "server_maint_worker_beats": (
-                self._maintenance_worker.beats
-                if self._maintenance_worker is not None
-                else 0
-            ),
+            "server_maint_worker_beats": worker.beats if worker is not None else 0,
         }
 
     def trace_apply(
@@ -1283,8 +1275,15 @@ class WorkbookService:
         same scrape the CLI ``metrics`` command exports); the historical
         keys are kept as aliases so existing tests and REPL output stay
         stable, and the full flat snapshot rides along under
-        ``"metrics"``."""
-        snap = self.metrics.snapshot()
+        ``"metrics"``.
+
+        The scrape runs between maintenance beats and under the apply
+        lock (in that order, the worker's), so a finished beat shows its
+        effects and its count together."""
+        worker = self._maintenance_worker
+        with worker.between_beats() if worker is not None else nullcontext():
+            with self._apply_lock:
+                snap = self.metrics.snapshot()
         return {
             "version": snap["server_version"],
             "ops_applied": snap["server_ops_applied"],
@@ -1301,10 +1300,7 @@ class WorkbookService:
             },
             "maintenance": {
                 "background": self.background_maintenance,
-                "worker_running": (
-                    self._maintenance_worker is not None
-                    and self._maintenance_worker.running
-                ),
+                "worker_running": worker is not None and worker.running,
                 "worker_beats": snap["server_maint_worker_beats"],
                 "ticks": snap.get("db_maint_ticks", 0),
                 "blocks": snap.get("db_maint_blocks", 0),

@@ -48,6 +48,7 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 from repro.analysis.sanitizer import NULL_SANITIZER
 from repro.core.persist import _decode_value, _encode_value
 from repro.errors import WALError
+from repro.obs.counters import Counters
 
 __all__ = [
     "WalRecord",
@@ -108,17 +109,11 @@ class WalMark:
 
 
 @dataclass
-class WalStats:
+class WalStats(Counters):
     appends: int = 0
     syncs: int = 0
     truncations: int = 0
     bytes_written: int = 0
-
-    def reset(self) -> None:
-        self.appends = 0
-        self.syncs = 0
-        self.truncations = 0
-        self.bytes_written = 0
 
 
 def read_wal(path: str, payload_from: int = 0) -> Tuple[List[WalRecord], int, int]:

@@ -17,13 +17,15 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.counters import Counters
+
 __all__ = ["WindowCache"]
 
 Fetcher = Callable[[int, int], List[Tuple[Any, ...]]]
 
 
 @dataclass
-class _CacheStats:
+class _CacheStats(Counters):
     hits: int = 0
     misses: int = 0
     prefetches: int = 0

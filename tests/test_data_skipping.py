@@ -276,9 +276,9 @@ class TestDmlSelectiveReads:
         db = build_big_db(n_rows=500)
         db.execute("CREATE UNIQUE INDEX idx_v ON t (v)")
         table = db.table("t")
-        before = table.index_lookups
+        before = table.store.scan_stats.index_lookups
         result, trace = db.trace_statement("DELETE FROM t WHERE v = 777")
-        assert table.index_lookups > before
+        assert table.store.scan_stats.index_lookups > before
         # The probe is the plan operator a SELECT would get.
         probe = trace.find("execute").children[0]
         assert probe.name.startswith("IndexScan(t as t, index=idx_v on v")

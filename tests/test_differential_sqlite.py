@@ -177,6 +177,26 @@ def test_nan_text_in_a_real_column_sorts_as_sqlite_does():
         comp.close()
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        "SELECT x * 10 - x * 10 FROM t",
+        "SELECT x * 10 * 0 FROM t",
+        "SELECT (x * 10) / (x * 10) FROM t",
+    ],
+)
+def test_arithmetic_making_a_nan_is_null(query):
+    """``inf - inf``, ``inf * 0`` and ``inf / inf`` are NULL in sqlite,
+    which has no NaN; a stored NaN already reads as NULL here."""
+    comp = SqliteComparator()
+    try:
+        comp.setup(["CREATE TABLE t (x REAL)", "INSERT INTO t VALUES (1e308)"])
+        comp.assert_match(query)
+        assert comp.database.execute(query).rows == [(None,)]
+    finally:
+        comp.close()
+
+
 class TestDmlAgreement:
     def test_update_then_query(self, comparator):
         comparator.setup(["UPDATE r SET b = b + 1 WHERE c = 'x'"])

@@ -140,7 +140,7 @@ class TestSnapshotIsolation:
         could still read them; releasing the last snapshot frees them and
         the disk page count returns to the no-snapshot trajectory."""
         store = make_store(40)
-        disk = store.pool.disk
+        disk = store.pool._disk
         snap = store.snapshot()
         baseline_pages = disk.n_pages
         for rid in range(40):

@@ -799,7 +799,7 @@ class TestPerGroupIo:
         for target in ([["c0"], ["c1"], ["c2"]], [["c0", "c1", "c2"]]) * 3:
             store.restructure(target)
             store.checkpoint()
-        disk = store.pool.disk
+        disk = store.pool._disk
         live_tags = {store._tag(i) for i in range(store.n_groups)}
         stale = [t for t in disk._tag_stats if t not in live_tags]
         assert stale == []

@@ -91,7 +91,7 @@ class TestBufferPool:
         first.records.append((0, ("v",)))
         pool.new_page()
         pool.new_page()  # evicts `first`, which is dirty -> written back
-        assert pool.disk.stats.writes >= 1
+        assert pool._disk.stats.writes >= 1
         reread = pool.get(first.page_id)
         assert reread.records == [(0, ("v",))]
 
@@ -106,9 +106,9 @@ class TestBufferPool:
         pool = BufferPool()
         page = pool.new_page()
         pool.drop_cache()
-        before = pool.disk.stats.reads
+        before = pool._disk.stats.reads
         pool.get(page.page_id)
-        assert pool.disk.stats.reads == before + 1
+        assert pool._disk.stats.reads == before + 1
 
     def test_free_page(self):
         pool = BufferPool()
@@ -145,7 +145,7 @@ class TestBufferPool:
         page.records.append((0, ("held",)))
         page.mark_dirty()
         pool.new_page()  # evicts the held page, writing it back
-        assert pool.disk.read(page.page_id).records == [(0, ("held",))]
+        assert pool._disk.read(page.page_id).records == [(0, ("held",))]
         assert pool.get(page.page_id).records == [(0, ("held",))]
         # And flush_all on a clean pool has nothing left to lose.
         pool.flush_all()

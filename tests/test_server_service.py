@@ -154,7 +154,7 @@ class TestSessionsAndBroadcast:
             "cell", "Sheet1", 0, 0, 7
         )
         assert bob.last_seen_version == service.version
-        assert service.broadcast.suppressed > 0
+        assert service.broadcast.stats.suppressed > 0
         service.close()
 
     def test_region_refresh_delta_scoped_by_viewport(self, tmp_path):

@@ -253,7 +253,7 @@ class TestHybridCompaction:
         rids = fill(store, 20)
         before_rows = [store.read_row(rid) for rid in rids]
         before_groups = store.schema.groups
-        before_pages = store.pool.disk.n_pages
+        before_pages = store.pool._disk.n_pages
         real_new_page = BufferPool.new_page
         # Crash at every possible allocation point of the rebuild.
         crash_at = 0
@@ -278,7 +278,7 @@ class TestHybridCompaction:
                 assert store.schema.groups == before_groups
                 assert [store.read_row(rid) for rid in rids] == before_rows
                 # Staged pages were released — no leaked allocations.
-                assert store.pool.disk.n_pages == before_pages
+                assert store.pool._disk.n_pages == before_pages
             crash_at += 1
         # And once no crash fires, the compaction itself still works.
         assert store.schema.groups == [["a", "b", "c", "d"]]
@@ -408,7 +408,8 @@ def test_logical_io_of_a_fixed_script_is_pinned(layout):
         for entry in group_io
     )
     assert [tuple(entry.values()) for entry in group_io] == expected["group_io"]
-    counters = (store.pages_skipped, store.batches_emitted, store.bytes_decoded)
+    stats = store.scan_stats
+    counters = (stats.pages_skipped, stats.batches, stats.bytes_decoded)
     assert counters == expected["counters"]
     encoding = store.encoding_snapshot()
     assert all(list(entry) == ["encoded", "ratio", "failed"] for entry in encoding)
@@ -447,7 +448,7 @@ class TestFrameIsolation:
         store.insert((64, "k0", 4.0, "tail"))  # a plain tail page
         pool.flush_all()
         chain = store._groups[0].chain
-        return store, pool.disk, chain[0], chain[-1]
+        return store, pool._disk, chain[0], chain[-1]
 
     @staticmethod
     def image(disk, page_id):
@@ -502,4 +503,4 @@ class TestSharedPool:
         second = make_store(ROW, pool=pool)
         fill(first, 8)
         fill(second, 8)
-        assert pool.disk.stats.allocations >= 2
+        assert pool._disk.stats.allocations >= 2

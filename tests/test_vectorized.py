@@ -479,15 +479,15 @@ def test_scan_bytes_feed_group_tag_stats_and_cli():
     for i in range(600):
         table.insert((i % 9, f"tag{i % 3}"), emit=False)
     store = table.store
-    plain_before = store.bytes_decoded
+    plain_before = store.scan_stats.bytes_decoded
     list(store.scan_groups(["a"]))
-    plain_cost = store.bytes_decoded - plain_before
+    plain_cost = store.scan_stats.bytes_decoded - plain_before
     assert plain_cost == 600 * encoding.PLAIN_VALUE_BYTES
 
     store.encode_group(0)
-    encoded_before = store.bytes_decoded
+    encoded_before = store.scan_stats.bytes_decoded
     list(store.scan_groups(["a"]))
-    encoded_cost = store.bytes_decoded - encoded_before
+    encoded_cost = store.scan_stats.bytes_decoded - encoded_before
     assert 0 < encoded_cost < plain_cost
     # The same bytes land on the per-group pager tag the advisor reads.
     assert store.group_io_stats(0).bytes_read >= plain_cost + encoded_cost
