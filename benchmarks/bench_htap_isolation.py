@@ -135,7 +135,7 @@ def test_background_maintenance_cuts_apply_tail_latency():
 
     inline_p99 = p99(inline_latencies)
     background_p99 = p99(background_latencies)
-    worker = background_db.maintenance_worker
+    worker = background_db.maintenance.worker
     print(
         f"\napply p99 under concurrent scan over {SEED_ROWS}+{N_APPLIES} rows: "
         f"inline={inline_p99 * 1e3:.2f}ms background={background_p99 * 1e3:.2f}ms "

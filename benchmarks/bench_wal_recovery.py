@@ -150,7 +150,7 @@ def test_recovery_preserves_tuned_layout(tmp_path):
     for _ in range(scans):
         list(table.store.scan_groups(["a"]))
     for _ in range(40):
-        service.maintenance_tick(steps=2)
+        service.maintenance.tick(steps=2)
         if not table.migration_active and ["a"] in table.schema.groups:
             break
     tuned_groups = table.schema.groups

@@ -28,8 +28,7 @@ from repro.engine import sql_ast as ast
 from repro.engine.catalog import Catalog
 from repro.engine.executor import ExecContext
 from repro.engine.expr import Scope
-from repro.engine.hybridstore import suggested_tick_budget
-from repro.engine.maintenance import MaintenanceWorker
+from repro.engine.maintenance import MaintenanceScheduler
 from repro.engine.pager import IOStats
 from repro.engine.planner import Planner, RangeResolver
 from repro.engine.schema import Column, TableSchema
@@ -137,21 +136,6 @@ class Database:
         self.transactions = TransactionManager()
         self._listeners: List[Callable[[ChangeEvent], None]] = []
         self.statements_executed = 0
-        # Adaptive-layout maintenance: every ``auto_layout_interval``
-        # statements (0 disables), tables with auto layout enabled get a
-        # tick — advisor consult or a few online migration steps.
-        self.auto_layout_interval = auto_layout_interval
-        self._statements_since_tick = 0
-        # HTAP isolation: with background maintenance on, the statement
-        # cadence only *wakes* a MaintenanceWorker thread instead of
-        # running the tick inline on the apply path.  Defaults from
-        # REPRO_BG_MAINT so the whole test suite can run in either mode.
-        if background_maintenance is None:
-            background_maintenance = os.environ.get(
-                "REPRO_BG_MAINT", ""
-            ) not in ("", "0")
-        self.background_maintenance = background_maintenance
-        self._maintenance_worker: Optional[MaintenanceWorker] = None
         # Recent non-idle tick reports (bounded: long-lived sessions tick
         # forever; callers wanting everything consume maintenance_tick()'s
         # return value instead).
@@ -175,8 +159,13 @@ class Database:
         self._maint_blocks = self.metrics_registry.counter(
             "db_maint_blocks", "pages written by maintenance restructures"
         )
-        self._maint_seconds = self.metrics_registry.histogram(
-            "db_maint_tick_seconds", "maintenance beat latency (seconds)"
+        # Adaptive-layout maintenance: every ``auto_layout_interval``
+        # statements (0 disables), tables with auto layout enabled get a
+        # tick — advisor consult or a few online migration steps — inline,
+        # or on a worker thread with background maintenance on (default
+        # from REPRO_BG_MAINT, so the whole test suite runs in either mode).
+        self.maintenance = MaintenanceScheduler(
+            self, auto_layout_interval, background_maintenance
         )
         self.metrics_registry.register_collector(self._collect_engine_metrics)
 
@@ -200,7 +189,7 @@ class Database:
         snap["db_encoded_groups"] = encoded_groups
         snap["db_open_snapshots"] = open_snapshots
         snap["db_retired_pages"] = retired_pages
-        worker = self._maintenance_worker
+        worker = self.maintenance.worker
         snap["db_maint_worker_running"] = int(
             worker is not None and worker.running
         )
@@ -308,6 +297,7 @@ class Database:
     ) -> List[Dict[str, Any]]:
         """Tick every table that opted into adaptive layout (or has a
         migration in flight); returns the non-idle per-table reports.
+        Every beat of :attr:`maintenance` runs through this method.
 
         ``max_blocks`` budgets the restructure work of each table's beat
         (see :meth:`Table.layout_tick`) so one big migration cannot stall
@@ -331,79 +321,10 @@ class Database:
             self._maint_blocks.inc(blocks)
         return reports
 
-    def _maybe_auto_tick(self) -> None:
-        if not self.auto_layout_interval:
-            return
-        self._statements_since_tick += 1
-        if self._statements_since_tick < self.auto_layout_interval:
-            return
-        # Never re-partition mid-transaction: undo closures must replay
-        # against a stable store, and a rollback should not be charged
-        # migration I/O.
-        if self.in_transaction:
-            return
-        self._statements_since_tick = 0
-        if self.background_maintenance:
-            # HTAP isolation: the apply path only nudges the worker; the
-            # budgeted tick itself runs on the maintenance thread.  The
-            # worker is started lazily, on the first cadence trigger with
-            # actual maintenance candidates — explicit maintenance_tick()
-            # calls stay synchronous in every mode.
-            if self.maintenance_candidates():
-                self.ensure_maintenance_worker().wake()
-            return
-        self.maintenance_tick()
-
-    def maintenance_candidates(self) -> List[Table]:
-        """The tables a maintenance beat ticks (see
-        :attr:`Table.wants_maintenance`)."""
-        return [table for table in self.catalog.tables() if table.wants_maintenance]
-
-    def background_tick_budget(self, candidates: List[Table]) -> int:
-        """``max_blocks`` for one background beat over ``candidates``:
-        :func:`~repro.engine.hybridstore.suggested_tick_budget` of the
-        largest table, so a beat holds the store mutation lock for a
-        fraction of a full chain rewrite."""
-        return max(
-            suggested_tick_budget(table.n_rows, self.catalog.pool.page_capacity)
-            for table in candidates
-        )
-
-    def _background_beat(self) -> bool:
-        """One bounded maintenance beat, run on the worker thread.
-
-        Budgets each table's restructure work with
-        :meth:`background_tick_budget`, and reports whether any table did
-        non-idle work (the worker keeps beating until quiescence)."""
-        if self.in_transaction:
-            return False
-        candidates = self.maintenance_candidates()
-        if not candidates:
-            return False
-        budget = self.background_tick_budget(candidates)
-        return bool(self.maintenance_tick(max_blocks=budget))
-
-    def ensure_maintenance_worker(self) -> MaintenanceWorker:
-        """The lazily created background worker (started on return)."""
-        worker = self._maintenance_worker
-        if worker is None:
-            worker = self._maintenance_worker = MaintenanceWorker(
-                self._background_beat,
-                events=self.events,
-                histogram=self._maint_seconds,
-            )
-        return worker.start()
-
-    @property
-    def maintenance_worker(self) -> Optional[MaintenanceWorker]:
-        return self._maintenance_worker
-
     def close(self) -> None:
         """Stop background maintenance (draining pending work first).
         Safe to call on a database that never started a worker."""
-        worker = self._maintenance_worker
-        if worker is not None:
-            worker.stop(drain=True)
+        self.maintenance.stop(drain=True)
 
     # -- SQL entry point ------------------------------------------------------------------
 
@@ -493,7 +414,7 @@ class Database:
         after parsing, for a caller that holds the tree (a DBSQL region
         re-running its query parses nothing)."""
         self.statements_executed += 1
-        self._maybe_auto_tick()
+        self.maintenance.count("statement")
         # Gate the perf_counter pair on the enabled flag so "metrics off"
         # costs one boolean test per statement.
         timed = self.metrics_registry.enabled

@@ -127,9 +127,11 @@ def _arith(op: str, left: Any, right: Any) -> Any:
         elif op == "/":
             if right == 0:
                 return None  # sqlite semantics: x/0 is NULL
+            if isinstance(left, int) and isinstance(right, int):
+                # SQLite: INTEGER / INTEGER truncates toward zero, exactly.
+                quotient = abs(left) // abs(right)
+                return -quotient if (left < 0) != (right < 0) else quotient
             result = left / right
-            if isinstance(left, int) and isinstance(right, int) and result == int(result):
-                return int(result)
         elif op == "%":
             # SQLite: both sides truncate to integers, the remainder takes
             # the dividend's sign, and a REAL operand makes it REAL.

@@ -81,9 +81,9 @@ def suggested_tick_budget(
     Prices a beat at ``fraction`` of a full single-column chain rewrite
     (the cheapest restructure unit at the table's current size), floored
     at 8 blocks so tiny tables still finish a migration step per beat.
-    The background :class:`repro.engine.maintenance.MaintenanceWorker`
-    uses this so one beat never monopolises the mutation lock for a
-    whole multi-group restructure."""
+    The :class:`repro.engine.maintenance.MaintenanceScheduler` budgets
+    its worker's beats with this, so one beat never monopolises the
+    mutation lock for a whole multi-group restructure."""
     full_chain = pages_for_group(n_rows, 1, page_capacity)
     return max(8, int(full_chain * fraction))
 

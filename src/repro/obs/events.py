@@ -21,8 +21,6 @@ kind                      payload
 ``wal_repair``            path, truncated_bytes, cause
 ``recovery``              directory, snapshot_lsn, replayed_ops, tables
 ``snapshot_compaction``   directory, lsn, wal_bytes_dropped
-``maintenance_pause``     worker
-``maintenance_resume``    worker
 ``maintenance_drain``     worker, beats
 ``maintenance_error``     worker, error (a background beat raised)
 ========================  =====================================================

@@ -38,17 +38,15 @@ from __future__ import annotations
 import os
 import threading
 import time
-from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.core.address import CellAddress, RangeAddress
 from repro.core.persist import workbook_from_dict
 from repro.core.workbook import Workbook
 from repro.engine import sql_ast
 from repro.engine.database import ResultSet, txn_command
-from repro.engine.maintenance import MaintenanceWorker
 from repro.engine.sql_parser import parse_sql
 from repro.errors import DataSpreadError, ServerError, SqlError, StaleWriteError
 from repro.formula.parser import parse_formula
@@ -435,14 +433,9 @@ def replay_ops(workbook: Workbook, ops: List[Op]) -> None:
     from the snapshot plus logged layout_set/layout_step records, so the
     advisor must not run its own (stats-driven, unlogged) migrations
     while the history replays."""
-    database = workbook.database
-    saved_interval = database.auto_layout_interval
-    database.auto_layout_interval = 0
-    try:
+    with workbook.database.maintenance.suspend():
         for op in ops:
             apply_op(workbook, op)
-    finally:
-        database.auto_layout_interval = saved_interval
     workbook.recalc_all()
 
 
@@ -624,35 +617,29 @@ class WorkbookService:
         self._txn_mark = None
         self.workbook.database.transactions.add_hook(self._on_txn_event)
         self.ops_applied = 0
-        # The service takes over adaptive-layout maintenance from the
-        # database's inline statement ticks: a migration stepped inside
-        # Database.execute would re-partition the physical layout without
-        # WAL-logging the transition, so a recovered server could never
-        # converge to it.  The interval moves here and every transition is
-        # appended to the log (see maintenance_tick).
-        self._maintenance_interval = self.workbook.database.auto_layout_interval
-        self.workbook.database.auto_layout_interval = 0
-        self._ops_since_maintenance = 0
         # HTAP isolation (control layer).  The apply pipeline and every
         # background maintenance beat serialise on this lock: readers
         # (snapshot scans) never take it, appliers hold it briefly, and a
         # *budgeted* background beat holds it for a bounded restructure
         # slice instead of a whole migration.
         self._apply_lock = threading.RLock()
-        # Layout transitions observed during a maintenance tick are
-        # *queued* here and appended to the WAL at the next drain point on
-        # the apply path (apply start, explicit tick, step, compact,
-        # close) — the handoff that keeps the WAL single-threaded.  Each
-        # record carries its absolute target grouping, so draining them
-        # later than they occurred still replays to the same layout.
-        self._layout_op_queue: Deque[Dict[str, Any]] = deque()
-        if background_maintenance is None:
-            background_maintenance = self.workbook.database.background_maintenance
-        self.background_maintenance = background_maintenance
-        # The service owns the worker; the embedded database must not
-        # spin up its own (its inline interval is already zeroed above).
-        self.workbook.database.background_maintenance = False
-        self._maintenance_worker: Optional[MaintenanceWorker] = None
+        # Layout transitions a maintenance beat observes are queued here
+        # and appended to the WAL in one batch as the beat ends — or at
+        # the next apply, compaction or close, when the beat raised or a
+        # transaction was open.  Each record carries its absolute target
+        # grouping, so a later flush still replays to the same layout.
+        self._layout_op_queue: List[Dict[str, Any]] = []
+        # The database's cadence counts applied ops from here on, and every
+        # beat runs under the apply lock and WAL-logs its transitions: an
+        # unlogged migration would leave a recovered server unable to
+        # converge to the live layout.
+        self.maintenance = self.workbook.database.maintenance
+        self.maintenance.attach(
+            self._on_layout_transition,
+            self._after_beat,
+            self._apply_lock,
+            background=background_maintenance,
+        )
         # Observability: the service reports through the workbook's
         # database registry/tracer/event log — one surface for all layers.
         database = self.workbook.database
@@ -675,7 +662,7 @@ class WorkbookService:
         """Pull-collector over the WAL and broadcast counter structs plus
         the service's own state (version, sessions, queue depths) — read
         at scrape time, never double-counted on the apply path."""
-        worker = self._maintenance_worker
+        worker = self.maintenance.worker
         return {
             "server_version": self.version,
             "server_ops_applied": self.ops_applied,
@@ -884,7 +871,7 @@ class WorkbookService:
             session.writes_applied += 1
         finally:
             self._collector.stop()
-        self._maybe_maintain()
+        self.maintenance.count("op")
         self.maybe_compact()
         return ApplyResult(
             version=self.version,
@@ -1037,130 +1024,27 @@ class WorkbookService:
                     self.broadcast.publish(deltas, origin=None)
             finally:
                 self._collector.stop()
-        if self._maintenance_interval:
-            # The implicit serve-loop beat honours interval=0 = maintenance
-            # off and otherwise shares the apply cadence counter, except
-            # that an in-flight migration is stepped every beat so it makes
-            # progress on an idle server; the advisor itself is only
-            # consulted every Nth beat (its answer cannot change between
-            # beats with no applies).  An explicit maintenance_tick() call
-            # remains an operator override.
-            migrating = any(
-                table.migration_active
-                for table in self.workbook.database.catalog.tables()
-            )
-            self._ops_since_maintenance += 1
-            if migrating or self._ops_since_maintenance >= self._maintenance_interval:
-                self._ops_since_maintenance = 0
-                if self.background_maintenance:
-                    # Serve-loop beats only nudge the worker; queued
-                    # layout records still flush on this (apply) thread.
-                    with self._apply_lock:
-                        self._drain_layout_queue()
-                    self.ensure_maintenance_worker().wake()
-                else:
-                    self.maintenance_tick()
-                    self.maybe_compact()
+        # The serve loop's beat shares the apply cadence, except that it
+        # is due on every step while a migration is in flight.
+        self.maintenance.count("op", idle=True)
         return computed
 
     # -- adaptive-layout maintenance ---------------------------------------------
 
-    def maintenance_tick(
-        self, steps: int = 2, max_blocks: Optional[int] = None
-    ) -> List[Dict[str, Any]]:
-        """One beat of :meth:`Database.maintenance_tick` with *durable*
-        layout transitions: an advisor-started migration is logged as a
-        ``layout_set`` (mode ``target``) record and every applied
-        restructure step as a ``layout_step`` record, so the committed-
-        suffix replay converges to the same physical layout the live
-        server had.
-
-        ``max_blocks`` (default: unbudgeted) caps each table's restructure
-        work per beat so a big migration is spread over many beats instead
-        of stalling the serve loop."""
-        database = self.workbook.database
-        if database.in_transaction:
-            return []
-        with self._apply_lock:
-            reports = database.maintenance_tick(
-                steps, observer=self._on_layout_transition, max_blocks=max_blocks
-            )
-            # Synchronous ticks flush their own transitions immediately —
-            # the record order in the log is then identical to the
-            # historical append-inside-the-tick behaviour.
-            self._drain_layout_queue()
-        return reports
-
-    def _maybe_maintain(self) -> None:
-        """The apply-pipeline cadence: tick maintenance every
-        ``auto_layout_interval`` applied operations (the interval the
-        database would have used for its inline statement ticks).  With
-        background maintenance on, the cadence only wakes the worker —
-        the beat itself leaves the apply path."""
-        if not self._maintenance_interval:
-            return
-        self._ops_since_maintenance += 1
-        if self._ops_since_maintenance < self._maintenance_interval:
-            return
-        self._ops_since_maintenance = 0
-        if self.background_maintenance:
-            if self.workbook.database.maintenance_candidates():
-                self.ensure_maintenance_worker().wake()
-            return
-        self.maintenance_tick()
-
-    def _background_beat(self) -> bool:
-        """One bounded service-level maintenance beat (worker thread).
-
-        Runs a budgeted layout/encoding tick, flushes the layout-record
-        queue, and compacts if due — all under the apply lock, so the
-        WAL and workbook state only ever change under one serialised
-        regime.  Returns True while more migration work remains."""
-        database = self.workbook.database
-        if database.in_transaction:
-            return False
-        with self._apply_lock:
-            if database.in_transaction:
-                return False
-            candidates = database.maintenance_candidates()
-            if not candidates:
-                self._drain_layout_queue()
-                return False
-            budget = database.background_tick_budget(candidates)
-            reports = database.maintenance_tick(
-                steps=2, observer=self._on_layout_transition, max_blocks=budget
-            )
-            self._drain_layout_queue()
-            self.maybe_compact()
-            return bool(reports)
-
-    def ensure_maintenance_worker(self) -> MaintenanceWorker:
-        """The lazily created background worker (started on return)."""
-        worker = self._maintenance_worker
-        if worker is None:
-            worker = self._maintenance_worker = MaintenanceWorker(
-                self._background_beat,
-                name=f"repro-maintenance:{os.path.basename(self.directory)}",
-                events=self.events,
-                histogram=self.metrics.histogram(
-                    "db_maint_tick_seconds",
-                    "maintenance beat latency (seconds)",
-                ),
-            )
-        return worker.start()
-
-    @property
-    def maintenance_worker(self) -> Optional[MaintenanceWorker]:
-        return self._maintenance_worker
+    def _after_beat(self) -> None:
+        """Every beat ends here, under the apply lock: the transitions it
+        queued reach the WAL, then a due snapshot is written."""
+        self._drain_layout_queue()
+        self.maybe_compact()
 
     def _on_layout_transition(
         self, table_name: str, event: str, groups: List[List[str]]
     ) -> None:
-        """Queue one layout transition observed during a maintenance
-        tick for WAL logging.  Transitions are *queued*, not appended,
-        because a tick may run on the maintenance thread while an apply
-        holds the log; the queue drains on the apply path (see
-        :meth:`_drain_layout_queue`).  Records carry absolute target
+        """Queue one layout transition a maintenance beat observed: an
+        advisor-started migration becomes a ``layout_set`` (mode
+        ``target``) record and every applied restructure step a
+        ``layout_step`` record, so the committed-suffix replay converges
+        to the layout the live server had.  Records carry absolute target
         groupings, so a crash that loses queued records still recovers:
         the logged migration start (or the snapshot's
         ``migration_target``) re-arms the migration, which the serve
@@ -1177,23 +1061,15 @@ class WorkbookService:
             op = {"type": "layout_step", "table": table_name, "groups": payload}
         self._layout_op_queue.append(op)
 
-    def _drain_layout_queue(self) -> int:
+    def _drain_layout_queue(self) -> None:
         """Append queued layout transitions to the WAL in observation
-        order; returns records written.  A no-op inside an open
-        transaction — maintenance records must not land inside a txn
-        bracket, where a rollback's truncate would discard them — the
-        queue simply holds them for the next drain point."""
-        if not self._layout_op_queue or self.workbook.database.in_transaction:
-            return 0
-        ops: List[Dict[str, Any]] = []
-        while True:
-            try:
-                ops.append(self._layout_op_queue.popleft())
-            except IndexError:
-                break
-        if ops:
+        order (the caller holds the apply lock, as every beat does).  A
+        no-op inside an open transaction — maintenance records must not
+        land inside a txn bracket, where a rollback's truncate would
+        discard them — the queue holds them for the next drain point."""
+        if self._layout_op_queue and not self.workbook.database.in_transaction:
+            ops, self._layout_op_queue = self._layout_op_queue, []
             self.wal.append_many(ops)
-        return len(ops)
 
     # -- compaction ----------------------------------------------------------------------
 
@@ -1243,15 +1119,12 @@ class WorkbookService:
         records before the log closes; ``drain=False`` models a crash —
         recovery re-arms any half-done migration from the last logged
         target and the serve loop finishes it."""
-        worker = self._maintenance_worker
-        if worker is not None:
-            worker.stop(drain=drain)
-            self._maintenance_worker = None
+        self.maintenance.stop(drain=drain)
         with self._apply_lock:
             if drain:
                 self._drain_layout_queue()
             self.wal.close()
-        self.workbook.database.auto_layout_interval = self._maintenance_interval
+        self.maintenance.detach()
         self.metrics.remove_collector(self._server_collector)
         try:
             self.workbook.database.transactions.remove_hook(self._on_txn_event)
@@ -1280,7 +1153,7 @@ class WorkbookService:
         The scrape runs between maintenance beats and under the apply
         lock (in that order, the worker's), so a finished beat shows its
         effects and its count together."""
-        worker = self._maintenance_worker
+        worker = self.maintenance.worker
         with worker.between_beats() if worker is not None else nullcontext():
             with self._apply_lock:
                 snap = self.metrics.snapshot()
@@ -1299,8 +1172,8 @@ class WorkbookService:
                 "suppressed": snap["broadcast_suppressed"],
             },
             "maintenance": {
-                "background": self.background_maintenance,
-                "worker_running": worker is not None and worker.running,
+                "background": self.maintenance.background,
+                "worker_running": bool(snap["db_maint_worker_running"]),
                 "worker_beats": snap["server_maint_worker_beats"],
                 "ticks": snap.get("db_maint_ticks", 0),
                 "blocks": snap.get("db_maint_blocks", 0),

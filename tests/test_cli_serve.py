@@ -142,7 +142,7 @@ class TestReplayCommand:
 
         directory = str(tmp_path / "book")
         service = WorkbookService(directory, fsync=False, compact_every=0)
-        service._maintenance_interval = 0  # live: nothing adapts, nothing is logged
+        service.maintenance.interval = 0  # live: nothing adapts, nothing is logged
         session = service.connect("alice")
         service.execute(session.session_id, "CREATE TABLE t (a INT, b INT, c INT, d INT)")
         wide = 2**33  # incompressible: keeps the encode pass out of it
@@ -172,7 +172,8 @@ class TestReplayCommand:
         assert table.auto_layout and recovered.auto_layout
         kinds = {event.kind for event in workbook.database.events.tail(None)}
         assert not kinds & {"layout_advice", "migration_start"}
-        assert workbook.database.auto_layout_interval  # the guard restores it
+        maintenance = workbook.database.maintenance
+        assert maintenance.interval and not maintenance.suspended  # cadence live again
 
     def test_main_replay_subcommand(self, tmp_path, capsys):
         directory = self.build(tmp_path)

@@ -67,6 +67,8 @@ QUERIES = [
     "SELECT 7.5 % 2 FROM s WHERE a = 1",
     "SELECT -7.5 % 2 FROM s WHERE a = 1",
     "SELECT 7 % 0.5 FROM s WHERE a = 1",
+    # ``/`` is REAL when either operand is (INTEGER / INTEGER truncates).
+    "SELECT a / 2.0, b / a FROM r",
 ]
 
 
@@ -193,6 +195,34 @@ def test_arithmetic_making_a_nan_is_null(query):
         comp.setup(["CREATE TABLE t (x REAL)", "INSERT INTO t VALUES (1e308)"])
         comp.assert_match(query)
         assert comp.database.execute(query).rows == [(None,)]
+    finally:
+        comp.close()
+
+
+@pytest.mark.parametrize(
+    "query, expected",
+    [
+        ("SELECT a / b FROM t WHERE id = 1", [(3,)]),  # 7 / 2
+        ("SELECT a / b FROM t WHERE id = 2", [(-3,)]),  # -7 / 2
+        ("SELECT a / b FROM t WHERE id = 3", [(-3,)]),  # 7 / -2
+        ("SELECT a / b FROM t WHERE id = 4", [(1537228672809129301,)]),  # 2**62 / 3
+    ],
+)
+def test_integer_division_truncates(query, expected):
+    """INTEGER / INTEGER truncates toward zero, in exact integer
+    arithmetic: 2**62 / 3 must not round through a float (the comparator
+    compares as floats, so the exact value is checked as well)."""
+    comp = SqliteComparator()
+    try:
+        comp.setup(
+            [
+                "CREATE TABLE t (id INTEGER, a INTEGER, b INTEGER)",
+                "INSERT INTO t VALUES (1, 7, 2), (2, -7, 2), (3, 7, -2), "
+                "(4, 4611686018427387904, 3)",
+            ]
+        )
+        comp.assert_match(query)
+        assert comp.database.execute(query).rows == expected
     finally:
         comp.close()
 

@@ -282,46 +282,6 @@ class TestMaintenanceWorker:
         assert remaining[0] == 0
         assert worker.beats >= 3
 
-    def test_pause_blocks_until_beat_finishes_and_resume_continues(self):
-        from repro.obs import EventLog
-
-        events = EventLog()
-        in_beat = threading.Event()
-        release = threading.Event()
-        ran_while_paused = []
-
-        def beat():
-            in_beat.set()
-            release.wait(5.0)
-            ran_while_paused.append(worker.paused)
-            return False
-
-        worker = MaintenanceWorker(beat, events=events).start()
-        worker.wake()
-        assert in_beat.wait(5.0)
-        pauser_done = threading.Event()
-
-        def pauser():
-            worker.pause()
-            pauser_done.set()
-
-        t = threading.Thread(target=pauser)
-        t.start()
-        time.sleep(0.05)
-        assert not pauser_done.is_set()  # pause() waits for in-flight beat
-        release.set()
-        t.join(5.0)
-        assert pauser_done.is_set() and worker.paused
-        # While paused, wakes do not beat.
-        beats_before = worker.beats
-        worker.wake()
-        time.sleep(0.05)
-        assert worker.beats == beats_before
-        worker.resume()
-        worker.stop(drain=False)
-        kinds = [e.kind for e in events]
-        assert "maintenance_pause" in kinds and "maintenance_resume" in kinds
-
     def test_drain_runs_on_callers_thread_and_records_event(self):
         from repro.obs import EventLog
 
@@ -395,7 +355,7 @@ class TestBackgroundDatabase:
         table = db.table("t")
         before = table.rows()
         table.migrate_layout([["a"], ["b"], ["c"], ["d"]])
-        worker = db.ensure_maintenance_worker()
+        worker = db.maintenance.ensure_worker()
         worker.wake()
         deadline = time.monotonic() + 10.0
         while table.migration_active and time.monotonic() < deadline:
@@ -418,7 +378,7 @@ class TestBackgroundDatabase:
         before = table.rows()
         scan = table.scan()  # snapshot pinned now
         table.migrate_layout([["a", "b", "c", "d"]])
-        db.ensure_maintenance_worker().wake()
+        db.maintenance.ensure_worker().wake()
         deadline = time.monotonic() + 10.0
         while table.migration_active and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -428,10 +388,10 @@ class TestBackgroundDatabase:
 
     def test_env_flag_defaults_background_mode(self, monkeypatch):
         monkeypatch.setenv("REPRO_BG_MAINT", "1")
-        assert Database().background_maintenance
+        assert Database().maintenance.background
         monkeypatch.setenv("REPRO_BG_MAINT", "0")
-        assert not Database().background_maintenance
-        assert Database(background_maintenance=True).background_maintenance
+        assert not Database().maintenance.background
+        assert Database(background_maintenance=True).maintenance.background
 
     def test_auto_tick_cadence_wakes_worker_not_inline(self):
         db = Database(auto_layout_interval=2, background_maintenance=True)
@@ -439,8 +399,48 @@ class TestBackgroundDatabase:
         db.execute("ALTER TABLE t SET LAYOUT AUTO")
         for i in range(12):
             db.execute(f"INSERT INTO t VALUES ({i}, {i}, {i}, {i})")
-        worker = db.maintenance_worker
+        worker = db.maintenance.worker
         assert worker is not None and worker.running
+        db.close()
+
+    def test_suspend_waits_out_the_beat_in_flight_and_holds_off_new_ones(self):
+        db = Database(auto_layout_interval=1, background_maintenance=True)
+        db.execute("CREATE TABLE t (a INT, b INT)")
+        db.execute("ALTER TABLE t SET LAYOUT AUTO")
+        in_beat = threading.Event()
+        release = threading.Event()
+
+        def blocking_tick(*args, **kwargs):
+            in_beat.set()
+            release.wait(5.0)
+            return []
+
+        db.maintenance_tick = blocking_tick
+        scheduler = db.maintenance
+        scheduler.ensure_worker().wake()
+        assert in_beat.wait(5.0)
+        entered = threading.Event()
+        leave = threading.Event()
+
+        def suspender():
+            with scheduler.suspend():
+                entered.set()
+                leave.wait(5.0)
+
+        thread = threading.Thread(target=suspender)
+        thread.start()
+        time.sleep(0.05)
+        assert not entered.is_set()  # suspend() waits for the in-flight beat
+        release.set()
+        assert entered.wait(5.0) and scheduler.suspended
+        in_beat.clear()
+        db.execute("SELECT 1")  # due at interval 1, but not counted
+        scheduler.worker.wake()
+        time.sleep(0.05)
+        assert not in_beat.is_set()  # no beat runs while suspended
+        leave.set()
+        thread.join(5.0)
+        assert not scheduler.suspended
         db.close()
 
     def test_suggested_tick_budget_floor_and_scale(self):
@@ -483,7 +483,7 @@ class TestBackgroundService:
         service, session = self._build(tmp_path, background_maintenance=True)
         table = service.workbook.database.table("t")
         self._arm(service, session, [["a"], ["b"], ["c"], ["d"]])
-        service.ensure_maintenance_worker().wake()
+        service.maintenance.ensure_worker().wake()
         self._wait_done(table)
         final_groups = signature(table.schema.groups)
         final_rows = table.rows()
@@ -505,7 +505,7 @@ class TestBackgroundService:
         table = service.workbook.database.table("t")
         expected_rows = table.rows()
         self._arm(service, session, [["a"], ["b"], ["c"], ["d"]])
-        worker = service.ensure_maintenance_worker()
+        worker = service.maintenance.ensure_worker()
         worker.wake()
         time.sleep(0.02)  # let *some* steps land (any prefix is valid)
         service.close(drain=False)  # crash: no drain, queue abandoned
@@ -522,7 +522,7 @@ class TestBackgroundService:
         for _ in range(200):
             if not rtable.migration_active:
                 break
-            reopened.maintenance_tick(steps=4)
+            reopened.maintenance.tick(steps=4)
         assert not rtable.migration_active
         assert signature(rtable.schema.groups) == signature(
             [["a"], ["b"], ["c"], ["d"]]
@@ -534,7 +534,7 @@ class TestBackgroundService:
         service, session = self._build(tmp_path, background_maintenance=True)
         table = service.workbook.database.table("t")
         table.migrate_layout([["a"], ["b"], ["c"], ["d"]])
-        service.ensure_maintenance_worker().wake()
+        service.maintenance.ensure_worker().wake()
         self._wait_done(table)
         summary = service.stats_summary()
         maint = summary["maintenance"]
@@ -544,12 +544,32 @@ class TestBackgroundService:
         assert maint["blocks"] >= 1
         service.close()
 
+    def test_worker_state_reaches_the_metrics(self, tmp_path, monkeypatch):
+        """The service's beats run on the database's one worker, so the
+        engine collector reports the worker the service started."""
+        service, session = self._build(tmp_path, background_maintenance=True)
+        self._arm(service, session, [["a"], ["b"], ["c"], ["d"]])
+
+        def raising_tick(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(service.workbook.database, "maintenance_tick", raising_tick)
+        service.step()  # a migration is in flight: the beat is due now
+        deadline = time.monotonic() + 5.0
+        snap = service.metrics.snapshot()
+        while snap["db_maint_worker_errors"] < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+            snap = service.metrics.snapshot()
+        assert snap["db_maint_worker_errors"] == 1
+        assert snap["db_maint_worker_running"] == 1
+        service.close()
+
     def test_inline_mode_unchanged(self, tmp_path):
         # Pinned off explicitly so the assertion holds under the
         # REPRO_BG_MAINT=1 CI pass too.
         service, session = self._build(tmp_path, background_maintenance=False)
-        assert service.background_maintenance is False
-        assert service.maintenance_worker is None
+        assert service.maintenance.background is False
+        assert service.maintenance.worker is None
         summary = service.stats_summary()
         assert summary["maintenance"]["background"] is False
         service.close()

@@ -67,7 +67,7 @@ def drive_split_migration(service, session, table, column="a", scans=60):
         list(table.store.scan_groups([column]))
     actions = []
     for _ in range(40):
-        actions += [r["action"] for r in service.maintenance_tick(steps=1)]
+        actions += [r["action"] for r in service.maintenance.tick(steps=1)]
         if actions and actions[-1] == "migrated":
             break
     assert "migration_started" in actions and "migrated" in actions
@@ -143,7 +143,7 @@ class TestSnapshotCarriesLayout:
         table.store.access_stats.reset()
         for rid in table.store.rids()[:400]:
             table.store.get(rid)
-        [report] = service.maintenance_tick(steps=1)
+        [report] = service.maintenance.tick(steps=1)
         assert report["action"] == "migration_started"
         assert table.migration_active
         mid_groups = table.schema.groups
@@ -160,7 +160,7 @@ class TestSnapshotCarriesLayout:
         for _ in range(40):
             if not recovered.migration_active:
                 break
-            reopened.maintenance_tick(steps=1)
+            reopened.maintenance.tick(steps=1)
         assert not recovered.migration_active
         assert signature(recovered.schema.groups) == signature(target)
         recovered.validate()
@@ -282,7 +282,7 @@ class TestWalLayoutOps:
         table = service.workbook.database.table("t")
         assert table.migration_active
         while table.migration_active:
-            service.maintenance_tick(steps=1)
+            service.maintenance.tick(steps=1)
         assert signature(table.schema.groups) == signature([["a", "c"], ["b", "d"]])
         service.close()
 
@@ -376,7 +376,7 @@ class TestCrashBetweenMigrationSteps:
         groupings_after_step = []  # live grouping right after each step
         previous = table.schema.groups
         while table.migration_active:
-            service.maintenance_tick(steps=1)
+            service.maintenance.tick(steps=1)
             if table.schema.groups != previous:
                 previous = table.schema.groups
                 groupings_after_step.append(previous)
@@ -391,7 +391,7 @@ class TestCrashBetweenMigrationSteps:
             },
         )
         while table.migration_active:
-            service.maintenance_tick(steps=1)
+            service.maintenance.tick(steps=1)
             if table.schema.groups != previous:
                 previous = table.schema.groups
                 groupings_after_step.append(previous)
@@ -462,7 +462,7 @@ class TestCrashBetweenMigrationSteps:
             for _ in range(40):
                 if not recovered.migration_active:
                     break
-                reopened.maintenance_tick(steps=1)
+                reopened.maintenance.tick(steps=1)
             assert not recovered.migration_active, f"cut={cut}"
             assert signature(recovered.schema.groups) == final_signature, (
                 f"cut={cut}"
@@ -621,7 +621,7 @@ def test_crash_recovery_matches_live_state(actions, cut_seed):
                         {"type": "delete_rows", "sheet": "Sheet1", "at": y, "count": 1},
                     )
             elif kind == "tick":
-                service.maintenance_tick(steps=1)
+                service.maintenance.tick(steps=1)
             else:  # compact
                 service.compact()
                 snapshot_floor = service.wal.end_offset

@@ -154,7 +154,7 @@ def test_crash_recovery_event_order(tmp_path):
     for _ in range(24):
         service.execute(session.session_id, "SELECT a FROM t WHERE a >= 0")
     for _ in range(40):
-        service.maintenance_tick(steps=1)
+        service.maintenance.tick(steps=1)
         if table.migration_active:
             break
     assert table.migration_active, "migration never started"

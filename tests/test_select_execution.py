@@ -498,8 +498,9 @@ class TestScalarFunctions:
         assert db.execute("SELECT 1 % 0").scalar() is None
 
     def test_integer_division_stays_exact(self, db):
-        assert db.execute("SELECT 7 / 2").scalar() == 3.5
+        assert db.execute("SELECT 7 / 2").scalar() == 3  # truncates, as in SQLite
         assert db.execute("SELECT 8 / 2").scalar() == 4
+        assert db.execute("SELECT 7.0 / 2").scalar() == 3.5
 
     def test_concat_operator_null(self, db):
         assert db.execute("SELECT 'a' || NULL").scalar() is None

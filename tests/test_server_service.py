@@ -315,13 +315,13 @@ class TestSessionsAndBroadcast:
         table.store.access_stats.reset()
         for _ in range(40):
             list(table.store.scan_groups(["a"]))
-        service._maintenance_interval = 0  # operator: maintenance off
+        service.maintenance.interval = 0  # operator: maintenance off
         for _ in range(5):
             service.step()
         assert not table.migration_active
         assert table.schema.groups == [["a", "b", "c", "d"]]
         # An explicit tick is still an operator override.
-        reports = service.maintenance_tick()
+        reports = service.maintenance.tick()
         assert reports and reports[0]["action"] == "migration_started"
         service.close()
 
