@@ -13,10 +13,12 @@ to leave on in production and *free* when disabled:
 * tracing costs nothing when no trace is active: the null-span fast
   path returns a shared singleton, asserted below by identity.
 
-The on/off comparison interleaves the two configurations and takes the
-min of N repetitions, so one background scheduling blip cannot fake a
-regression.  Results land in ``BENCH_observability.json`` via
-:func:`benchmarks.conftest.write_bench_json`.
+Each on/off comparison runs many *pairs* — one run of each configuration,
+back to back, the order alternating from pair to pair — and gates the
+median of the per-pair on/off ratios.  The two runs of a pair see the same
+machine speed, so drift cancels inside the ratio, and a scheduling blip
+moves one pair out of many instead of a best-of-N floor.  Results land in
+``BENCH_observability.json`` via :func:`benchmarks.conftest.write_bench_json`.
 
 Run ``BENCH_SMOKE=1`` (the CI smoke step) to shrink the trace while
 keeping every assertion live.
@@ -25,7 +27,9 @@ keeping every assertion live.
 from __future__ import annotations
 
 import os
+import statistics
 import time
+from typing import Callable, Dict, List, Tuple
 
 from repro.engine.database import Database
 from repro.obs import MetricsRegistry
@@ -36,10 +40,9 @@ from .conftest import write_bench_json
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 
 N_ROWS = 120 if SMOKE else 400
-# Many short repetitions beat few long ones: min-of-N estimates the noise
-# floor, and the floor is found more reliably with more samples.
 N_ROUNDS = 20 if SMOKE else 30
-REPEATS = 4 if SMOKE else 12
+# On/off pairs per comparison: the median of this many per-pair ratios.
+PAIRS = 41 if SMOKE else 61
 # The HTAP trace is statement-heavy on purpose: per-statement timing is
 # the instrumentation's hot path, so this is the worst case for overhead.
 OVERHEAD_CEILING = 1.05
@@ -83,18 +86,20 @@ def timed_trace(enabled: bool, sanitize: bool = False) -> float:
     return time.perf_counter() - started
 
 
-def measure_overhead() -> dict:
-    # Interleave on/off runs (robust against drift) and estimate each
-    # config's floor as the mean of its 3 fastest repetitions — steadier
-    # than the raw min, which inherits the jitter of a single lucky run.
-    times = {"on": [], "off": []}
-    timed_trace(enabled=False)  # warm-up: imports, code caches
-    for _ in range(REPEATS):
-        times["off"].append(timed_trace(enabled=False))
-        times["on"].append(timed_trace(enabled=True))
-    k = max(1, min(3, REPEATS))
-    return {
-        mode: sum(sorted(samples)[:k]) / k for mode, samples in times.items()
+def paired_ratio(run: Callable[[bool], float]) -> Tuple[float, Dict[str, float]]:
+    """Median over ``PAIRS`` alternating pairs of ``run(True) / run(False)``,
+    plus each configuration's median time."""
+    run(False)  # warm-up: imports, code caches
+    times: Dict[str, List[float]] = {"on": [], "off": []}
+    ratios = []
+    for pair in range(PAIRS):
+        order = ("off", "on") if pair % 2 == 0 else ("on", "off")
+        sample = {mode: run(mode == "on") for mode in order}
+        for mode, seconds in sample.items():
+            times[mode].append(seconds)
+        ratios.append(sample["on"] / sample["off"])
+    return statistics.median(ratios), {
+        mode: statistics.median(samples) for mode, samples in times.items()
     }
 
 
@@ -113,8 +118,7 @@ def disabled_call_cost_us() -> float:
 
 
 def test_metrics_overhead_bounded():
-    best = measure_overhead()
-    ratio = best["on"] / best["off"]
+    ratio, median = paired_ratio(lambda on: timed_trace(enabled=on))
     per_call_us = disabled_call_cost_us()
 
     # Tracing off the hot path: with no trace active the tracer hands out
@@ -125,17 +129,17 @@ def test_metrics_overhead_bounded():
 
     statements = N_ROUNDS * 4
     print(
-        f"\nHTAP trace ({statements} statements, best-3 mean of {REPEATS}): "
-        f"metrics off={best['off'] * 1e3:.1f}ms on={best['on'] * 1e3:.1f}ms "
+        f"\nHTAP trace ({statements} statements, median of {PAIRS} pairs): "
+        f"metrics off={median['off'] * 1e3:.1f}ms on={median['on'] * 1e3:.1f}ms "
         f"ratio={ratio:.3f}; disabled instrument call={per_call_us:.3f}us"
     )
     write_bench_json(
         "observability",
         {
             "statements": statements,
-            "repeats": REPEATS,
-            "metrics_off_ms": round(best["off"] * 1e3, 3),
-            "metrics_on_ms": round(best["on"] * 1e3, 3),
+            "pairs": PAIRS,
+            "metrics_off_ms": round(median["off"] * 1e3, 3),
+            "metrics_on_ms": round(median["on"] * 1e3, 3),
             "overhead_ratio": round(ratio, 4),
             "disabled_call_us": round(per_call_us, 4),
         },
@@ -152,17 +156,7 @@ def test_metrics_overhead_bounded():
 
 def test_sanitizer_overhead_bounded():
     """Runtime sanitizer on vs off over the same HTAP trace, <10%."""
-    times = {"on": [], "off": []}
-    timed_trace(enabled=False)  # warm-up: imports, code caches
-    # Alternate which configuration runs first: machine-speed drift over
-    # the measurement window otherwise lands entirely on one side.
-    for repeat in range(REPEATS):
-        first, second = ("off", "on") if repeat % 2 == 0 else ("on", "off")
-        for mode in (first, second):
-            times[mode].append(timed_trace(enabled=False, sanitize=mode == "on"))
-    k = max(1, min(3, REPEATS))
-    best = {mode: sum(sorted(samples)[:k]) / k for mode, samples in times.items()}
-    ratio = best["on"] / best["off"]
+    ratio, median = paired_ratio(lambda on: timed_trace(enabled=False, sanitize=on))
 
     # The checks must actually have run — a silently disarmed sanitizer
     # would make the ratio meaningless.
@@ -172,16 +166,16 @@ def test_sanitizer_overhead_bounded():
     assert db.sanitizer.failures == 0
 
     print(
-        f"\nHTAP trace (best-{k} mean of {REPEATS}): "
-        f"sanitizer off={best['off'] * 1e3:.1f}ms on={best['on'] * 1e3:.1f}ms "
+        f"\nHTAP trace (median of {PAIRS} pairs): "
+        f"sanitizer off={median['off'] * 1e3:.1f}ms on={median['on'] * 1e3:.1f}ms "
         f"ratio={ratio:.3f} ({db.sanitizer.checks} checks)"
     )
     write_bench_json(
         "observability_sanitizer",
         {
-            "repeats": REPEATS,
-            "sanitizer_off_ms": round(best["off"] * 1e3, 3),
-            "sanitizer_on_ms": round(best["on"] * 1e3, 3),
+            "pairs": PAIRS,
+            "sanitizer_off_ms": round(median["off"] * 1e3, 3),
+            "sanitizer_on_ms": round(median["on"] * 1e3, 3),
             "sanitizer_overhead_ratio": round(ratio, 4),
             "sanitizer_checks": db.sanitizer.checks,
         },

@@ -69,7 +69,6 @@ REPLAY_ENTRY_POINTS = (
     "committed_ops",      # wal: the replay rule
     "load_workbook",      # persist + SnapshotStore.load_workbook
     "workbook_from_dict", # persist: snapshot restore
-    "restore_encodings",  # store: snapshot restore of page encodings
     "restore_group_io",   # store: snapshot restore of per-group I/O
 )
 

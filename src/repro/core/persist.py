@@ -19,6 +19,7 @@ Format (version 2; version-1 files load transparently)::
          "access_stats": {...},          # decayed workload window (v2)
          "migration_target": null,       # in-flight migration target (v2)
          "group_io": [{...}, ...],       # per-group I/O counters (v2)
+         "encodings": [{"encoded","ratio","failed"}, ...],  # per group
          "indexes": [{"name","column","unique"}],  # defs; trees rebuilt
          "rows": [[...], ...]}          # presentation order
       ],
@@ -34,6 +35,13 @@ Values are JSON-native plus ISO dates (tagged).  Regions are re-created on
 load and re-render from the restored tables, so the loaded workbook is
 immediately live (edits sync, formulas recalculate).
 
+A dump reads each table chain by chain, once, and emits the rows in
+presentation order.  A load replays no rows: each table is one bulk
+``Table.load`` of its stored rows — packed pages, the flagged groups
+encoded as they are built, a one-span position map and bottom-up key
+indexes — never ``Table.insert``, so a stored NULL stays NULL where an
+INSERT would have put the column DEFAULT.
+
 Version 2 makes the *tuned physical layout* durable: ``groups`` always
 carried the live grouping, but a v1 load silently dropped the advisor
 flag, the observed workload window, and any half-done online migration —
@@ -46,13 +54,15 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
-from typing import Any, Dict, List
+import operator
+from typing import Any, Dict, Iterator, List
 
 from repro.core.address import CellAddress
 from repro.core.workbook import Workbook
 from repro.engine.database import Database
 from repro.engine.schema import Column, TableSchema
 from repro.engine.store import AccessStats, LayoutPolicy
+from repro.engine.table import Table
 from repro.engine.types import DBType
 from repro.errors import ImportExportError
 
@@ -77,6 +87,34 @@ def _decode_value(value: Any) -> Any:
         if "$datetime" in value:
             return _dt.datetime.fromisoformat(value["$datetime"])
     return value
+
+
+def _dump_rows(table: Table) -> List[List[Any]]:
+    """A table's rows in presentation order.  Each chain is decoded once,
+    WITHOUT charging workload statistics: a dump is maintenance, not
+    workload, and the serialized access_stats must match the live window."""
+    with table.store.mutation_lock:
+        rids, columns = table.store.read_columns()
+        in_order = len(rids) == len(table.positions) and all(
+            map(operator.eq, rids, table.positions)  # walked, not listed
+        )
+        order = None if in_order else list(table.positions)
+    for index, column in enumerate(columns):
+        if any(issubclass(kind, _dt.date) for kind in set(map(type, column))):
+            columns[index] = [_encode_value(value) for value in column]
+    rows = list(map(list, zip(*columns)))
+    if order is not None:
+        at = {rid: index for index, rid in enumerate(rids)}
+        rows = [rows[at[rid]] for rid in order]
+    return rows
+
+
+def _consume(rows: List[Any]) -> Iterator[List[Any]]:
+    """Yield a table's stored rows decoded, dropping the payload's
+    reference to each as it goes, so the table is never held twice."""
+    for index, row in enumerate(rows):
+        rows[index] = None
+        yield row if dict not in map(type, row) else [_decode_value(v) for v in row]
 
 
 def workbook_to_dict(workbook: Workbook) -> Dict[str, Any]:
@@ -110,12 +148,12 @@ def workbook_to_dict(workbook: Workbook) -> Dict[str, Any]:
                 # layout-stats surface resets to zero on every restart.
                 "group_io": table.store.group_io_snapshot(),
                 # Per-group page-encoding flags (aligned with "groups"):
-                # rows are dumped decoded, so the restore re-encodes the
-                # flagged chains instead of persisting payload bytes.
+                # rows are dumped decoded, and the restore builds the
+                # flagged chains encoded instead of persisting payload bytes.
                 "encodings": table.store.encoding_snapshot(),
                 # Secondary indexes: definitions only — the trees are
-                # rebuilt from the restored rows on load (cheap relative
-                # to the row re-inserts, and immune to format drift).
+                # rebuilt bottom-up from the restored rows on load
+                # (immune to format drift).
                 "indexes": [
                     {
                         "name": index.name,
@@ -126,13 +164,7 @@ def workbook_to_dict(workbook: Workbook) -> Dict[str, Any]:
                         table.indexes.values(), key=lambda index: index.name.lower()
                     )
                 ],
-                # Presentation order, read WITHOUT charging workload
-                # statistics: a dump is maintenance, not workload, and the
-                # serialized access_stats above must match the live window.
-                "rows": [
-                    [_encode_value(value) for value in table.store.read_row(rid)]
-                    for rid in table.positions
-                ],
+                "rows": _dump_rows(table),
             }
         )
 
@@ -211,14 +243,13 @@ def workbook_from_dict(payload: Dict[str, Any], eager: bool = True) -> Workbook:
         schema = TableSchema(columns, spec.get("groups"))
         layout = LayoutPolicy(spec.get("layout", "hybrid"))
         table = database.create_table(spec["name"], schema, layout=layout)
-        rows = spec.get("rows", [])
-        for index, row in enumerate(rows):
-            rows[index] = None  # consumed: the table never exists twice
-            table.insert([_decode_value(value) for value in row], emit=False)
+        # One bulk load: packed pages (the flagged groups encoded as they
+        # are built), a one-span position map and a bottom-up primary key.
+        table.load(_consume(spec.get("rows", [])), spec.get("encodings") or ())
         for index_spec in spec.get("indexes", []) or []:
             # Rebuild each secondary index from the just-loaded rows;
             # runs BEFORE the stats/group_io overwrites below so the
-            # build's own page reads don't pollute the restored window.
+            # build's own charges don't pollute the restored window.
             table.create_index(
                 index_spec["name"],
                 index_spec["column"],
@@ -227,22 +258,15 @@ def workbook_from_dict(payload: Dict[str, Any], eager: bool = True) -> Workbook:
         table.set_auto_layout(bool(spec.get("auto_layout", False)))
         stats_spec = spec.get("access_stats")
         if stats_spec is not None:
-            # Overwrite AFTER the row loads above: load-time inserts must
-            # not be double-counted on top of the persisted window.
+            # Overwrite AFTER the load above: load-time inserts must not
+            # be double-counted on top of the persisted window.
             table.store.access_stats = AccessStats.from_dict(stats_spec)
-        encodings = spec.get("encodings")
-        if encodings:
-            # Re-encode BEFORE restore_group_io below: encode_group reads
-            # and writes pages, and those maintenance charges must be
-            # overwritten by the pre-crash cumulative counters, not added
-            # on top of them.
-            table.store.restore_encodings(encodings)
         group_io = spec.get("group_io")
         if group_io:
             # Same overwrite-after-load contract: the restart's own page
-            # allocations are replaced by the pre-crash cumulative
-            # counters, so the stats surface continues instead of
-            # restarting from the load's write burst.
+            # writes (the encoded groups' bytes included) are replaced by
+            # the pre-crash cumulative counters, so the stats surface
+            # continues instead of restarting from the load's write burst.
             table.store.restore_group_io(group_io)
         migration_target = spec.get("migration_target")
         if migration_target:

@@ -40,7 +40,7 @@ import itertools
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.encoding import (
     PLAIN_VALUE_BYTES,
@@ -359,18 +359,19 @@ class _Group:
         rid_page: Optional[Dict[int, int]] = None,
     ):
         self.gid = gid
-        self.chain: List[int] = chain if chain is not None else []
-        self.rid_page: Dict[int, int] = rid_page if rid_page is not None else {}
         self.pages_skipped = 0
         self.pages_scanned = 0
-        self.reset_encoding()
+        self.install([] if chain is None else chain, {} if rid_page is None else rid_page, None)
 
-    def reset_encoding(self) -> None:
-        """Forget the encoding state after a plain (re)write of the chain."""
-        self.encoded = False
-        self.ratio = 1.0
+    def install(self, chain: List[int], rid_page: Dict[int, int], ratio: Optional[float]) -> None:
+        """Adopt a freshly (re)written chain, encoded at ``ratio`` or plain
+        (``None``), forgetting any earlier encoding state."""
+        self.chain: List[int] = chain
+        self.rid_page: Dict[int, int] = rid_page
+        self.encoded = ratio is not None
+        self.ratio = 1.0 if ratio is None else ratio
         self.enc_failed = False
-        self.plain_pages = len(self.chain)
+        self.plain_pages = 0 if self.encoded else len(chain)
 
 
 def _locate(groups: Sequence[Sequence[str]], column_name: str) -> Tuple[int, int]:
@@ -1340,7 +1341,7 @@ class GroupedTupleStore:
             page.records = [(rid, rewrite(fragment)) for rid, fragment in page.records]
             page.mark_dirty()
             self._page_meta.pop(page.page_id, None)
-        group.reset_encoding()
+        group.install(group.chain, group.rid_page, None)
         return len(group.chain)
 
     def rename_column(self, old: str, new: str) -> None:
@@ -1362,44 +1363,69 @@ class GroupedTupleStore:
 
     # -- re-partitioning -------------------------------------------------------
 
+    def read_columns(
+        self, names: Optional[Sequence[str]] = None, order: Optional[List[int]] = None
+    ) -> Tuple[List[int], List[List[Any]]]:
+        """``(rids, columns)`` of every live row, one value list per name
+        (default: every column, in schema order), aligned with ``order``
+        (default: the first covering chain's) — the bulk read of
+        restructure, index builds and the snapshot dump: each covering
+        chain decoded once, page by page, without thawing or charging
+        workload statistics."""
+        with self._mutation_lock:
+            if names is None:
+                names = self.schema.column_names
+            placements = [_locate(self.schema.groups, name) for name in names]
+            read: Dict[int, Tuple[List[int], Dict[int, List[Any]]]] = {}
+            for group_index in dict.fromkeys(group for group, _ in placements):
+                offsets = sorted({o for g, o in placements if g == group_index})
+                rids: List[int] = []
+                columns: List[List[Any]] = [[] for _ in offsets]
+                for page_id in self._groups[group_index].chain:
+                    page_rids, values, _, _ = _decode_page(self.pool.get(page_id), offsets)
+                    rids.extend(page_rids)
+                    for column, more in zip(columns, values):
+                        column.extend(more)
+                read[group_index] = (rids, dict(zip(offsets, columns)))
+            if order is None:
+                order = read[placements[0][0]][0] if placements else []
+            out: List[List[Any]] = []
+            for group_index, offset in placements:
+                rids, columns = read[group_index]
+                values = columns[offset]
+                if rids != order:  # chains out of lockstep (should not happen)
+                    values = list(map(dict(zip(rids, values)).__getitem__, order))
+                out.append(values)
+            return order, out
+
     def _build_chain(
         self,
-        members: Sequence[str],
-        rid_order: Sequence[int],
+        records: Iterable[Tuple[int, Tuple[Any, ...]]],
+        width: int,
         gid: int,
         allocated: List[int],
     ) -> Tuple[List[int], Dict[int, int]]:
-        """Materialise a fresh chain for one prospective group.
-
-        Reads each member column chain-sequentially from the live layout
-        without charging workload statistics, and only allocates new pages
-        (recorded in ``allocated`` so a failed restructure can release
-        them); never mutates existing chains.  Caller holds the mutation
-        lock."""
-        width = max(1, len(members))
-        capacity = max(1, self.pool.page_capacity // width)
-        sources: List[Dict[int, Any]] = []
-        for name in members:
-            group_index, offset = _locate(self.schema.groups, name)
-            values: Dict[int, Any] = {}
-            for page_id in self._groups[group_index].chain:
-                rids, (column,), _, _ = _decode_page(self.pool.get(page_id), (offset,))
-                values.update(zip(rids, column))
-            sources.append(values)
+        """The one plain-chain builder: pack rid-ordered ``(rid, fragment)``
+        records of a ``width``-column group onto fresh pages at the group
+        capacity.  Only allocates (recording each page in ``allocated`` so
+        a failed build can release them); never touches an existing chain.
+        Caller holds the mutation lock."""
+        capacity = max(1, self.pool.page_capacity // max(1, width))
         chain: List[int] = []
         directory: Dict[int, int] = {}
-        page = None
         tag = (self.owner, gid)
-        for rid in rid_order:
-            fragment = tuple(source[rid] for source in sources)
-            if page is None or page.n_records >= capacity:
-                page = self._new_page(tag)
-                chain.append(page.page_id)
-                allocated.append(page.page_id)
-            page.records.append((rid, fragment))
+        records = iter(records)
+        while True:
+            batch = list(itertools.islice(records, capacity))
+            if not batch:
+                return chain, directory
+            page = self._new_page(tag)
+            chain.append(page.page_id)
+            allocated.append(page.page_id)
+            page.records.extend(batch)
             page.mark_dirty()
-            directory[rid] = page.page_id
-        return chain, directory
+            for rid, _ in batch:
+                directory[rid] = page.page_id
 
     def restructure(self, target_groups: Sequence[Sequence[str]]) -> int:
         """Re-partition into ``target_groups``, rebuilding only the groups
@@ -1444,8 +1470,11 @@ class GroupedTupleStore:
                         continue
                     gid = self._next_gid
                     self._next_gid += 1
+                    columns = [  # one chain walk per member: the reads a step costs
+                        self.read_columns([name], rid_order)[1][0] for name in members
+                    ]
                     chain, directory = self._build_chain(
-                        members, rid_order, gid, allocated
+                        zip(rid_order, zip(*columns)), len(members), gid, allocated
                     )
                     groups.append(_Group(gid, chain, directory))
                     pages_written += len(chain)
@@ -1485,74 +1514,24 @@ class GroupedTupleStore:
     def encode_group(self, group_index: int) -> int:
         """Rewrite one group's chain with per-column page encodings.
 
-        Picks the smallest of plain/packed/dict/rle per column over the
-        whole chain (:func:`repro.engine.encoding.choose_encoding`), then
-        rebuilds the chain with each page holding ``capacity × ratio``
-        records — the byte savings become *block* savings, which is what
-        the pager counts.  Build-then-swap like :meth:`restructure`.
-        Returns the new chain's page count, or 0 when the group does not
-        compress (remembered, so maintenance stops retrying)."""
+        Picks each column's kind over the whole chain
+        (:meth:`_choose_kinds`) and rebuilds the chain through
+        :meth:`_build_encoded_chain`.  Build-then-swap like
+        :meth:`restructure`.  Returns the new chain's page count, or 0 when
+        the group does not compress (remembered, so maintenance stops
+        retrying)."""
         with self._mutation_lock:
             group = self._groups[group_index]
-            width = max(1, len(self.schema.groups[group_index]))
-            rid_list: List[int] = []
-            columns: List[List[Any]] = [[] for _ in range(width)]
-            for page_id in group.chain:
-                rids, values, _, _ = _decode_page(self.pool.get(page_id), range(width))
-                rid_list.extend(rids)
-                for column, more in zip(columns, values):
-                    column.extend(more)
-            n = len(rid_list)
-            if n == 0:
+            rid_list, columns = self.read_columns(self.schema.groups[group_index])
+            chosen = self._choose_kinds(columns)
+            if chosen is None:
                 group.enc_failed = True
                 return 0
-            kinds: List[str] = []
-            encoded_bytes = 0
-            for offset in range(width):
-                kind, size = choose_encoding(columns[offset])
-                kinds.append(kind)
-                encoded_bytes += size
-            plain_bytes = n * width * PLAIN_VALUE_BYTES
-            ratio = plain_bytes / max(1, encoded_bytes)
-            if ratio <= 1.05:
-                group.enc_failed = True
-                return 0
-            capacity = self._group_capacity(group_index)
-            per_page = max(capacity, int(capacity * ratio))
-            tag = self._tag(group_index)
-            chain: List[int] = []
-            directory: Dict[int, int] = {}
             allocated: List[int] = []
             try:
-                for start in range(0, n, per_page):
-                    stop = min(n, start + per_page)
-                    page = self._new_page(tag)
-                    allocated.append(page.page_id)
-                    chain.append(page.page_id)
-                    page_rids = tuple(rid_list[start:stop])
-                    cols = tuple(
-                        (kind, encode_column(column[start:stop], kind))
-                        for kind, column in zip(kinds, columns)
-                    )
-                    col_bytes = tuple(
-                        encoded_size(stop - start, kind, payload) for kind, payload in cols
-                    )
-                    total = sum(col_bytes)
-                    page_plain = (stop - start) * width * PLAIN_VALUE_BYTES
-                    page.header["enc"] = EncodedPage(page_rids, cols, col_bytes, total, page_plain)
-                    page.mark_dirty()
-                    # The column slices are in hand: compute zone maps
-                    # eagerly so the encoded chain skips on its first scan.
-                    self._page_meta[page.page_id] = (
-                        stop - start,
-                        {
-                            offset: _zone_of(columns[offset][start:stop])
-                            for offset in range(width)
-                        },
-                    )
-                    self.pool.add_bytes(tag, bytes_written=total)
-                    for rid in page_rids:
-                        directory[rid] = page.page_id
+                chain, directory = self._build_encoded_chain(
+                    group_index, rid_list, columns, *chosen, allocated
+                )
             except BaseException:
                 for page_id in allocated:
                     self._release_page(page_id)
@@ -1561,13 +1540,119 @@ class GroupedTupleStore:
             # open snapshot still streaming it.
             for page_id in group.chain:
                 self._release_page(page_id)
-            group.chain = chain
-            group.rid_page = directory
-            group.encoded = True
-            group.ratio = ratio
-            group.enc_failed = False
-            group.plain_pages = 0
+            group.install(chain, directory, chosen[1])
             return len(chain)
+
+    @staticmethod
+    def _choose_kinds(columns: Sequence[Sequence[Any]]) -> Optional[Tuple[List[str], float]]:
+        """``(kinds, ratio)`` for a group's rid-aligned columns: the
+        smallest of plain/packed/dict/rle per column
+        (:func:`repro.engine.encoding.choose_encoding`) and the plain/encoded
+        byte ratio — or ``None`` when the group is empty or does not
+        compress."""
+        n = len(columns[0]) if columns else 0
+        if n == 0:
+            return None
+        kinds: List[str] = []
+        encoded_bytes = 0
+        for column in columns:
+            kind, size = choose_encoding(column)
+            kinds.append(kind)
+            encoded_bytes += size
+        ratio = n * len(columns) * PLAIN_VALUE_BYTES / max(1, encoded_bytes)
+        return None if ratio <= 1.05 else (kinds, ratio)
+
+    def _build_encoded_chain(
+        self,
+        group_index: int,
+        rid_list: Sequence[int],
+        columns: Sequence[Sequence[Any]],
+        kinds: Sequence[str],
+        ratio: float,
+        allocated: List[int],
+    ) -> Tuple[List[int], Dict[int, int]]:
+        """The one encoded-chain builder: fresh pages holding ``capacity ×
+        ratio`` records each — the byte savings become *block* savings,
+        which is what the pager counts — with their zone maps computed
+        from the column slices in hand, so the chain skips on its first
+        scan.  Only allocates (into ``allocated``).  Caller holds the
+        mutation lock."""
+        n = len(rid_list)
+        width = len(columns)
+        capacity = self._group_capacity(group_index)
+        per_page = max(capacity, int(capacity * ratio))
+        tag = self._tag(group_index)
+        chain: List[int] = []
+        directory: Dict[int, int] = {}
+        for start in range(0, n, per_page):
+            stop = min(n, start + per_page)
+            page = self._new_page(tag)
+            allocated.append(page.page_id)
+            chain.append(page.page_id)
+            page_rids = tuple(rid_list[start:stop])
+            slices = [column[start:stop] for column in columns]
+            cols = tuple(
+                (kind, encode_column(values, kind)) for kind, values in zip(kinds, slices)
+            )
+            col_bytes = tuple(
+                encoded_size(stop - start, kind, payload) for kind, payload in cols
+            )
+            total = sum(col_bytes)
+            page_plain = (stop - start) * width * PLAIN_VALUE_BYTES
+            page.header["enc"] = EncodedPage(page_rids, cols, col_bytes, total, page_plain)
+            page.mark_dirty()
+            self._page_meta[page.page_id] = (
+                stop - start,
+                {offset: _zone_of(values) for offset, values in enumerate(slices)},
+            )
+            self.pool.add_bytes(tag, bytes_written=total)
+            for rid in page_rids:
+                directory[rid] = page.page_id
+        return chain, directory
+
+    def load(
+        self,
+        rids: List[int],
+        columns: Sequence[Sequence[Any]],
+        encodings: Sequence[Dict[str, Any]] = (),
+    ) -> None:
+        """Fill a fresh store: ``rids`` is ``[0, n)`` (the caller's list, so
+        its indexes share the int objects) and ``columns`` one value list
+        per schema column (the one caller is ``Table.load``).
+        A group ``encodings`` (:meth:`encoding_snapshot` rows) flags
+        ``encoded`` goes straight through :meth:`_build_encoded_chain`, any
+        other through :meth:`_build_chain`: the pages, kinds and zone maps
+        a row-at-a-time load plus :meth:`encode_group` would leave, with
+        no plain chain in between.  On failure the store stays empty."""
+        with self._mutation_lock:
+            if self._next_rid:
+                raise StorageError("a bulk load needs a store that never held a row")
+            built = []
+            allocated: List[int] = []
+            try:
+                for group_index, group in enumerate(self._groups):
+                    flag = encodings[group_index] if group_index < len(encodings) else {}
+                    members = [columns[i] for i in self.schema.group_column_indexes(group_index)]
+                    chosen = self._choose_kinds(members) if flag.get("encoded") else None
+                    if chosen is None:
+                        chain = self._build_chain(
+                            zip(rids, zip(*members)), len(members), group.gid, allocated
+                        )
+                    else:
+                        chain = self._build_encoded_chain(
+                            group_index, rids, members, *chosen, allocated
+                        )
+                    flagged = bool(flag.get("encoded") or flag.get("failed"))
+                    built.append((*chain, chosen and chosen[1], flagged))
+            except BaseException:
+                for page_id in allocated:
+                    self._release_page(page_id)
+                raise
+            for group, (chain, directory, ratio, flagged) in zip(self._groups, built):
+                group.install(chain, directory, ratio)
+                group.enc_failed = ratio is None and flagged
+            self._next_rid = self._n_rows = len(rids)
+            self.access_stats.inserts += len(rids)
 
     def encoding_tick(
         self, min_scans: int = 8, min_pages: int = 2
@@ -1616,19 +1701,6 @@ class GroupedTupleStore:
             }
             for group in self._groups
         ]
-
-    def restore_encodings(self, payloads: Sequence[Dict[str, Any]]) -> None:
-        """Re-establish persisted encoding state after a load.
-
-        Snapshots persist *rows*, so the loader re-inserts plain pages;
-        re-encoding the flagged groups here restores the physical layout
-        (call before :meth:`restore_group_io` so the pre-crash counters
-        overwrite the re-encode burst)."""
-        for group_index, payload in enumerate(payloads[: self.n_groups]):
-            if payload.get("encoded"):
-                self.encode_group(group_index)
-            elif payload.get("failed"):
-                self._groups[group_index].enc_failed = True
 
     def covering_io_snapshot(self, column_names: Sequence[str]) -> IOStats:
         """Aggregated cumulative I/O of the groups covering a column set.

@@ -24,7 +24,10 @@ mutators.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
+from datetime import date
 from functools import partial
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -34,12 +37,31 @@ from repro.engine.layout import LayoutAdvisor, LayoutMigration, LayoutRecommenda
 from repro.engine.pager import BufferPool
 from repro.engine.schema import Column, TableSchema
 from repro.engine.store import DEFAULT_BATCH_SIZE, GroupedTupleStore, LayoutPolicy
-from repro.engine.types import coerce_value
+from repro.engine.types import DBType, coerce_value
 from repro.errors import ConstraintError, ExecutionError, SchemaError, StorageError
 from repro.index.btree import BPlusTree
 from repro.index.posmap import KeySequence
 
 __all__ = ["Table", "ChangeEvent", "TableIndex"]
+
+#: The class a type's coerced values have: :func:`coerce_value` returns
+#: such a value unchanged (a float only when it is not NaN).
+_EXACT_CLASS = {
+    DBType.INTEGER: int, DBType.REAL: float, DBType.TEXT: str,
+    DBType.BOOLEAN: bool, DBType.DATE: date,
+}
+
+
+def _coerce_column(values: List[Any], dtype: DBType) -> None:
+    """Coerce one column in place, as :func:`coerce_value` would value by
+    value — which only the values not of the exact class need."""
+    exact = _EXACT_CLASS.get(dtype)
+    classes = set(map(type, values)) - {type(None), exact}
+    if not classes and (exact is not float or all(value == value for value in values)):
+        return
+    for index, value in enumerate(values):
+        if value is not None:
+            values[index] = coerce_value(value, dtype)
 
 
 @dataclass
@@ -352,8 +374,39 @@ class Table:
                 best = best or index
         return best
 
+    def _build_tree(
+        self,
+        rids: Sequence[int],
+        keys: Sequence[Any],
+        unique: bool,
+        duplicate: Callable[[Any], str],
+    ) -> BPlusTree:
+        """A key index over rid-aligned ``keys``, NULLs skipped, stable-sorted
+        (a bucket keeps ``rids`` order) and built bottom-up.  A repeated
+        unique key raises ``duplicate(key)`` for the first key seen twice in
+        ``keys`` order — where a row-at-a-time build would have stopped."""
+        sorted_keys, values = keys, rids
+        if None in keys:
+            live = [i for i, key in enumerate(keys) if key is not None]
+            sorted_keys, values = [keys[i] for i in live], [rids[i] for i in live]
+        if not all(map(operator.le, sorted_keys, itertools.islice(sorted_keys, 1, None))):
+            order = sorted(range(len(sorted_keys)), key=sorted_keys.__getitem__)  # stable
+            sorted_keys = [sorted_keys[i] for i in order]
+            values = [values[i] for i in order]
+        try:
+            return BPlusTree.from_sorted(sorted_keys, values, unique)
+        except StorageError:
+            seen = set()
+            for key in keys:
+                if key in seen:
+                    raise ConstraintError(duplicate(key)) from None
+                if key is not None:
+                    seen.add(key)
+            raise
+
     def create_index(self, name: str, column: str, unique: bool) -> TableIndex:
-        """Build a secondary index over ``column`` from the current rows.
+        """Build a secondary index over ``column`` from the current rows:
+        the column is read chain by chain and the tree built bottom-up.
 
         Runs under the store mutation lock so the initial build and
         subsequent DML maintenance cannot interleave."""
@@ -363,20 +416,15 @@ class Table:
             raise SchemaError(f"index {name!r} already exists")
         self.schema.column(column)  # raises SchemaError on unknown column
         with self.store.mutation_lock:
-            index = TableIndex(name, column, unique, BPlusTree(unique=unique))
-            col = self.schema.column_index(column)
-            for rid in self.store.rids():
-                key = self.store.get(rid)[col]
-                if key is None:
-                    continue
-                try:
-                    index.tree.insert(key, rid)
-                except StorageError:
-                    raise ConstraintError(
-                        f"cannot create unique index {name!r}: duplicate "
-                        f"key {key!r} in table {self.name!r}"
-                    ) from None
-            self.indexes[name_l] = index
+            rids, (keys,) = self.store.read_columns([column])
+            # One point read per row: the layout advisor prices the
+            # workload from these counts.
+            self.store.access_stats.point_reads += len(rids)
+            tree = self._build_tree(rids, keys, unique, lambda key: (
+                f"cannot create unique index {name!r}: duplicate key {key!r} "
+                f"in table {self.name!r}"
+            ))
+            index = self.indexes[name_l] = TableIndex(name, column, unique, tree)
         self._record_event(
             "index_create", index=name, column=column, unique=unique
         )
@@ -414,12 +462,15 @@ class Table:
             if old is not None and old[col] == key:
                 continue
             if index.tree.get(key, rid) != rid:
-                raise ConstraintError(
-                    f"duplicate primary key {key!r} in table {self.name!r}"
-                    if primary
-                    else f"duplicate key {key!r} violates unique index "
-                    f"{index.name!r} of table {self.name!r}"
-                )
+                raise ConstraintError(self._duplicate_message(index, key))
+
+    def _duplicate_message(self, index: TableIndex, key: Any) -> str:
+        if index is self.primary_index:
+            return f"duplicate primary key {key!r} in table {self.name!r}"
+        return (
+            f"duplicate key {key!r} violates unique index "
+            f"{index.name!r} of table {self.name!r}"
+        )
 
     def _change(
         self,
@@ -500,6 +551,46 @@ class Table:
 
     def insert_many(self, rows: Sequence[Sequence[Any]]) -> List[int]:
         return [self.insert(row) for row in rows]
+
+    def load(
+        self, rows: Iterable[Sequence[Any]], encodings: Sequence[Dict[str, Any]] = ()
+    ) -> None:
+        """Bulk-load stored ``rows``, in presentation order, into this empty
+        table: the snapshot restore, the one entry to the store's rows
+        besides :meth:`_change`.  Values coerce as :func:`coerce_value`
+        does, a column at a time; a NULL stays NULL (stored rows, not an
+        INSERT: no DEFAULT) and a NOT NULL column refuses it.  Positions
+        become one span and every key index is built bottom-up
+        (``encodings``: see :meth:`GroupedTupleStore.load`).  A violation
+        raises what an insert would and leaves the table empty.  No change
+        event, no undo entry."""
+        if self.store.n_rows:
+            raise StorageError(f"table {self.name!r} is not empty")
+        width = self.schema.n_columns
+        block = list(rows)
+        for length in set(map(len, block)) - {width}:
+            raise ExecutionError(f"table {self.name!r} expects {width} values, got {length}")
+        columns = [list(values) for values in zip(*block)] or [[] for _ in range(width)]
+        del block
+        for column, values in zip(self.schema.columns, columns):
+            _coerce_column(values, column.dtype)
+            if column.not_null and None in values:
+                raise self._null_violation(column)
+        rids = list(range(len(columns[0])))
+        trees = [
+            self._build_tree(
+                rids, columns[self.schema.column_index(index.column)], index.unique,
+                partial(self._duplicate_message, index),
+            )
+            for index in self.key_indexes()
+        ]
+        with self.store.mutation_lock:
+            self.store.load(rids, columns, encodings)
+            for index, tree in zip(self.key_indexes(), trees):
+                index.tree = tree
+            self.positions = KeySequence.from_intervals(
+                [(0, len(rids) - 1, 0)] if rids else []
+            )
 
     def update_rid(
         self,

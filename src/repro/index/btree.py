@@ -16,7 +16,9 @@ enough to verify exhaustively in property tests.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterator, List, Optional, Tuple
+import itertools
+import operator
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 
@@ -54,6 +56,50 @@ class BPlusTree:
         self.unique = unique
         self._root: Any = _Leaf()
         self._size = 0
+
+    @classmethod
+    def from_sorted(
+        cls, keys: Sequence[Any], values: Sequence[Any], unique: bool = True
+    ) -> "BPlusTree":
+        """The tree mapping ``keys`` — sorted, equal keys in the order their
+        ``values`` keep — to the aligned ``values``, built bottom-up in O(n):
+        full leaves, then each level of separators over the one below.
+        Refuses NULL and, when ``unique``, a repeated key, as :meth:`insert`
+        does."""
+        tree = cls(unique)
+        tree._size = len(keys)
+        if None in keys:
+            raise StorageError("cannot index NULL key")
+        if any(map(operator.eq, keys, itertools.islice(keys, 1, None))):  # a key repeats
+            if unique:
+                repeated = next(a for a, b in zip(keys, keys[1:]) if a == b)
+                raise StorageError(f"duplicate key {repeated!r}")
+            first, second = operator.itemgetter(0), operator.itemgetter(1)
+            runs = itertools.groupby(zip(keys, values), first)
+            keys, values = zip(*((key, list(map(second, run))) for key, run in runs))
+        elif not unique:
+            values = [[value] for value in values]
+        level: List[Any] = []
+        for start in range(0, len(keys), _ORDER):
+            leaf = _Leaf()
+            leaf.keys = list(keys[start : start + _ORDER])
+            leaf.values = list(values[start : start + _ORDER])
+            if level:
+                level[-1].next = leaf
+            level.append(leaf)
+        firsts = keys[::_ORDER]  # each node's smallest key
+        while len(level) > 1:
+            step = -(-len(level) // -(-len(level) // (_ORDER + 1)))  # spread evenly
+            above = []
+            for start in range(0, len(level), step):
+                node = _Internal()
+                node.children = level[start : start + step]
+                node.keys = list(firsts[start + 1 : start + step])
+                above.append(node)
+            level, firsts = above, firsts[::step]
+        if level:
+            tree._root = level[0]
+        return tree
 
     def __len__(self) -> int:
         return self._size

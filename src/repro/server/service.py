@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.core.address import CellAddress, RangeAddress
+from repro.core.dbtable import DBTableRegion
 from repro.core.persist import workbook_from_dict
 from repro.core.workbook import Workbook
 from repro.engine import sql_ast
@@ -141,6 +142,24 @@ def _validate_dbtable(workbook: Workbook, op: Op) -> None:
     _require_table(workbook, op)
 
 
+def _scrolled_region(workbook: Workbook, op: Op) -> DBTableRegion:
+    """The DBTABLE region anchored at the op's ``sheet``/``anchor``."""
+    sheet = workbook.sheet(op["sheet"]).name
+    at = CellAddress.parse(op["anchor"])
+    region = workbook.regions.region_at(sheet, at.row, at.col)
+    if not isinstance(region, DBTableRegion) or (
+        region.context.anchor.row, region.context.anchor.col
+    ) != (at.row, at.col):
+        raise ServerError(f"no DBTABLE region is anchored at {sheet}!{op['anchor']}")
+    return region
+
+
+def _validate_dbtable_scroll(workbook: Workbook, op: Op) -> None:
+    _scrolled_region(workbook, op)
+    if op["offset"] < 0:
+        raise ServerError("dbtable_scroll requires offset >= 0")
+
+
 def _validate_structural(workbook: Workbook, op: Op) -> None:
     workbook.sheet(op["sheet"])
     if op["at"] < 0 or op.get("count", 1) < 1:
@@ -188,6 +207,12 @@ def _apply_dbtable(workbook: Workbook, op: Op) -> Any:
         include_headers=op.get("include_headers", True),
         window_rows=op.get("window_rows"),
     )
+
+
+def _apply_dbtable_scroll(workbook: Workbook, op: Op) -> None:
+    # Logged, because a region edit resolves its table row as the window's
+    # offset plus the display row: replay has to scroll where live did.
+    _scrolled_region(workbook, op).scroll_to(op["offset"])
 
 
 def _apply_dbsql(workbook: Workbook, op: Op) -> Any:
@@ -304,6 +329,10 @@ OPS: Dict[str, OpEntry] = {
         _validate_dbtable, _apply_dbtable,
         required={"sheet": str, "anchor": str, "table": str},
         optional={"include_headers": bool, "window_rows": int},
+    ),
+    "dbtable_scroll": OpEntry(  # pan a windowed DBTABLE to a table position
+        _validate_dbtable_scroll, _apply_dbtable_scroll,
+        required={"sheet": str, "anchor": str, "offset": int},
     ),
     "dbsql": OpEntry(
         _validate_anchor, _apply_dbsql,

@@ -314,8 +314,12 @@ def test_store_row_mutators_are_called_only_from_the_table_chokepoint():
     no write can miss constraint checks, locking, index maintenance, the
     undo scope or the change event.  (``baselines/naive_db.py`` drives a
     store of its own and is not part of either package; a ``Sheet``'s
-    ``store`` is its cell store, not a tuple store.)"""
+    ``store`` is its cell store, not a tuple store.)  The one other entry
+    is the bulk load of an empty table: the store's ``load`` is called
+    only by ``Table.load``, and that only by the snapshot restore."""
     callers = set()
+    store_loaders = set()
+    table_loaders = set()
     for package in ("engine", "core"):
         for path in sorted((REPO_ROOT / "src" / "repro" / package).glob("*.py")):
             if (package, path.name) == ("core", "sheet.py"):
@@ -324,17 +328,28 @@ def test_store_row_mutators_are_called_only_from_the_table_chokepoint():
             for function in python_ast.walk(tree):
                 if not isinstance(function, python_ast.FunctionDef):
                     continue
+                where = f"{package}/{path.name}:{function.name}"
                 for node in python_ast.walk(function):
-                    if (
+                    if not (
                         isinstance(node, python_ast.Call)
                         and isinstance(node.func, python_ast.Attribute)
-                        and node.func.attr
-                        in ("insert", "update", "update_column", "delete")
-                        and isinstance(node.func.value, python_ast.Attribute)
-                        and node.func.value.attr == "store"
                     ):
-                        callers.add(f"{package}/{path.name}:{function.name}")
+                        continue
+                    on_store = (
+                        isinstance(node.func.value, python_ast.Attribute)
+                        and node.func.value.attr == "store"
+                    )
+                    if node.func.attr in ("insert", "update", "update_column", "delete"):
+                        if on_store:
+                            callers.add(where)
+                    elif node.func.attr == "load" and not (
+                        isinstance(node.func.value, python_ast.Name)
+                        and node.func.value.id == "json"
+                    ):
+                        (store_loaders if on_store else table_loaders).add(where)
     assert callers == {"engine/table.py:_change"}
+    assert store_loaders == {"engine/table.py:load"}
+    assert table_loaders == {"core/persist.py:workbook_from_dict"}
 
 
 def test_page_records_are_assigned_only_by_the_store_page_helpers():

@@ -644,6 +644,74 @@ class TestSnapshotCompaction:
         service.close()
 
 
+    def test_restore_keeps_a_stored_null_in_a_defaulted_column(self, tmp_path):
+        """A snapshot holds stored rows, not INSERTs: restoring one must not
+        turn a NULL the rows hold into the column DEFAULT."""
+        service = make_service(tmp_path)
+        session = service.connect("alice")
+        for sql in (
+            "CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER DEFAULT 5)",
+            "INSERT INTO t VALUES (1, 7)",
+            "UPDATE t SET v = NULL",
+        ):
+            service.execute(session.session_id, sql)
+        assert service.workbook.database.execute("SELECT v FROM t").rows == [(None,)]
+        service.compact(force=True)
+        service.close()
+        recovered = recover_state(str(tmp_path / "svc"))
+        assert recovered.snapshot_used and recovered.ops_replayed == 0
+        assert recovered.workbook.database.execute("SELECT v FROM t").rows == [(None,)]
+
+
+class TestWindowScroll:
+    """A region edit resolves its table row as the window's offset plus the
+    display row, so the scroll is an op: logged, and replayed."""
+
+    def test_edit_after_a_scroll_replays_on_the_same_row(self, tmp_path):
+        service = make_service(tmp_path)
+        sid = service.connect("alice").session_id
+        service.execute(sid, "CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        for i in range(20):
+            service.execute(sid, f"INSERT INTO t VALUES ({i}, {i})")
+        service.apply(
+            sid,
+            {"type": "dbtable", "sheet": "Sheet1", "anchor": "A1", "table": "t", "window_rows": 5},
+        )
+        service.apply(
+            sid, {"type": "dbtable_scroll", "sheet": "Sheet1", "anchor": "A1", "offset": 10}
+        )
+        service.set_cell(sid, "Sheet1", "B2", 99)
+        updated = "SELECT id FROM t WHERE v = 99"
+        assert service.workbook.database.execute(updated).rows == [(10,)]
+        service.close()
+
+        recovered = recover_state(str(tmp_path / "svc")).workbook
+        assert recovered.database.execute(updated).rows == [(10,)]
+        (region,) = recovered.regions.all()
+        assert region.offset == 10
+        assert recovered.get("Sheet1", "A2") == 10
+
+    @pytest.mark.parametrize(
+        "fields, error",
+        [
+            ({"anchor": "C3", "offset": 1}, "no DBTABLE region is anchored at Sheet1!C3"),
+            ({"anchor": "A2", "offset": 1}, "no DBTABLE region is anchored"),
+            ({"anchor": "A1", "offset": -1}, "offset >= 0"),
+        ],
+    )
+    def test_a_scroll_is_validated_before_the_wal(self, tmp_path, fields, error):
+        service = make_service(tmp_path)
+        sid = service.connect("alice").session_id
+        service.execute(sid, "CREATE TABLE t (id INTEGER PRIMARY KEY)")
+        service.execute(sid, "INSERT INTO t VALUES (1), (2)")
+        service.apply(sid, {"type": "dbtable", "sheet": "Sheet1", "anchor": "A1", "table": "t"})
+        lsn = service.wal.last_lsn
+        with pytest.raises(ServerError, match=error):
+            service.apply(sid, {"type": "dbtable_scroll", "sheet": "Sheet1", **fields})
+        assert service.wal.last_lsn == lsn
+        service.close()
+
+
 class TestOneServiceSideParse:
     """A sql op's text is parsed once in the service, by ``validate_op``;
     DDL promotion and the read-only test read that parse
@@ -732,6 +800,7 @@ SAMPLE_OPS = {
         "include_headers": True,
         "window_rows": 5,
     },
+    "dbtable_scroll": {"sheet": "Sheet1", "anchor": "D1", "offset": 1},
     "dbsql": {
         "sheet": "Sheet1",
         "anchor": "H1",
@@ -798,8 +867,9 @@ class TestOpTable:
         assert_table_invariants(OPS)
 
     def test_samples_cover_the_table(self, served):
-        service, _ = served
+        service, session_id = served
         assert set(SAMPLE_OPS) == set(OPS)
+        service.apply(session_id, SAMPLE_OPS["dbtable"])  # what the scroll pans
         for kind, op in SAMPLE_OPS.items():
             entry = OPS[kind]
             assert set(op) == {"type", *entry.required, *entry.optional}, kind
